@@ -28,10 +28,11 @@ from .fourier import (CircleGrid, TrigSeries, evaluate, from_samples,
                       series_from_json, series_to_json)
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
                          symmetrize_z_full, z1_closed, z2_closed,
-                         z2_coeff_closed, z_coeff, zeta_invariant)
+                         z2_coeff_closed, z_coeff, z_coeff_closed, zeta,
+                         zeta_invariant)
 from .lie import (GENERATORS, apply_generator, bracket_check,
-                  generator_relation_check, raising_relation_check,
-                  raising_relation_sweep)
+                  generator_relation_check, plane_tuples,
+                  raising_relation_check, raising_relation_sweep)
 from .scalars import RationalComplex
 from .trace import (BandedOperator, KIND_DN, KIND_DTHETA, operator_matrix,
                     stabilization_check, stabilization_sweep,

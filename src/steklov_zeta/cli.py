@@ -4,10 +4,11 @@ Every run prints a header line to stderr with the library version, scalar
 backend, seed (when one is involved), and a digest of the effective
 configuration, so saved reports are self-describing.  Data goes to stdout
 or to --out.  Exit codes: 0 success / all checks pass, 1 check failure,
-2 usage error.
+2 usage error or bad input value (a ValueError, one "error:" line).
 
 An optional config file (--config PATH, "key = value" lines) supplies
 defaults for any long flag of the chosen command; explicit flags win.
+Switches take true / false.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import csv
 import hashlib
 import io
-import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,11 +28,11 @@ from .conformal import (MoebiusParam, mu_matrix, pullback_direct,
 from .errors import SteklovZetaError
 from .explorer import CampaignConfig, z2_nonneg_campaign
 from .fourier import TrigSeries, load_series
-from .invariants import (brute_n, coeff_bound_check, symmetrize_z, z1_closed,
-                         z2_closed, z2_coeff_closed, z_coeff,
-                         zero_sum_multisets, zeta_invariant)
+from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
+                         z2_coeff_closed, z_coeff, zero_sum_multisets, zeta,
+                         zeta_invariant)
 from .lie import (GENERATORS, bracket_check, generator_relation_check,
-                  raising_relation_check)
+                  plane_tuples, raising_relation_check)
 from .scalars import RationalComplex
 from .trace import stabilization_sweep, trace_difference
 
@@ -79,14 +79,6 @@ def _fmt_scalar(value) -> str:
     return repr(z)
 
 
-def _z_of(a: TrigSeries, k: int):
-    if k == 1:
-        return z1_closed(a)
-    if k == 2:
-        return z2_closed(a)
-    return zeta_invariant(a, k)
-
-
 # command handlers ----------------------------------------------------------
 
 
@@ -94,12 +86,11 @@ def cmd_compute_z(args) -> int:
     _header(args, args.backend)
     a = load_series(args.series, args.backend)
     if args.method == "closed" and args.k > 2:
-        print("closed forms exist for k in {1, 2} only", file=sys.stderr)
-        return 2
+        raise ValueError("closed forms exist for k in {1, 2} only")
     if args.method == "brute":
         value = zeta_invariant(a, args.k)
     else:
-        value = _z_of(a, args.k)
+        value = zeta(a, args.k)
     _emit(_fmt_scalar(value) + "\n", args.out)
     return 0
 
@@ -114,8 +105,7 @@ def cmd_brute_n(args) -> int:
             _emit(_fmt_scalar(symmetrize_z(idx)) + "\n", args.out)
         return 0
     if args.k is None or args.radius is None:
-        print("need either --indices or both --k and --radius", file=sys.stderr)
-        return 2
+        raise ValueError("need either --indices or both --k and --radius")
     buf = io.StringIO()
     writer = csv.writer(buf)
     slots = 2 * args.k
@@ -132,8 +122,7 @@ def cmd_z2_coeff(args) -> int:
     _header(args, "exact")
     idx = _parse_indices(args.indices)
     if len(idx) != 4:
-        print("z2-coeff needs exactly four indices", file=sys.stderr)
-        return 2
+        raise ValueError("z2-coeff needs exactly four indices")
     closed = z2_coeff_closed(*idx)
     lines = [f"closed: {closed}"]
     code = 0
@@ -180,8 +169,8 @@ def cmd_check_invariance(args) -> int:
     if out_degree is None:
         out_degree = suggest_out_degree(a.degree, param, 1e-9)
     b = pullback_direct(a, param, args.grid, out_degree)
-    za = complex(_z_of(a, args.k)).real
-    zb = complex(_z_of(b, args.k)).real
+    za = complex(zeta(a, args.k)).real
+    zb = complex(zeta(b, args.k)).real
     dev = abs(za - zb)
     limit = args.tol * (1.0 + abs(za))
     ok = dev <= limit
@@ -192,16 +181,6 @@ def cmd_check_invariance(args) -> int:
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if ok else 1
-
-
-def _plane_tuples(k: int, radius: int, plane: int, stride: int):
-    hits = 0
-    for idx in itertools.product(range(-radius, radius + 1), repeat=2 * k):
-        if sum(idx) != plane:
-            continue
-        if hits % stride == 0:
-            yield idx
-        hits += 1
 
 
 def _relation_task(payload):
@@ -215,13 +194,11 @@ def _relation_task(payload):
 def cmd_check_relations(args) -> int:
     _header(args, "exact")
     if args.variant == "reduced":
-        tag = f"reduced-{args.source}"
-        tasks = [(tag, idx)
-                 for idx in _plane_tuples(args.k, args.radius, -1, args.stride)]
+        tag, planes = f"reduced-{args.source}", (-1,)
     else:
-        tasks = [(args.variant, idx)
-                 for plane in (-1, 1)
-                 for idx in _plane_tuples(args.k, args.radius, plane, args.stride)]
+        tag, planes = args.variant, (-1, 1)
+    tasks = [(tag, idx) for plane in planes
+             for idx in plane_tuples(args.k, args.radius, plane, args.stride)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_relation_task, tasks, chunksize=64))
@@ -413,32 +390,45 @@ def _load_config(path: str) -> dict:
     return values
 
 
+def _config_value(action: argparse.Action, text: str):
+    """A config-file string as the default the flag's action would store."""
+    if action.nargs == 0:  # a switch such as --verify
+        value = {"true": True, "false": False}.get(text.lower())
+        if value is None:
+            raise ValueError(f"config {action.dest} = {text!r}: "
+                             "expected true or false")
+        return value
+    value = text if action.type is None else action.type(text)
+    return [value] if isinstance(action, argparse._AppendAction) else value
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv and argv.index("--config") + 1 < len(argv):
-        cfg_path = argv[argv.index("--config") + 1]
-        raw = _load_config(cfg_path)
-        command = next((tok for tok in argv
-                        if not tok.startswith("-") and tok != cfg_path), None)
-        subparser = _SUBPARSERS.get(command)
-        if subparser is not None:
-            for action in subparser._actions:
-                if action.dest in raw:
-                    value = raw[action.dest]
-                    if action.type is not None:
-                        value = action.type(value)
-                    subparser.set_defaults(**{action.dest: value})
-                    action.required = False
     try:
+        if "--config" in argv and argv.index("--config") + 1 < len(argv):
+            cfg_path = argv[argv.index("--config") + 1]
+            raw = _load_config(cfg_path)
+            command = next((tok for tok in argv
+                            if not tok.startswith("-") and tok != cfg_path),
+                           None)
+            subparser = _SUBPARSERS.get(command)
+            if subparser is not None:
+                for action in subparser._actions:
+                    if action.dest in raw:
+                        value = _config_value(action, raw[action.dest])
+                        subparser.set_defaults(**{action.dest: value})
+                        action.required = False
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except SteklovZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # bad input, reported like a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

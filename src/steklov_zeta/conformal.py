@@ -38,13 +38,6 @@ from .errors import BackendMismatch
 from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, evaluate,
                       from_samples, grid_angles)
 
-# The row formulas were derived by substituting the inverse boundary map,
-# which leaves a genuine sign ambiguity between the matrix parameter and the
-# Phi_rho parameter.  Validation (apply_moebius vs pullback_direct on random
-# series) fixes the pairing: they agree with the SAME parameter, so the
-# orientation factor is +1.
-MU_PULLBACK_ORIENTATION = 1
-
 
 @dataclass(frozen=True)
 class MoebiusParam:
@@ -149,16 +142,14 @@ class TruncatedMatrix:
     """Dense truncation of an operator on frequencies n in [-N, N]."""
 
     half_width: int
-    entries: tuple | np.ndarray
+    entries: tuple  # rows of entries, each a tuple
     exact: bool
 
     def at(self, n: int, k: int):
         return self.entries[n + self.half_width][k + self.half_width]
 
     def to_array(self) -> np.ndarray:
-        if isinstance(self.entries, np.ndarray):
-            return self.entries
-        return np.array([[float(v) for v in row] for row in self.entries])
+        return np.array(self.entries, dtype=float)
 
     def iter_entries(self):
         N = self.half_width
@@ -173,11 +164,8 @@ def mu_matrix(rho, N: int) -> TruncatedMatrix:
         raise ValueError("half-width must be >= 1")
     r = _rho_value(rho)
     idx = range(-N, N + 1)
-    if isinstance(r, float):
-        ent = np.array([[mu(n, k, r) for k in idx] for n in idx])
-        return TruncatedMatrix(N, ent, exact=False)
     ent = tuple(tuple(mu(n, k, r) for k in idx) for n in idx)
-    return TruncatedMatrix(N, ent, exact=True)
+    return TruncatedMatrix(N, ent, exact=not isinstance(r, float))
 
 
 def d_matrix(N: int) -> TruncatedMatrix:
@@ -204,7 +192,6 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
         raise BackendMismatch("exact series with float rho; pass a Fraction")
     if a.backend == FLOAT:
         r = float(r)
-    r = r * MU_PULLBACK_ORIENTATION
     coeffs = {}
     for n in range(-out_degree, out_degree + 1):
         total = None

@@ -24,10 +24,8 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NotHermitian, NotReal
 from .fourier import EXACT, TrigSeries, is_real, min_on_circle
-from .invariants import z1_closed, z2_closed, zeta_invariant
+from .invariants import z1_closed, z2_closed, zeta
 from .scalars import RationalComplex
-
-RATIONALIZE_DENOMINATOR = 10**6
 
 
 @dataclass(frozen=True)
@@ -144,16 +142,17 @@ def random_positive_series(n0: int, scale: float, rng: np.random.Generator,
     return a
 
 
-def rationalize_series(a: TrigSeries,
-                       max_denominator: int = RATIONALIZE_DENOMINATOR) -> TrigSeries:
-    """Round float coefficients to nearby rationals, keeping conjugate
-    symmetry by construction (negative rows mirror the rounded positive ones)."""
+def rationalize_series(a: TrigSeries) -> TrigSeries:
+    """Exact rational copy of a float series, keeping conjugate symmetry by
+    construction (negative rows mirror the positive ones).  A float is a
+    dyadic rational, so nothing is rounded: an exact re-check sees the very
+    series that was flagged."""
     coeffs = {}
     for n, v in a.items():
         if n < 0:
             continue
-        re = Fraction(v.real).limit_denominator(max_denominator)
-        im = Fraction(v.imag).limit_denominator(max_denominator)
+        re = Fraction(v.real)
+        im = Fraction(v.imag)
         coeffs[n] = RationalComplex(re, im)
         if n > 0:
             coeffs[-n] = RationalComplex(re, -im)
@@ -175,13 +174,7 @@ def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
             denom += abs(n) ** (2 * k + 1) * abs(complex(v)) ** (2 * k)
     if denom == 0.0:
         raise DegenerateDenominator("no frequencies >= 2 in the series")
-    if k == 1:
-        z = z1_closed(a)
-    elif k == 2:
-        z = z2_closed(a)
-    else:
-        z = zeta_invariant(a, k)
-    return float(complex(z).real) / denom
+    return float(complex(zeta(a, k)).real) / denom
 
 
 def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:

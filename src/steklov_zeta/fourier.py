@@ -139,9 +139,6 @@ class TrigSeries:
         return TrigSeries({n: scalar * v for n, v in self._coeffs.items()},
                           self.backend)
 
-    def scaled(self, scalar) -> "TrigSeries":
-        return scalar * self
-
     # conversions ----------------------------------------------------------
 
     def to_float(self) -> "TrigSeries":

@@ -37,8 +37,6 @@ from .errors import CanonicalizationFailure, NonZeroSum
 from .fourier import EXACT, TrigSeries
 from .scalars import RC_ZERO
 
-MultiIndex = tuple  # a tuple of 2k integers
-
 
 def _validate_index(indices) -> tuple:
     idx = tuple(int(j) for j in indices)
@@ -201,7 +199,7 @@ def z1_closed(a: TrigSeries):
         w = a.coeff(-j)
         if not w:
             continue
-        c = Fraction(abs(j**3 - j), 3)
+        c = z_coeff_closed((j, -j))
         total = total + (c if exact else float(c)) * v * w
     return total
 
@@ -278,6 +276,33 @@ def z2_coeff_closed(i: int, j: int, k: int, l: int) -> Fraction:
 def z2_closed(a: TrigSeries):
     """Second invariant via the closed-form quadruple coefficients."""
     return _form_sum(a, 4, lambda ms: z2_coeff_closed(*ms))
+
+
+def z_coeff_closed(indices) -> Fraction:
+    """Symmetric coefficient Z from its closed form, zero off the zero-sum
+    plane: |j^3 - j| / 3 for a pair (j, -j), z2_coeff_closed for a quadruple.
+
+    No closed form is known for six or more slots.
+    """
+    idx = tuple(indices)
+    if len(idx) == 2:
+        j = idx[0]
+        return Fraction(abs(j**3 - j), 3) if j + idx[1] == 0 else Fraction(0)
+    if len(idx) == 4:
+        return z2_coeff_closed(*idx)
+    raise ValueError("closed coefficients are available for k in {1, 2} only")
+
+
+def zeta(a: TrigSeries, k: int):
+    """Z_k(a) through the closed forms for k = 1, 2, else zeta_invariant.
+
+    The closed forms give the same coefficients as the brute sum, faster.
+    """
+    if k == 1:
+        return z1_closed(a)
+    if k == 2:
+        return z2_closed(a)
+    return zeta_invariant(a, k)
 
 
 def coeff_bound_check(indices) -> bool:

@@ -31,12 +31,12 @@ and is checked here as an exact rational identity, never in floats.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from itertools import islice
 
 from .errors import UnknownBracket, WrongSum
 from .fourier import EXACT, TrigSeries
-from .invariants import z2_coeff_closed, z_coeff
+from .invariants import z_coeff, z_coeff_closed
 from .scalars import RationalComplex
 
 GENERATORS = ("C", "D", "E", "D0", "Dminus", "Dplus")
@@ -106,23 +106,11 @@ def bracket_check(g: str, h: str, a: TrigSeries):
 # linear relations among the symmetric coefficients -------------------------
 
 
-def _closed_coeff(idx: tuple) -> Fraction:
-    k = len(idx) // 2
-    if k == 1:
-        if idx[0] + idx[1] != 0:
-            return Fraction(0)
-        j = idx[0]
-        return Fraction(abs(j**3 - j), 3)
-    if k == 2:
-        return z2_coeff_closed(*idx)
-    raise ValueError("closed coefficients are available for k in {1, 2} only")
-
-
 def _coeff_source(source: str):
     if source == "brute":
         return z_coeff
     if source == "closed":
-        return _closed_coeff
+        return z_coeff_closed
     raise ValueError(f"unknown coefficient source {source!r}")
 
 
@@ -175,20 +163,31 @@ def generator_relation_check(indices, variant: str) -> Fraction:
     return up + down
 
 
-def raising_relation_sweep(k: int, radius: int, stride: int = 1,
-                           source: str = "brute"):
-    """All (or every stride-th) index tuple on the sum = -1 plane.
+def plane_tuples(k: int, radius: int, plane: int, stride: int = 1):
+    """Every stride-th tuple of [-radius, radius]^{2k} with sum = plane.
 
-    Tuples run in lexicographic order over the box [-radius, radius]^{2k};
-    yields (indices, exact value).  stride > 1 takes a deterministic,
-    evenly spaced sample of the enumeration.
+    Tuples run in lexicographic order.  Each slot only takes values from
+    which the remaining slots can still reach the plane, so no tuple off
+    the plane is built; stride > 1 takes a deterministic, evenly spaced
+    sample of the enumeration.
     """
     if k < 1 or radius < 1 or stride < 1:
         raise ValueError("need k >= 1, radius >= 1, stride >= 1")
-    hits = 0
-    for idx in itertools.product(range(-radius, radius + 1), repeat=2 * k):
-        if sum(idx) != -1:
-            continue
-        if hits % stride == 0:
-            yield idx, raising_relation_check(idx, source)
-        hits += 1
+
+    def rec(prefix: tuple, rest: int, left: int):
+        if left == 1:
+            yield prefix + (rest,)
+            return
+        reach = (left - 1) * radius
+        for v in range(max(-radius, rest - reach),
+                       min(radius, rest + reach) + 1):
+            yield from rec(prefix + (v,), rest - v, left - 1)
+
+    return islice(rec((), plane, 2 * k), None, None, stride)
+
+
+def raising_relation_sweep(k: int, radius: int, stride: int = 1,
+                           source: str = "brute"):
+    """(indices, exact value) for plane_tuples(k, radius, -1, stride)."""
+    for idx in plane_tuples(k, radius, -1, stride):
+        yield idx, raising_relation_check(idx, source)

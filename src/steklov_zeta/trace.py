@@ -39,7 +39,6 @@ class BandedOperator:
     bandwidth: int
     rows: dict          # row m -> {column n: scalar}
     backend: str
-    kind: str | None = None
 
     def entry(self, m: int, n: int):
         zero = RC_ZERO if self.backend == EXACT else 0j
@@ -61,7 +60,7 @@ class BandedOperator:
             if acc:
                 rows[m] = acc
         return BandedOperator(self.half_width, self.bandwidth + other.bandwidth,
-                              rows, self.backend, None)
+                              rows, self.backend)
 
     def power(self, k: int) -> "BandedOperator":
         if k < 1:
@@ -98,7 +97,7 @@ def operator_matrix(a: TrigSeries, kind: str, N: int) -> BandedOperator:
                 row[n] = coeff * (abs(n) if kind == KIND_DN else n)
         if row:
             rows[m] = row
-    return BandedOperator(N, a.degree, rows, a.backend, kind)
+    return BandedOperator(N, a.degree, rows, a.backend)
 
 
 def _trace_difference_at(a: TrigSeries, k: int, N: int):

@@ -90,6 +90,27 @@ def test_check_relations(capsys, tmp_path):
     assert all(row.endswith(",1") for row in rows[1:])
 
 
+@pytest.mark.parametrize("flags", [("--radius", "0"), ("--radius", "-1"),
+                                   ("--radius", "3", "--stride", "0")])
+def test_check_relations_rejects_empty_sweep(capsys, flags):
+    code, out, err = run(capsys, "check-relations", "--k", "1", *flags)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "all_zero" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mu-matrix", "--rho", "abc", "--half-width", "2"),
+    ("mu-matrix", "--rho", "3/2", "--half-width", "2"),
+    ("check-relations", "--k", "3", "--radius", "1", "--source", "closed"),
+    ("z2-coeff", "--indices=1,2,-3"),
+    ("brute-n", "--k", "1"),
+])
+def test_bad_value_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1
+
+
 def test_check_relations_jobs_deterministic(capsys):
     code1, out1, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6")
     code2, out2, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6",
@@ -134,6 +155,9 @@ def test_usage_error_exit_code(capsys, pair_series):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+    code, out, err = run(capsys, "compute-z", "--series", pair_series,
+                         "--k", "3", "--method", "closed")
+    assert code == 2 and out == "" and err.count("error:") == 1
 
 
 def test_missing_file_is_reported(capsys):
@@ -151,6 +175,24 @@ def test_config_file_supplies_defaults(capsys, tmp_path, pair_series):
     code, out, _ = run(capsys, "--config", str(cfg), "compute-z",
                        "--series", pair_series, "--k", "1")
     assert code == 0 and out.strip() == "4"
+    # append flags take a list, switches parse true/false
+    cfg.write_text("kappa = 0.5\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "explore", "--seed", "4",
+                       "--count", "1", "--n0", "2")
+    assert code == 0
+    assert json.loads(out)["config"]["kappas"] == [0.5]
+    cfg.write_text("verify = false\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "z2-coeff",
+                       "--indices=-3,2,2,-1")
+    assert code == 0 and out == "closed: 8\n"
+    cfg.write_text("verify = True\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "z2-coeff",
+                       "--indices=-3,2,2,-1")
+    assert code == 0 and "match: True" in out
+    cfg.write_text("verify = yes\n")
+    code, out, err = run(capsys, "--config", str(cfg), "z2-coeff",
+                         "--indices=-3,2,2,-1")
+    assert code == 2 and out == "" and err.count("error:") == 1
 
 
 def test_version_flag(capsys):

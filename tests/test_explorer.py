@@ -77,7 +77,7 @@ def test_rationalize_preserves_reality():
     b = rationalize_series(a)
     assert b.backend == "exact" and is_real(b)
     for n, v in a.items():
-        assert complex(b.coeff(n)) == pytest.approx(v, abs=2e-6)
+        assert complex(b.coeff(n)) == v
 
 
 def test_inequality_ratio_single_pair():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from steklov_zeta import (NonZeroSum, RationalComplex, TrigSeries, brute_n,
                           coeff_bound_check, symmetrize_z, symmetrize_z_full,
                           z1_closed, z2_closed, z2_coeff_closed, z_coeff,
-                          zeta_invariant)
+                          z_coeff_closed, zeta, zeta_invariant)
 from steklov_zeta.invariants import _p1, _p2, zero_sum_multisets
 
 from util import random_exact_series, random_zero_sum_tuple
@@ -190,6 +190,12 @@ def test_z2_closed_equals_invariant():
         assert z2_closed(a) == zeta_invariant(a, 2)
 
 
+def test_zeta_dispatch_equals_invariant():
+    a = random_exact_series(random.Random(7), 3)
+    for k in (1, 2, 3):
+        assert zeta(a, k) == zeta_invariant(a, k)
+
+
 def test_z2_closed_with_zero_mode():
     a = TrigSeries.exact({0: 1, 2: Fraction(1, 2), -2: Fraction(1, 2)})
     assert z2_closed(a) == zeta_invariant(a, 2)
@@ -230,6 +236,15 @@ def test_z2_coeff_matches_brute_ball_radius_5():
                 l = -(i + j + k)
                 if abs(l) <= 5:
                     assert z2_coeff_closed(i, j, k, l) == z_coeff((i, j, k, l))
+
+
+def test_z_coeff_closed_matches_brute_on_box():
+    box = range(-3, 4)
+    for slots in (2, 4):
+        for idx in itertools.product(box, repeat=slots):
+            assert z_coeff_closed(idx) == z_coeff(idx), idx
+    with pytest.raises(ValueError):
+        z_coeff_closed((1, -1, 2, -2, 0, 0))
 
 
 def test_closed_polynomials_are_odd():

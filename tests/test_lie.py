@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from steklov_zeta import (GENERATORS, RationalComplex, TrigSeries, UnknownBracket,
                           WrongSum, apply_generator, bracket_check,
-                          generator_relation_check, is_real,
+                          generator_relation_check, is_real, plane_tuples,
                           raising_relation_check, raising_relation_sweep,
                           symmetrize_z)
 
@@ -164,3 +165,28 @@ def test_sweep_stride_subsamples_deterministically():
 def test_sweep_closed_source_k2():
     for idx, value in raising_relation_sweep(2, 2, source="closed"):
         assert value == 0
+
+
+def box_filter_tuples(k, radius, plane):
+    """Reference enumeration: the whole box, filtered to the plane."""
+    return [idx for idx in itertools.product(range(-radius, radius + 1),
+                                             repeat=2 * k)
+            if sum(idx) == plane]
+
+
+@pytest.mark.parametrize("k, radii", [(1, range(1, 6)), (2, range(1, 6)),
+                                      (3, range(1, 4))])
+def test_plane_tuples_equal_box_filter(k, radii):
+    for radius in radii:
+        for plane in (-1, 0, 1, 2 * k * radius, 2 * k * radius + 1):
+            full = box_filter_tuples(k, radius, plane)
+            for stride in (1, 3, 7):
+                got = list(plane_tuples(k, radius, plane, stride))
+                assert got == full[::stride], (k, radius, plane, stride)
+
+
+@pytest.mark.parametrize("k, radius, stride", [(0, 3, 1), (1, 0, 1),
+                                               (1, -1, 1), (1, 3, 0)])
+def test_plane_tuples_rejects_bad_parameters(k, radius, stride):
+    with pytest.raises(ValueError):
+        plane_tuples(k, radius, -1, stride)
