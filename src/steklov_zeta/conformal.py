@@ -60,13 +60,20 @@ class MoebiusParam:
 
     @classmethod
     def parse(cls, text: str) -> "MoebiusParam":
-        """Parse "p/q" as an exact rational, a decimal as a float."""
+        """Parse "p/q" or an integer as an exact rational, a decimal as a
+        float; any other text raises a ValueError that names these forms."""
         text = text.strip()
-        if "/" in text:
-            return cls(Fraction(text))
-        if "." in text or "e" in text.lower():
-            return cls(float(text))
-        return cls(Fraction(int(text)))
+        try:
+            if "/" in text:
+                rho = Fraction(text)
+            elif "." in text or "e" in text.lower():
+                rho = float(text)
+            else:
+                rho = Fraction(int(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError('rho must be "p/q", an integer or a decimal, '
+                             f"got {text!r}") from None
+        return cls(rho)
 
 
 def _rho_value(rho):

@@ -159,13 +159,9 @@ def rationalize_series(a: TrigSeries) -> TrigSeries:
     return TrigSeries.exact(coeffs)
 
 
-def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
-    """Z_k(a) divided by sum_{n>=2} n^{2k+1} |a_n|^{2k}.
-
-    The denominator counts positive frequencies only by default (the
-    convention used throughout the reports); two_sided=True also adds the
-    n <= -2 terms, which doubles the denominator of a real series.
-    """
+def _ratio_denominator(a: TrigSeries, k: int, two_sided: bool = False) -> float:
+    """sum_{n>=2} n^{2k+1} |a_n|^{2k} of a real series (also n <= -2 when
+    two_sided), the denominator of inequality_ratio."""
     if not is_real(a):
         raise NotReal("the ratio is defined for real series")
     denom = 0.0
@@ -174,6 +170,17 @@ def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
             denom += abs(n) ** (2 * k + 1) * abs(complex(v)) ** (2 * k)
     if denom == 0.0:
         raise DegenerateDenominator("no frequencies >= 2 in the series")
+    return denom
+
+
+def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
+    """Z_k(a) divided by sum_{n>=2} n^{2k+1} |a_n|^{2k}.
+
+    The denominator counts positive frequencies only by default (the
+    convention used throughout the reports); two_sided=True also adds the
+    n <= -2 terms, which doubles the denominator of a real series.
+    """
+    denom = _ratio_denominator(a, k, two_sided)
     return float(complex(zeta(a, k)).real) / denom
 
 
@@ -196,7 +203,7 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
             if exact_val.re < 0:
                 flagged = True
         try:
-            ratio = inequality_ratio(a, 2)
+            ratio = z2 / _ratio_denominator(a, 2)
         except DegenerateDenominator:
             ratio = None
         rec = SampleRecord(i, z1, z2, ratio, flagged, z2_exact)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -124,40 +125,72 @@ def z_coeff(indices) -> Fraction:
 
 
 def zero_sum_multisets(values, slots: int):
-    """Non-decreasing zero-sum tuples of the given length over sorted values.
+    """Non-decreasing zero-sum tuples of the given length over the distinct
+    values, in lexicographic order; ``slots = 0`` yields ``()`` once.
 
-    Recursive generation with partial-sum pruning: a branch dies as soon as
-    the remaining slots cannot bring the running sum back to zero.
+    Iterative depth-first search.  With running sum t and m slots left
+    (this one included), a slot takes the values v >= the previous slot's
+    value with t + m*v <= 0 (larger values overshoot, since later slots are
+    no smaller) and t + v + (m-1)*max >= 0 (smaller ones can never climb
+    back to zero); both bounds are found by bisection.  The last slot is
+    closed by looking up -t among the values, not by a scan: the bounds of
+    the slot before it already make -t lie in [v, max].
     """
     vals = sorted(set(values))
-    if not vals:
+    if not vals or slots < 0:
+        return
+    if slots == 0:
+        yield ()
+        return
+    present = set(vals)
+    last = slots - 1
+    if last == 0:
+        if 0 in present:
+            yield (0,)
         return
     vmax = vals[-1]
-    out: list[int] = []
-
-    def rec(start: int, left: int, total: int):
-        if left == 0:
-            if total == 0:
-                yield tuple(out)
-            return
-        if total + left * vmax < 0:
-            return
-        for i in range(start, len(vals)):
-            v = vals[i]
-            if total + left * v > 0:
-                break
-            out.append(v)
-            yield from rec(i, left - 1, total + v)
-            out.pop()
-
-    yield from rec(0, slots, 0)
+    out = [0] * slots
+    sums = [0] * last       # sums[d]: running sum of out[:d]
+    at = [0] * last         # next index to try in each open slot
+    stop = [0] * last       # one past the last admissible index
+    stop[0] = bisect_right(vals, 0)
+    at[0] = bisect_left(vals, -last * vmax)
+    d = 0
+    while d >= 0:
+        i = at[d]
+        if i >= stop[d]:
+            d -= 1
+            continue
+        at[d] = i + 1
+        v = vals[i]
+        out[d] = v
+        t = sums[d] + v
+        if d + 1 < last:
+            d += 1
+            sums[d] = t
+            left = slots - d
+            at[d] = max(i, bisect_left(vals, -t - (left - 1) * vmax))
+            stop[d] = bisect_right(vals, -t // left)
+            continue
+        if -t in present:
+            out[last] = -t
+            yield tuple(out)
 
 
 def _orderings(multiset: tuple) -> int:
+    """Distinct orderings of a non-decreasing tuple: the multinomial
+    len! / prod(run!) over its runs of equal values."""
     count = math.factorial(len(multiset))
-    for _, run in Counter(multiset).items():
-        count //= math.factorial(run)
-    return count
+    run = 0
+    prev = None
+    for v in multiset:
+        if v == prev:
+            run += 1
+        else:
+            count //= math.factorial(run)
+            run = 1
+            prev = v
+    return count // math.factorial(run)
 
 
 def _form_sum(a: TrigSeries, slots: int, coeff_fn):
@@ -166,15 +199,19 @@ def _form_sum(a: TrigSeries, slots: int, coeff_fn):
     total = RC_ZERO if exact else 0j
     if not a:
         return total
+    coeff = a.coeff
     for ms in zero_sum_multisets(a.support, slots):
         c = coeff_fn(ms)
         if not c:
             continue
-        prod = a.coeff(ms[0])
+        prod = coeff(ms[0])
         for v in ms[1:]:
-            prod = prod * a.coeff(v)
-        weight = c * _orderings(ms)
-        total = total + (weight if exact else float(weight)) * prod
+            prod = prod * coeff(v)
+        o = _orderings(ms)
+        # float(c * o) without the Fraction: the same correctly rounded
+        # quotient of the same rational
+        weight = c * o if exact else c.numerator * o / c.denominator
+        total = total + weight * prod
     return total
 
 
@@ -235,16 +272,6 @@ def _p2(i: int, j: int, k: int) -> Fraction:
     return Fraction(_q2(i, j, k) + _q2(i, k, j), 2 * 45)
 
 
-def _in_case1(t: tuple) -> bool:
-    return t[0] >= 0 and t[1] >= 0 and t[2] >= 0
-
-
-def _in_case2(t: tuple) -> bool:
-    i, j, k, _ = t
-    return (i <= 0 and j >= 0 and k >= 0
-            and i + j <= 0 and i + k <= 0 and i + j + k >= 0)
-
-
 @lru_cache(maxsize=None)
 def z2_coeff_closed(i: int, j: int, k: int, l: int) -> Fraction:
     """Quadruple coefficient Z_{ijkl} from the closed-form quintics.
@@ -253,24 +280,31 @@ def z2_coeff_closed(i: int, j: int, k: int, l: int) -> Fraction:
     under the 48-element group (24 permutations, optional simultaneous sign
     flip): the lexicographically smallest image in the all-same-sign region
     wins, else the smallest image in the mixed-sign region.
+
+    The images are not built.  Sort q and -q; for each sorted s0 <= s1 <=
+    s2 <= s3, some permutation lies in the all-same-sign region iff s1 >= 0
+    (at most one negative index), and the smallest one is s itself when
+    s0 >= 0, else (s1, s2, s3, s0).  Some permutation lies in the mixed-sign
+    region iff s1 <= 0 <= s2 and s3 <= -s0, and the smallest one is
+    (s0, s2, s3, s1): the most negative index leads and the other
+    non-positive one goes last.  The same tie-break then picks among the
+    (at most two) candidates of each region.
     """
-    q = (i, j, k, l)
-    if sum(q) != 0:
+    if i + j + k + l != 0:
         return Fraction(0)
-    images = set()
-    for sign in (1, -1):
-        flipped = tuple(sign * x for x in q)
-        for perm in itertools.permutations(flipped):
-            images.add(perm)
-    case1 = [t for t in images if _in_case1(t)]
+    s = tuple(sorted((i, j, k, l)))
+    signs = (s, (-s[3], -s[2], -s[1], -s[0]))
+    case1 = [t if t[0] >= 0 else (t[1], t[2], t[3], t[0])
+             for t in signs if t[1] >= 0]
     if case1:
         t = min(case1)
         return _p1(t[0], t[1], t[2])
-    case2 = [t for t in images if _in_case2(t)]
+    case2 = [(t[0], t[2], t[3], t[1])
+             for t in signs if t[1] <= 0 <= t[2] and t[3] <= -t[0]]
     if case2:
         t = min(case2)
         return _p2(t[0], t[1], t[2])
-    raise CanonicalizationFailure(f"no normal-form image for {q}")
+    raise CanonicalizationFailure(f"no normal-form image for {(i, j, k, l)}")
 
 
 def z2_closed(a: TrigSeries):

@@ -115,10 +115,6 @@ class RationalComplex:
         """Exact sup-norm max(|re|, |im|); zero iff the value is zero."""
         return max(abs(self.re), abs(self.im))
 
-    def abs2(self) -> Fraction:
-        """Exact squared modulus re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
     def __repr__(self):
         return f"RationalComplex({self.re}, {self.im})"
 
@@ -132,8 +128,6 @@ def _coerce(x):
 
 
 RC_ZERO = RationalComplex(0, 0)
-RC_ONE = RationalComplex(1, 0)
-RC_I = RationalComplex(0, 1)
 
 
 def format_scalar(value) -> tuple[str, str]:

@@ -111,6 +111,12 @@ def test_bad_value_is_a_usage_error(capsys, argv):
     assert err.count("error:") == 1
 
 
+def test_bad_rho_names_the_accepted_forms(capsys):
+    code, out, err = run(capsys, "mu-matrix", "--rho", "abc", "--half-width", "2")
+    assert (code, out) == (2, "")
+    assert err == 'error: rho must be "p/q", an integer or a decimal, got \'abc\'\n'
+
+
 def test_check_relations_jobs_deterministic(capsys):
     code1, out1, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6")
     code2, out2, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6",

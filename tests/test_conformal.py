@@ -296,3 +296,18 @@ def test_moebius_param_validation():
     assert not MoebiusParam.parse("0.3").exact
     assert MoebiusParam.parse("0").exact
     assert MoebiusParam(Fraction(1, 2)).t == pytest.approx(math.atanh(0.5))
+
+
+def test_moebius_param_parse():
+    assert MoebiusParam.parse(" 3/10 ").rho == Fraction(3, 10)
+    assert MoebiusParam.parse("-1/2").rho == Fraction(-1, 2)
+    assert MoebiusParam.parse("0").rho == 0
+    assert MoebiusParam.parse("0.25").rho == 0.25
+    assert MoebiusParam.parse("-2.5e-1").rho == -0.25
+    for text in ("abc", "", "1/x", "3/0", "0.3.1", "nan"):
+        with pytest.raises(ValueError) as info:
+            MoebiusParam.parse(text)
+        assert str(info.value) == ('rho must be "p/q", an integer or a '
+                                   f"decimal, got {text!r}")
+    with pytest.raises(ValueError, match="must lie in"):
+        MoebiusParam.parse("3/2")

@@ -11,7 +11,10 @@ from steklov_zeta import (NonZeroSum, RationalComplex, TrigSeries, brute_n,
                           coeff_bound_check, symmetrize_z, symmetrize_z_full,
                           z1_closed, z2_closed, z2_coeff_closed, z_coeff,
                           z_coeff_closed, zeta, zeta_invariant)
-from steklov_zeta.invariants import _p1, _p2, zero_sum_multisets
+from steklov_zeta.conformal import pullback_direct
+from steklov_zeta.explorer import (random_positive_series, rationalize_series,
+                                   sample_rng)
+from steklov_zeta.invariants import _orderings, _p1, _p2, zero_sum_multisets
 
 from util import random_exact_series, random_zero_sum_tuple
 
@@ -287,3 +290,115 @@ def test_float_backend_matches_exact():
         assert approx == pytest.approx(exact, rel=1e-10, abs=1e-9)
     assert complex(z2_closed(a)) == pytest.approx(z2_closed(f), rel=1e-10,
                                                   abs=1e-9)
+
+
+# kernels against their earlier, slower implementations ---------------------
+
+
+def recursive_zero_sum_multisets(values, slots):
+    """The earlier recursive enumerator, kept as the oracle."""
+    vals = sorted(set(values))
+    if not vals:
+        return
+    vmax = vals[-1]
+    out = []
+
+    def rec(start, left, total):
+        if left == 0:
+            if total == 0:
+                yield tuple(out)
+            return
+        if total + left * vmax < 0:
+            return
+        for i in range(start, len(vals)):
+            v = vals[i]
+            if total + left * v > 0:
+                break
+            out.append(v)
+            yield from rec(i, left - 1, total + v)
+            out.pop()
+
+    yield from rec(0, slots, 0)
+
+
+def test_zero_sum_multisets_equals_recursive_oracle():
+    rng = random.Random(20261018)
+    value_sets = [[], [0], [3], [-4], [-3, -1], [1, 2, 5], [0, 0, 2, -2],
+                  [5, -1, 3, -4, 0, 2, 2, -1]]
+    for _ in range(300):
+        lo = rng.randint(-12, 4)
+        hi = rng.randint(lo, 12)
+        value_sets.append([rng.randint(lo, hi)
+                           for _ in range(rng.randint(0, 10))])
+    for values in value_sets:
+        for slots in range(7):
+            got = list(zero_sum_multisets(values, slots))
+            assert got == list(recursive_zero_sum_multisets(values, slots)), \
+                (values, slots)
+
+
+def test_zero_sum_multisets_is_a_generator():
+    gen = zero_sum_multisets(range(-3, 4), 4)
+    assert iter(gen) is gen
+    assert next(gen) == (-3, -3, 3, 3)
+    assert list(zero_sum_multisets((1, -1), 0)) == [()]
+    assert list(zero_sum_multisets((), 0)) == []
+
+
+def _in_case1(t):
+    return t[0] >= 0 and t[1] >= 0 and t[2] >= 0
+
+
+def _in_case2(t):
+    i, j, k, _ = t
+    return (i <= 0 and j >= 0 and k >= 0
+            and i + j <= 0 and i + k <= 0 and i + j + k >= 0)
+
+
+def image_search_z2_coeff(i, j, k, l):
+    """The earlier canonicalization over all 48 permutation and sign images,
+    kept as the oracle."""
+    q = (i, j, k, l)
+    if sum(q) != 0:
+        return Fraction(0)
+    images = set()
+    for sign in (1, -1):
+        flipped = tuple(sign * x for x in q)
+        for perm in itertools.permutations(flipped):
+            images.add(perm)
+    case1 = [t for t in images if _in_case1(t)]
+    if case1:
+        t = min(case1)
+        return _p1(t[0], t[1], t[2])
+    case2 = [t for t in images if _in_case2(t)]
+    t = min(case2)
+    return _p2(t[0], t[1], t[2])
+
+
+def test_z2_coeff_closed_equals_image_search_on_box_14():
+    count = 0
+    for i, j, k in itertools.product(range(-14, 15), repeat=3):
+        l = -(i + j + k)
+        if abs(l) <= 14:
+            count += 1
+            got = z2_coeff_closed.__wrapped__(i, j, k, l)
+            assert got == image_search_z2_coeff(i, j, k, l), (i, j, k, l)
+    assert count == 16269
+    assert z2_coeff_closed.__wrapped__(1, 2, 3, 4) == 0
+
+
+def test_orderings_is_the_multinomial_count():
+    for length in range(7):
+        for ms in itertools.combinations_with_replacement(range(-2, 3), length):
+            expected = len(set(itertools.permutations(ms)))
+            assert _orderings(ms) == expected, ms
+
+
+def test_float_z2_closed_error_bound_degree_30():
+    a = random_positive_series(5, 0.6, sample_rng(20261018, 0), floor=0.5)
+    exact = rationalize_series(pullback_direct(a, 0.5, 8192, 30))
+    approx = z2_closed(exact.to_float())  # the same dyadic coefficients
+    ref = z2_closed(exact)
+    err = abs(Fraction(approx.real) - ref.re) + abs(Fraction(approx.imag) - ref.im)
+    assert ref.re > 0
+    assert err <= Fraction(1, 10**13) * ref.re
