@@ -31,8 +31,9 @@ from .fourier import TrigSeries, load_series
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
                          z2_coeff_closed, z_coeff, zero_sum_multisets, zeta,
                          zeta_invariant)
-from .lie import (GENERATORS, bracket_check, generator_relation_check,
-                  plane_tuples, raising_relation_check)
+from .lie import (GENERATORS, RELATION_PLANES, bracket_check,
+                  generator_relation_check, plane_tuples,
+                  raising_relation_check)
 from .scalars import RationalComplex
 from .trace import stabilization_sweep, trace_difference
 
@@ -185,19 +186,16 @@ def cmd_check_invariance(args) -> int:
 
 def _relation_task(payload):
     # module-level so ProcessPoolExecutor can pickle it
-    variant, idx = payload
-    if variant.startswith("reduced-"):
-        return idx, raising_relation_check(idx, variant.split("-", 1)[1])
+    variant, source, idx = payload
+    if variant == "reduced":
+        return idx, raising_relation_check(idx, source)
     return idx, generator_relation_check(idx, variant)
 
 
 def cmd_check_relations(args) -> int:
     _header(args, "exact")
-    if args.variant == "reduced":
-        tag, planes = f"reduced-{args.source}", (-1,)
-    else:
-        tag, planes = args.variant, (-1, 1)
-    tasks = [(tag, idx) for plane in planes
+    tasks = [(args.variant, args.source, idx)
+             for plane in RELATION_PLANES[args.variant]
              for idx in plane_tuples(args.k, args.radius, plane, args.stride)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -249,13 +247,7 @@ def cmd_explore(args) -> int:
                          max_degree=args.n0, coeff_scale=args.scale,
                          kappas=tuple(args.kappa or ()))
     report = z2_nonneg_campaign(cfg)
-    if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    else:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(report.to_csv_rows())
-        text = buf.getvalue()
-    _emit(text, args.out)
+    _emit(report.to_text(args.format), args.out)
     n_fail = len(report.failures)
     print(f"samples={args.count} min_z2={report.min_z2!r} failures={n_fail}",
           file=sys.stderr)
@@ -340,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                  help="exact sweep of the invariance relations")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--variant",
-                   choices=["reduced", "D", "E", "Dplus", "Dminus"],
+    p.add_argument("--variant", choices=list(RELATION_PLANES),
                    default="reduced")
     p.add_argument("--source", choices=["brute", "closed"], default="brute")
     p.add_argument("--stride", type=int, default=1)

@@ -10,7 +10,7 @@ class BackendMismatch(SteklovZetaError):
 
 
 class GridTooSmall(SteklovZetaError):
-    """A sampling grid cannot resolve the requested bandwidth."""
+    """A sampling grid cannot resolve the requested degree."""
 
 
 class NotReal(SteklovZetaError):

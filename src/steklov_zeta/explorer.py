@@ -15,9 +15,10 @@ and the campaign can be partitioned arbitrarily without changing results.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,6 @@ class CampaignConfig:
     max_degree: int
     coeff_scale: float = 1.0
     kappas: tuple = ()
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.count < 1:
@@ -65,18 +65,12 @@ class CampaignReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {
-                "seed": self.config.seed,
-                "count": self.config.count,
-                "max_degree": self.config.max_degree,
-                "coeff_scale": self.config.coeff_scale,
-                "kappas": list(self.config.kappas),
-            },
-            "samples": [vars_record(s) for s in self.samples],
+            "config": asdict(self.config),
+            "samples": [asdict(s) for s in self.samples],
             "summary": {
                 "min_z2": self.min_z2,
                 "min_ratio": self.min_ratio,
-                "failures": [vars_record(s) for s in self.failures],
+                "failures": [asdict(s) for s in self.failures],
                 "kappa_checks": [list(kc) for kc in self.kappa_checks],
             },
         }
@@ -88,21 +82,21 @@ class CampaignReport:
                    "" if s.ratio is None else repr(s.ratio),
                    int(s.flagged), s.z2_exact or "")
 
-    def save(self, path, fmt: str = "json") -> None:
+    def to_text(self, fmt: str) -> str:
+        """The report as a file's text: sorted-key JSON or CSV rows."""
         if fmt == "json":
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        elif fmt == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows(self.to_csv_rows())
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+            return json.dumps(self.to_json_dict(), indent=2,
+                              sort_keys=True) + "\n"
+        if fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf).writerows(self.to_csv_rows())
+            return buf.getvalue()
+        raise ValueError(f"unknown format {fmt!r}")
 
-
-def vars_record(s: SampleRecord) -> dict:
-    return {"index": s.index, "z1": s.z1, "z2": s.z2, "ratio": s.ratio,
-            "flagged": s.flagged, "z2_exact": s.z2_exact}
+    def save(self, path, fmt: str = "json") -> None:
+        text = self.to_text(fmt)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -215,7 +209,7 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
         (kappa, bool(positive_definite_check(
             a_kappa_form(TrigSeries.zero("float"), kappa, 10))))
         for kappa in cfg.kappas)
-    report = CampaignReport(
+    return CampaignReport(
         config=cfg,
         samples=tuple(samples),
         min_z2=min(s.z2 for s in samples),
@@ -223,9 +217,6 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
         failures=tuple(failures),
         kappa_checks=kappa_checks,
     )
-    if cfg.output_path:
-        report.save(cfg.output_path)
-    return report
 
 
 # the leading Hermitian form of Z_2 as a quadratic in a_0 -------------------

@@ -114,6 +114,22 @@ def _coeff_source(source: str):
     raise ValueError(f"unknown coefficient source {source!r}")
 
 
+# variant -> the planes sum(indices) = c on which its relation is not
+# vacuous: off them every bumped tuple misses the zero-sum plane.  "reduced"
+# is raising_relation_check, the others generator_relation_check.
+RELATION_PLANES = {"reduced": (-1,), "D": (-1, 1), "E": (-1, 1),
+                   "Dplus": (-1,), "Dminus": (1,)}
+
+
+def _bump_sum(idx: tuple, step: int, coeff) -> Fraction:
+    """sum_alpha (j_alpha - step) coeff(idx with j_alpha -> j_alpha + step):
+    the +1 (D+) sum for step = 1, the -1 (D-) sum for step = -1."""
+    total = Fraction(0)
+    for alpha, j in enumerate(idx):
+        total += (j - step) * coeff(idx[:alpha] + (j + step,) + idx[alpha + 1:])
+    return total
+
+
 def raising_relation_check(indices, source: str = "brute") -> Fraction:
     """Exact value of sum_alpha (j_alpha - 1) Z_{..., j_alpha + 1, ...}.
 
@@ -125,15 +141,7 @@ def raising_relation_check(indices, source: str = "brute") -> Fraction:
         raise ValueError("need a multi-index of even length >= 2")
     if sum(idx) != -1:
         raise WrongSum(f"indices must sum to -1, got {idx} (sum {sum(idx)})")
-    coeff = _coeff_source(source)
-    total = Fraction(0)
-    for alpha, j in enumerate(idx):
-        bumped = idx[:alpha] + (j + 1,) + idx[alpha + 1:]
-        total += (j - 1) * coeff(bumped)
-    return total
-
-
-_VARIANTS = ("D", "E", "Dplus", "Dminus")
+    return _bump_sum(idx, 1, _coeff_source(source))
 
 
 def generator_relation_check(indices, variant: str) -> Fraction:
@@ -142,25 +150,15 @@ def generator_relation_check(indices, variant: str) -> Fraction:
     Dplus: sum (j_alpha - 1) Z at the +1 bump;
     Dminus: sum (j_alpha + 1) Z at the -1 bump;
     D / E: difference / sum of those two.  Each variant vanishes identically;
-    off its nontrivial planes every term is already zero.
+    off its RELATION_PLANES every term is already zero.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
+    variants = tuple(v for v in RELATION_PLANES if v != "reduced")
+    if variant not in variants:
+        raise ValueError(f"variant must be one of {variants}")
     idx = tuple(int(j) for j in indices)
-    up = Fraction(0)
-    down = Fraction(0)
-    for alpha, j in enumerate(idx):
-        if variant in ("Dplus", "D", "E"):
-            up += (j - 1) * z_coeff(idx[:alpha] + (j + 1,) + idx[alpha + 1:])
-        if variant in ("Dminus", "D", "E"):
-            down += (j + 1) * z_coeff(idx[:alpha] + (j - 1,) + idx[alpha + 1:])
-    if variant == "Dplus":
-        return up
-    if variant == "Dminus":
-        return down
-    if variant == "D":
-        return up - down
-    return up + down
+    up = _bump_sum(idx, 1, z_coeff) if variant != "Dminus" else 0
+    down = _bump_sum(idx, -1, z_coeff) if variant != "Dplus" else 0
+    return up - down if variant == "D" else up + down
 
 
 def plane_tuples(k: int, radius: int, plane: int, stride: int = 1):

@@ -36,7 +36,6 @@ class BandedOperator:
     """Finite section of a banded operator on frequencies [-N, N]."""
 
     half_width: int
-    bandwidth: int
     rows: dict          # row m -> {column n: scalar}
     backend: str
 
@@ -59,8 +58,7 @@ class BandedOperator:
                     acc[n] = acc[n] + t if n in acc else t
             if acc:
                 rows[m] = acc
-        return BandedOperator(self.half_width, self.bandwidth + other.bandwidth,
-                              rows, self.backend)
+        return BandedOperator(self.half_width, rows, self.backend)
 
     def power(self, k: int) -> "BandedOperator":
         if k < 1:
@@ -97,7 +95,7 @@ def operator_matrix(a: TrigSeries, kind: str, N: int) -> BandedOperator:
                 row[n] = coeff * (abs(n) if kind == KIND_DN else n)
         if row:
             rows[m] = row
-    return BandedOperator(N, a.degree, rows, a.backend)
+    return BandedOperator(N, rows, a.backend)
 
 
 def _trace_difference_at(a: TrigSeries, k: int, N: int):

@@ -117,6 +117,26 @@ def test_bad_rho_names_the_accepted_forms(capsys):
     assert err == 'error: rho must be "p/q", an integer or a decimal, got \'abc\'\n'
 
 
+def test_out_of_range_rho_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "mu-matrix", "--rho", "3/2", "--half-width", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: rho must lie in (-1, 1), got 3/2\n"
+
+
+@pytest.mark.parametrize("variant, planes", [
+    ("reduced", (-1,)), ("Dplus", (-1,)), ("Dminus", (1,)),
+    ("D", (-1, 1)), ("E", (-1, 1))])
+def test_check_relations_sweeps_the_variant_planes(capsys, variant, planes):
+    # k = 2, radius 3 has 224 tuples on each of the planes -1 and +1
+    code, out, err = run(capsys, "check-relations", "--k", "2", "--radius", "3",
+                         "--variant", variant)
+    rows = [tuple(map(int, row.split(",")))
+            for row in out.strip().splitlines()[1:]]
+    assert code == 0 and len(rows) == 224 * len(planes)
+    assert f"checked {len(rows)} tuples, all_zero=True" in err
+    assert sorted({sum(row[:4]) for row in rows}) == list(planes)
+
+
 def test_check_relations_jobs_deterministic(capsys):
     code1, out1, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6")
     code2, out2, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6",

@@ -258,6 +258,29 @@ def test_group_law_block_default_and_bounds():
             group_law_check(r, r, 12, block=bad)
 
 
+def group_law_triple_loop(rho, rho2, N, block):
+    """Reference: the Fraction triple loop of the exact group-law check."""
+    A, B = mu_matrix(rho, N), mu_matrix(rho2, N)
+    C = mu_matrix((rho + rho2) / (1 + rho * rho2), N)
+    worst = Fraction(0)
+    rng = range(-block, block + 1)
+    for n in rng:
+        for k in rng:
+            s = sum(A.at(n, p) * B.at(p, k) for p in range(-N, N + 1))
+            worst = max(worst, abs(s - C.at(n, k)))
+    return float(worst)
+
+
+@pytest.mark.parametrize("N", [10, 12])
+def test_group_law_exact_equals_triple_loop(N):
+    for rho, rho2 in ((Fraction(1, 5), Fraction(1, 5)),
+                      (Fraction(3, 10), Fraction(-1, 7)),
+                      (Fraction(1, 2), Fraction(1, 3))):
+        for block in (0, 3, N // 2, N):
+            assert group_law_check(rho, rho2, N, exact=True, block=block) \
+                == group_law_triple_loop(rho, rho2, N, block)
+
+
 def test_exp_relation_trivial_at_zero():
     assert exp_relation_check(Fraction(0), 8, 10) <= 1e-15
 
@@ -287,6 +310,35 @@ def test_suggest_out_degree_controls_tail():
                for n in range(deg + 1, deg + 80))
     assert tail < 1e-9
     assert suggest_out_degree(5, rho, 1e-6) <= deg
+
+
+_SERIES = TrigSeries.from_complex({1: 1.0, -1: 1.0})
+RHO_CALLS = {
+    "mu": lambda r: mu(3, 2, r),
+    "mu_matrix": lambda r: mu_matrix(r, 3),
+    "apply_moebius": lambda r: apply_moebius(_SERIES, r, 4),
+    "pullback_direct": lambda r: pullback_direct(_SERIES, r, 64, 4),
+    "group_law_check": lambda r: group_law_check(r, Fraction(1, 3), 4),
+    "group_law_check_rho2": lambda r: group_law_check(Fraction(1, 3), r, 4),
+    "exp_relation_check": lambda r: exp_relation_check(r, 4, 10),
+    "suggest_out_degree": lambda r: suggest_out_degree(3, r, 1e-9),
+    "MoebiusParam": MoebiusParam,
+}
+
+
+@pytest.mark.parametrize("rho", [1, -1, Fraction(3, 2), 1.5, math.nan, "x"],
+                         ids=repr)
+@pytest.mark.parametrize("name", sorted(RHO_CALLS))
+def test_bad_rho_is_rejected_everywhere(name, rho):
+    with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\)"):
+        RHO_CALLS[name](rho)
+
+
+def test_rho_check_accepts_the_open_interval():
+    assert mu(0, 0, 0) == 1 and isinstance(mu(0, 0, 0), Fraction)
+    assert mu(2, 2, MoebiusParam(Fraction(-99, 100))) \
+        == mu(2, 2, Fraction(-99, 100))
+    assert mu(2, 2, 0.99) == pytest.approx(float(mu(2, 2, Fraction(99, 100))))
 
 
 def test_moebius_param_validation():

@@ -56,17 +56,17 @@ def test_campaign_single_sample_matches_direct_value():
 
 
 def test_campaign_report_serialization(tmp_path):
-    auto = tmp_path / "auto.json"
-    cfg = CampaignConfig(seed=8, count=3, max_degree=2, kappas=(0.0, 0.5),
-                         output_path=str(auto))
+    cfg = CampaignConfig(seed=8, count=3, max_degree=2, kappas=(0.0, 0.5))
     rep = z2_nonneg_campaign(cfg)
-    assert auto.exists()  # campaign wrote its own report
     jpath = tmp_path / "rep.json"
     cpath = tmp_path / "rep.csv"
     rep.save(jpath)
     rep.save(cpath, fmt="csv")
-    assert jpath.read_text() == auto.read_text()
+    assert jpath.read_text() == rep.to_text("json")
+    assert cpath.read_bytes() == rep.to_text("csv").encode()
     obj = json.loads(jpath.read_text())
+    assert obj["config"] == {"seed": 8, "count": 3, "max_degree": 2,
+                             "coeff_scale": 1.0, "kappas": [0.0, 0.5]}
     assert obj["summary"]["failures"] == []
     assert [kc[1] for kc in obj["summary"]["kappa_checks"]] == [True, True]
     assert cpath.read_text().startswith("index,")

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from steklov_zeta import (GENERATORS, RationalComplex, TrigSeries, UnknownBracket,
                           WrongSum, apply_generator, bracket_check,
-                          generator_relation_check, is_real, plane_tuples,
-                          raising_relation_check, raising_relation_sweep,
-                          symmetrize_z)
+                          generator_relation_check, is_real, lie,
+                          plane_tuples, raising_relation_check,
+                          raising_relation_sweep, symmetrize_z)
+from steklov_zeta.lie import _bump_sum
 
 from util import random_exact_series, random_zero_sum_tuple
 
@@ -138,6 +139,38 @@ def test_generator_variants_identities():
         # sign-flipped input swaps the two one-sided variants (up to sign)
         flipped = tuple(-j for j in idx)
         assert generator_relation_check(flipped, "Dminus") == -up
+
+
+def fake_coeff(idx):
+    """Not conformally invariant, so the relations do not vanish for it and
+    their values show how the two bump sums combine."""
+    return Fraction(sum(j * j for j in idx))
+
+
+# (the +1 bump sum, the -1 bump sum) of fake_coeff, by hand; e.g. for (2, -3)
+# up = (2-1)(3^2 + 3^2) + (-3-1)(2^2 + 2^2) = -14,
+# down = (2+1)(1^2 + 3^2) + (-3+1)(2^2 + 4^2) = -10
+FAKE_BUMP_SUMS = {(2, -3): (-14, -10), (0, -1): (-2, 2),
+                  (1, 0, 0, -2): (-18, 10), (3, -2): (10, 14)}
+
+
+def test_bump_sum_with_non_invariant_coefficient():
+    for idx, (up, down) in FAKE_BUMP_SUMS.items():
+        assert _bump_sum(idx, 1, fake_coeff) == up
+        assert _bump_sum(idx, -1, fake_coeff) == down
+
+
+def test_relation_variants_combine_the_bump_sums(monkeypatch):
+    monkeypatch.setattr(lie, "z_coeff", fake_coeff)
+    for idx, (up, down) in FAKE_BUMP_SUMS.items():
+        assert generator_relation_check(idx, "Dplus") == up
+        assert generator_relation_check(idx, "Dminus") == down
+        assert generator_relation_check(idx, "D") == up - down
+        assert generator_relation_check(idx, "E") == up + down
+        if sum(idx) == -1:
+            assert raising_relation_check(idx) == up
+    with pytest.raises(ValueError):
+        generator_relation_check((2, -3), "reduced")
 
 
 def test_all_variants_vanish_on_sample():
