@@ -3,8 +3,11 @@
 The difference Tr[(aL)^{2k} - (aD)^{2k}] over the frequency basis is a
 finite number even though each trace alone diverges with the truncation.
 Better: the difference becomes *exactly constant* once the truncation
-half-width passes 4k deg(a).  This script shows the stabilization sweep
-and the agreement with the combinatorial invariant.
+half-width reaches the true width max(deg(a), k deg(a) - 1), since only
+closed index paths that visit both signs survive the difference.
+trace_difference still requires N >= 4k deg(a), and evaluates at the
+true width.  This script shows the stabilization sweep and the agreement
+with the combinatorial invariant.
 """
 
 from fractions import Fraction
@@ -31,8 +34,11 @@ while N <= 32:
     N *= 2
 
 stable_at = stabilization_check(a, k)
+width = max(a.degree, k * a.degree - 1)
 bound = 4 * k * a.degree
-print(f"stabilizes at N = {stable_at} (guaranteed threshold {bound})")
+print(f"stabilizes at N = {stable_at} (true width max(deg, k deg - 1) = "
+      f"{width}; trace_difference requires N >= 4k deg = {bound})")
+print(f"raw truncation at the true width: {_trace_difference_at(a, k, width).re}")
 
 exact = trace_difference(a, k, bound)
 combinatorial = zeta_invariant(a, k)

@@ -189,7 +189,7 @@ def _relation_task(payload):
     variant, source, idx = payload
     if variant == "reduced":
         return idx, raising_relation_check(idx, source)
-    return idx, generator_relation_check(idx, variant)
+    return idx, generator_relation_check(idx, variant, source)
 
 
 def cmd_check_relations(args) -> int:

@@ -97,24 +97,30 @@ def binom(r: int, s: int) -> int:
     return math.comb(r, s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024, typed=True)
 def _pow(base, exponent: int):
+    # typed: 0.5 and Fraction(1, 2) are equal keys, but an exact call must
+    # not get a float power back
     return base ** exponent
 
 
 def _mu_main(n: int, k: int, rho):
-    # n >= 2, k >= 2; powers folded so every exponent is non-negative
-    hi = min(n + 1, k + 1)
-    if hi < 3:
-        return rho * 0
-    omr2 = 1 - rho * rho
-    total = rho * 0
-    for l in range(3, hi + 1):
+    # n >= 2, k >= 2.  With rho = p/q every term
+    # rho^{n+k+2-2l} (1-rho^2)^{l-1} has the denominator q^{n+k}, so an
+    # exact rho sums the numerators in int; a float rho runs the same sum
+    # with p = rho, q = 1.0.
+    exact = isinstance(rho, Fraction)
+    p, q = (rho.numerator, rho.denominator) if exact else (rho, 1.0)
+    w = q * q - p * p
+    total = p * 0
+    for l in range(3, min(n, k) + 2):
         term = (binom(n - 2, l - 3) * binom(k + 1, l)
-                * _pow(rho, n + k + 2 - 2 * l) * _pow(omr2, l - 1))
+                * p ** (n + k + 2 - 2 * l) * w ** (l - 1))
         total += -term if l % 2 else term
     # global factor (-1)^{k+1}
-    return total if k % 2 else -total
+    if k % 2 == 0:
+        total = -total
+    return Fraction(total, q ** (n + k)) if exact else total
 
 
 def mu(n: int, k: int, rho):

@@ -144,8 +144,9 @@ def raising_relation_check(indices, source: str = "brute") -> Fraction:
     return _bump_sum(idx, 1, _coeff_source(source))
 
 
-def generator_relation_check(indices, variant: str) -> Fraction:
-    """The invariance relation induced by one generator, brute coefficients.
+def generator_relation_check(indices, variant: str,
+                             source: str = "brute") -> Fraction:
+    """The invariance relation induced by one generator.
 
     Dplus: sum (j_alpha - 1) Z at the +1 bump;
     Dminus: sum (j_alpha + 1) Z at the -1 bump;
@@ -155,9 +156,10 @@ def generator_relation_check(indices, variant: str) -> Fraction:
     variants = tuple(v for v in RELATION_PLANES if v != "reduced")
     if variant not in variants:
         raise ValueError(f"variant must be one of {variants}")
+    coeff = _coeff_source(source)
     idx = tuple(int(j) for j in indices)
-    up = _bump_sum(idx, 1, z_coeff) if variant != "Dminus" else 0
-    down = _bump_sum(idx, -1, z_coeff) if variant != "Dplus" else 0
+    up = _bump_sum(idx, 1, coeff) if variant != "Dminus" else 0
+    down = _bump_sum(idx, -1, coeff) if variant != "Dplus" else 0
     return up - down if variant == "D" else up + down
 
 

@@ -5,6 +5,8 @@ sampling/quadrature experiment in double precision.  Floats use Python's
 built-in ``complex``; the exact side uses :class:`RationalComplex`, a pair
 of ``Fraction`` components supporting ring operations and conjugation.
 Mixing the two in arithmetic is an error by design, not a silent promotion.
+:class:`GaussianInteger` (int parts) is the exact trace route's internal
+ring once a weight's denominators are cleared.
 """
 
 from __future__ import annotations
@@ -128,6 +130,34 @@ def _coerce(x):
 
 
 RC_ZERO = RationalComplex(0, 0)
+
+
+class GaussianInteger:
+    """re + i im with int parts: the ring of the exact operator trace once
+    the weight's denominators are cleared (trace._trace_difference_at).
+
+    Only the ring operations that trace.BandedOperator needs; an int factor
+    multiplies from the left (``n * z``).
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        return GaussianInteger(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return GaussianInteger(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return GaussianInteger(self.re * other.re - self.im * other.im,
+                               self.re * other.im + self.im * other.re)
+
+    def __rmul__(self, n: int):
+        return GaussianInteger(n * self.re, n * self.im)
 
 
 def format_scalar(value) -> tuple[str, str]:

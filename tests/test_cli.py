@@ -137,6 +137,21 @@ def test_check_relations_sweeps_the_variant_planes(capsys, variant, planes):
     assert sorted({sum(row[:4]) for row in rows}) == list(planes)
 
 
+def test_check_relations_variants_use_the_source(capsys):
+    code, out, err = run(capsys, "check-relations", "--k", "3", "--radius", "1",
+                         "--variant", "D", "--source", "closed")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        "error: closed coefficients are available for k in {1, 2} only"
+    rows = {}
+    for source in ("brute", "closed"):
+        code, rows[source], _ = run(capsys, "check-relations", "--k", "2",
+                                    "--radius", "3", "--variant", "Dplus",
+                                    "--source", source)
+        assert code == 0
+    assert rows["closed"] == rows["brute"]
+
+
 def test_check_relations_jobs_deterministic(capsys):
     code1, out1, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6")
     code2, out2, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6",

@@ -1,6 +1,9 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +14,8 @@ from steklov_zeta import (BackendMismatch, MoebiusParam, TrigSeries,
                           exp_relation_check, group_law_check, mu, mu_matrix,
                           pullback_direct, rotate, suggest_out_degree,
                           z1_closed, z2_closed)
-from steklov_zeta.conformal import decay_constant, rk4_exponential
+from steklov_zeta.conformal import (_mu_main, binom, decay_constant,
+                                    rk4_exponential)
 
 from util import random_exact_series
 
@@ -104,6 +108,51 @@ def test_mu_float_agrees_with_exact():
         for k in range(-20, 21, 3):
             assert mu(n, k, 0.3) == pytest.approx(float(mu(n, k, r)),
                                                   rel=1e-11, abs=1e-13)
+
+
+def mu_main_in_rho_arithmetic(n, k, rho):
+    """The binomial sum of _mu_main before the common denominator: every
+    term in rho's own arithmetic (Fraction or float)."""
+    omr2 = 1 - rho * rho
+    total = rho * 0
+    for l in range(3, min(n, k) + 2):
+        term = (binom(n - 2, l - 3) * binom(k + 1, l)
+                * rho ** (n + k + 2 - 2 * l) * omr2 ** (l - 1))
+        total += -term if l % 2 else term
+    return total if k % 2 else -total
+
+
+MU_RHOS = [Fraction(1, 10), Fraction(-1, 10), Fraction(3, 10), Fraction(1, 2),
+           Fraction(-1, 2), Fraction(9, 10), Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("rho", MU_RHOS, ids=str)
+def test_mu_main_common_denominator_matches_binomial_sum(rho):
+    for n in range(2, 41):
+        for k in range(2, 41):
+            exact = _mu_main(n, k, rho)
+            assert type(exact) is Fraction
+            assert exact == mu_main_in_rho_arithmetic(n, k, rho)
+            # floats: the same operations in the same order, bit for bit
+            got = _mu_main(n, k, float(rho))
+            assert repr(got) == repr(mu_main_in_rho_arithmetic(n, k, float(rho)))
+
+
+def test_mu_exact_after_float_at_equal_rho():
+    """A float call must not leave powers in the cache that an exact call
+    at an equal-valued rho then reuses."""
+    cases = [(n, k) for n in (-1, 0, 1, 10) for k in (-3, 0, 2, 9)]
+    code = ("from fractions import Fraction; from steklov_zeta import mu; "
+            f"print([repr(mu(n, k, Fraction(1, 2))) for n, k in {cases}])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    got = []
+    for n, k in cases:
+        mu(n, k, 0.5)
+        got.append(mu(n, k, Fraction(1, 2)))
+    assert all(type(v) is Fraction for v in got)
+    assert repr([repr(v) for v in got]) == fresh
 
 
 def test_mu_matrix_layout():

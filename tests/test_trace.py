@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from steklov_zeta import (KIND_DN, KIND_DTHETA, TrigSeries,
-                          TruncationTooSmall, operator_matrix,
+from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
+                          TrigSeries, TruncationTooSmall, operator_matrix,
                           stabilization_check, stabilization_sweep,
                           trace_difference, zeta_invariant)
+from steklov_zeta.trace import _trace_difference_at
 
 from util import random_exact_series
 
@@ -123,3 +124,52 @@ def test_float_backend_trace_close_to_exact():
     exact = complex(trace_difference(a, 2, 16))
     approx = trace_difference(a.to_float(), 2, 16)
     assert approx == pytest.approx(exact, rel=1e-9, abs=1e-9)
+
+
+def true_width(a, k):
+    return max(a.degree, k * a.degree - 1)
+
+
+def test_true_width_is_exact_and_sharp():
+    """On the criterion-3 series the raw truncation at max(deg, k deg - 1)
+    is Z_k every time; one below it misses Z_k somewhere for every k >= 2,
+    deg >= 2.  (For k = 1 the width is deg, the matrices' own minimum.)"""
+    rng = random.Random(20250808)
+    misses = {(k, deg): 0 for k in (2, 3) for deg in (2, 3)}
+    for _ in range(50):
+        deg = rng.randint(1, 3)
+        a = random_exact_series(rng, deg)
+        for k in (1, 2, 3):
+            z = zeta_invariant(a, k)
+            assert _trace_difference_at(a, k, true_width(a, k)) == z
+            if (k, deg) in misses:
+                misses[k, deg] += \
+                    _trace_difference_at(a, k, true_width(a, k) - 1) != z
+    assert all(misses.values()), misses
+
+
+def rational_complex_trace(a, k, N):
+    """The trace route before Gaussian integers: the banded kernel run on
+    the RationalComplex entries of operator_matrix."""
+    A = operator_matrix(a, KIND_DN, N)
+    B = operator_matrix(a, KIND_DTHETA, N)
+    return A.power(k).trace_of_square() - B.power(k).trace_of_square()
+
+
+@pytest.mark.parametrize("coeffs", [
+    {0: Fraction(2, 3), 1: (Fraction(1, 4), Fraction(-5, 6)),
+     -2: (Fraction(7, 9), Fraction(1, 8))},                 # mixed denominators
+    {1: (0, Fraction(1, 2)), -1: (0, Fraction(-1, 3)),
+     3: (0, 2)},                                            # purely imaginary
+    {0: Fraction(-5, 7)},                                   # degree 0
+    {},                                                     # zero weight
+], ids=["mixed", "imaginary", "degree0", "zero"])
+def test_gaussian_integer_trace_matches_rational_kernel(coeffs):
+    a = TrigSeries.exact(coeffs)
+    for k in (1, 2, 3):
+        for N in sorted({a.degree, true_width(a, k), true_width(a, k) + 3}):
+            got = _trace_difference_at(a, k, N)
+            want = rational_complex_trace(a, k, N)
+            assert isinstance(got, RationalComplex) and got == want
+        assert trace_difference(a, k, 4 * k * a.degree) == \
+            rational_complex_trace(a, k, 4 * k * a.degree)
