@@ -23,6 +23,17 @@ Closed forms are implemented for the two lowest orders: the pair
 coefficient Z_{j,-j} = |j^3 - j| / 3, and the quadruple coefficients, which
 are piecewise odd quintic polynomials evaluated after canonicalizing the
 quadruple under permutations and a global sign flip.
+
+Every form is summed from a table that depends only on the support of a,
+not on its values: the zero-sum multisets of support values, as rows of
+positions into the sorted support, each with its weight coefficient times
+orderings (see _form_table).  A table is cached on (support, slots,
+coefficient function, backend), so a series with a new support pays the
+enumeration once and every later series on that support pays one gather,
+product and sum.  The exact backend sums on Gaussian integers and divides
+once, so its values are exact; the float backend sums in numpy, in another
+order than a term-by-term loop, so float values may differ from such a loop
+in the last bits.
 """
 
 from __future__ import annotations
@@ -34,9 +45,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CanonicalizationFailure, NonZeroSum
 from .fourier import EXACT, TrigSeries
-from .scalars import RC_ZERO
+from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 
 def _validate_index(indices) -> tuple:
@@ -101,14 +114,20 @@ def symmetrize_z_full(indices) -> Fraction:
     return Fraction(total, math.factorial(len(idx)))
 
 
+# Entries kept by each coefficient cache (_Z_CACHE, z2_coeff_closed).  Form
+# sums read coefficients through their tables, so the caches only serve
+# table builds and relation sweeps; a k = 2, radius-5 raising-relation sweep
+# touches about a thousand keys.
+_COEFF_CACHE_SIZE = 4096
+
 _Z_CACHE: dict[tuple, Fraction] = {}
 
 
 def z_coeff(indices) -> Fraction:
     """Symmetric coefficient Z, extended by zero off the zero-sum plane.
 
-    Memoized on the sorted index tuple (Z is fully symmetric), which makes
-    large sweeps and repeated form evaluations cheap.
+    Memoized on the sorted index tuple (Z is fully symmetric) in _Z_CACHE,
+    which keeps the _COEFF_CACHE_SIZE newest keys.
     """
     idx = _validate_index(indices)
     if sum(idx) != 0:
@@ -117,6 +136,8 @@ def z_coeff(indices) -> Fraction:
     val = _Z_CACHE.get(key)
     if val is None:
         val = symmetrize_z(key)
+        if len(_Z_CACHE) >= _COEFF_CACHE_SIZE:
+            del _Z_CACHE[next(iter(_Z_CACHE))]
         _Z_CACHE[key] = val
     return val
 
@@ -193,26 +214,75 @@ def _orderings(multiset: tuple) -> int:
     return count // math.factorial(run)
 
 
-def _form_sum(a: TrigSeries, slots: int, coeff_fn):
-    """sum over zero-sum index tuples of coeff * a_{j_1} * ... * a_{j_slots}."""
-    exact = a.backend == EXACT
-    total = RC_ZERO if exact else 0j
-    if not a:
-        return total
-    coeff = a.coeff
-    for ms in zero_sum_multisets(a.support, slots):
-        c = coeff_fn(ms)
+@lru_cache(maxsize=16)
+def _form_table(support: tuple, slots: int, coeff, backend: str):
+    """The zero-sum terms of a form on one support: (rows, weights, den).
+
+    rows is an (M, slots) array of positions into the sorted support, one
+    row per zero-sum multiset of support values whose coefficient
+    coeff(*multiset) is nonzero; each row's weight is coefficient times
+    orderings.  For the exact backend the weights are ints over one common
+    denominator den; for the float one they are float64 and den is 1.
+    """
+    where = {v: i for i, v in enumerate(support)}
+    rows, weights = [], []
+    for ms in zero_sum_multisets(support, slots):
+        c = coeff(*ms)
         if not c:
             continue
-        prod = coeff(ms[0])
-        for v in ms[1:]:
-            prod = prod * coeff(v)
+        rows.append([where[v] for v in ms])
         o = _orderings(ms)
         # float(c * o) without the Fraction: the same correctly rounded
         # quotient of the same rational
-        weight = c * o if exact else c.numerator * o / c.denominator
-        total = total + weight * prod
-    return total
+        weights.append(c * o if backend == EXACT
+                       else c.numerator * o / c.denominator)
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), slots)
+    if backend == EXACT:
+        den = math.lcm(*(w.denominator for w in weights))
+        return rows, [w.numerator * (den // w.denominator)
+                      for w in weights], den
+    return rows, np.array(weights, dtype=float), 1
+
+
+def _form_sum(a: TrigSeries, slots: int, coeff):
+    """sum over zero-sum index tuples of coeff * a_{j_1} * ... * a_{j_slots}.
+
+    coeff is the coefficient function of one route, called with the indices
+    of a sorted multiset: _z_coeff_of (brute), _pair_coeff_closed or
+    z2_coeff_closed (closed).  The terms come from _form_table, cached on
+    (a.support, slots, coeff, a.backend).  The routes pass different
+    functions, so they never share a table; the caller passes the function
+    its module binds at call time, so one swapped in for z2_coeff_closed
+    (the benchmark tracer's counting wrapper) gets tables of its own and is
+    the one they call.  The exact backend sums the rows on
+    Gaussian integers, with the coefficients of a scaled by the lcm D of
+    their denominators, and divides once by den * D^slots; the float backend
+    gathers the coefficients of each row, multiplies them into the weights
+    and sums in numpy, returning a Python complex.
+    """
+    exact = a.backend == EXACT
+    if not a:
+        return RC_ZERO if exact else 0j
+    rows, weights, den = _form_table(a.support, slots, coeff, a.backend)
+    if exact:
+        vec, D = clear_denominators(a.coeff(v) for v in a.support)
+        total = GaussianInteger(0, 0)
+        for w, row in zip(weights, rows.tolist()):
+            prod = vec[row[0]]
+            for p in row[1:]:
+                prod = prod * vec[p]
+            total = total + w * prod
+        return total.over(den * D ** slots)
+    vec = np.array([a.coeff(v) for v in a.support], dtype=complex)
+    terms = weights * vec[rows[:, 0]]
+    for s in range(1, slots):
+        terms *= vec[rows[:, s]]
+    return complex(terms.sum())
+
+
+def _z_coeff_of(*indices) -> Fraction:
+    """z_coeff of the given indices: the brute route's form coefficient."""
+    return z_coeff(indices)
 
 
 def zeta_invariant(a: TrigSeries, k: int):
@@ -223,22 +293,17 @@ def zeta_invariant(a: TrigSeries, k: int):
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    return _form_sum(a, 2 * k, z_coeff)
+    return _form_sum(a, 2 * k, _z_coeff_of)
+
+
+def _pair_coeff_closed(i: int, j: int) -> Fraction:
+    """Pair coefficient Z_{i,j}: |i^3 - i| / 3 when i + j = 0, else 0."""
+    return Fraction(abs(i**3 - i), 3) if i + j == 0 else Fraction(0)
 
 
 def z1_closed(a: TrigSeries):
     """First invariant in closed form: (1/3) sum_j |j^3 - j| a_j a_{-j}."""
-    exact = a.backend == EXACT
-    total = RC_ZERO if exact else 0j
-    for j, v in a.items():
-        if abs(j) < 2:
-            continue
-        w = a.coeff(-j)
-        if not w:
-            continue
-        c = z_coeff_closed((j, -j))
-        total = total + (c if exact else float(c)) * v * w
-    return total
+    return _form_sum(a, 2, _pair_coeff_closed)
 
 
 # closed form for quadruple coefficients -------------------------------------
@@ -272,7 +337,7 @@ def _p2(i: int, j: int, k: int) -> Fraction:
     return Fraction(_q2(i, j, k) + _q2(i, k, j), 2 * 45)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COEFF_CACHE_SIZE)
 def z2_coeff_closed(i: int, j: int, k: int, l: int) -> Fraction:
     """Quadruple coefficient Z_{ijkl} from the closed-form quintics.
 
@@ -309,7 +374,7 @@ def z2_coeff_closed(i: int, j: int, k: int, l: int) -> Fraction:
 
 def z2_closed(a: TrigSeries):
     """Second invariant via the closed-form quadruple coefficients."""
-    return _form_sum(a, 4, lambda ms: z2_coeff_closed(*ms))
+    return _form_sum(a, 4, z2_coeff_closed)
 
 
 def z_coeff_closed(indices) -> Fraction:
@@ -320,8 +385,7 @@ def z_coeff_closed(indices) -> Fraction:
     """
     idx = tuple(indices)
     if len(idx) == 2:
-        j = idx[0]
-        return Fraction(abs(j**3 - j), 3) if j + idx[1] == 0 else Fraction(0)
+        return _pair_coeff_closed(*idx)
     if len(idx) == 4:
         return z2_coeff_closed(*idx)
     raise ValueError("closed coefficients are available for k in {1, 2} only")

@@ -5,12 +5,13 @@ sampling/quadrature experiment in double precision.  Floats use Python's
 built-in ``complex``; the exact side uses :class:`RationalComplex`, a pair
 of ``Fraction`` components supporting ring operations and conjugation.
 Mixing the two in arithmetic is an error by design, not a silent promotion.
-:class:`GaussianInteger` (int parts) is the exact trace route's internal
-ring once a weight's denominators are cleared.
+:class:`GaussianInteger` (int parts) is the internal ring of the exact
+operator trace and of exact form sums once denominators are cleared.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 _RATIONAL = (int, Fraction)
@@ -133,11 +134,12 @@ RC_ZERO = RationalComplex(0, 0)
 
 
 class GaussianInteger:
-    """re + i im with int parts: the ring of the exact operator trace once
-    the weight's denominators are cleared (trace._trace_difference_at).
+    """re + i im with int parts: the ring of the exact operator trace and of
+    exact form sums once denominators are cleared (clear_denominators).
 
-    Only the ring operations that trace.BandedOperator needs; an int factor
-    multiplies from the left (``n * z``).
+    Only the ring operations that trace.BandedOperator and
+    invariants._form_sum need; an int factor multiplies from the left
+    (``n * z``).
     """
 
     __slots__ = ("re", "im")
@@ -158,6 +160,20 @@ class GaussianInteger:
 
     def __rmul__(self, n: int):
         return GaussianInteger(n * self.re, n * self.im)
+
+    def over(self, d: int) -> RationalComplex:
+        """self / d, exactly."""
+        return RationalComplex(Fraction(self.re, d), Fraction(self.im, d))
+
+
+def clear_denominators(values) -> tuple[list, int]:
+    """([g_1, ...], D) with D the lcm of the denominators of every part of
+    the RationalComplex values v_i, and g_i = D v_i as a GaussianInteger."""
+    values = list(values)
+    D = math.lcm(*(c.denominator for v in values for c in (v.re, v.im)))
+    return [GaussianInteger(v.re.numerator * (D // v.re.denominator),
+                            v.im.numerator * (D // v.im.denominator))
+            for v in values], D
 
 
 def format_scalar(value) -> tuple[str, str]:

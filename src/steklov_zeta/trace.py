@@ -35,13 +35,11 @@ D^{2k} at the end gives the exact rational value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import TruncationTooSmall
 from .fourier import EXACT, FLOAT, TrigSeries
-from .scalars import RC_ZERO, GaussianInteger, RationalComplex
+from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 KIND_DN = "dn"            # symbol |n|
 KIND_DTHETA = "dtheta"    # symbol n
@@ -128,17 +126,14 @@ def _trace_difference_at(a: TrigSeries, k: int, N: int):
     """
     items, backend = a.items(), a.backend
     if backend == EXACT:
-        D = math.lcm(*(c.denominator for _, v in items for c in (v.re, v.im)))
-        items = [(n, GaussianInteger(v.re.numerator * (D // v.re.denominator),
-                                     v.im.numerator * (D // v.im.denominator)))
-                 for n, v in items]
+        values, D = clear_denominators(v for _, v in items)
+        items = [(n, g) for (n, _), g in zip(items, values)]
         backend = GAUSSIAN
     t = (_banded(items, KIND_DN, N, backend).power(k).trace_of_square()
          - _banded(items, KIND_DTHETA, N, backend).power(k).trace_of_square())
     if backend == FLOAT:
         return t
-    scale = D ** (2 * k)
-    return RationalComplex(Fraction(t.re, scale), Fraction(t.im, scale))
+    return t.over(D ** (2 * k))
 
 
 def trace_difference(a: TrigSeries, k: int, N: int):

@@ -14,7 +14,11 @@ from steklov_zeta import (NonZeroSum, RationalComplex, TrigSeries, brute_n,
 from steklov_zeta.conformal import pullback_direct
 from steklov_zeta.explorer import (random_positive_series, rationalize_series,
                                    sample_rng)
-from steklov_zeta.invariants import _orderings, _p1, _p2, zero_sum_multisets
+from steklov_zeta import invariants
+from steklov_zeta.invariants import (_COEFF_CACHE_SIZE, _form_table,
+                                     _orderings, _p1, _p2, zero_sum_multisets)
+from steklov_zeta.lie import raising_relation_sweep
+from steklov_zeta.scalars import RC_ZERO
 
 from util import random_exact_series, random_zero_sum_tuple
 
@@ -288,8 +292,10 @@ def test_float_backend_matches_exact():
         exact = complex(zeta_invariant(a, k))
         approx = zeta_invariant(f, k)
         assert approx == pytest.approx(exact, rel=1e-10, abs=1e-9)
+        assert type(approx) is complex  # not a numpy scalar
     assert complex(z2_closed(a)) == pytest.approx(z2_closed(f), rel=1e-10,
                                                   abs=1e-9)
+    assert type(z1_closed(f)) is type(z2_closed(f)) is complex
 
 
 # kernels against their earlier, slower implementations ---------------------
@@ -394,11 +400,107 @@ def test_orderings_is_the_multinomial_count():
             assert _orderings(ms) == expected, ms
 
 
-def test_float_z2_closed_error_bound_degree_30():
+def float_z2_closed_error(degree: int):
+    """(float z2_closed, exact z2_closed) of the criterion-4 pullback at
+    rho = 0.5 and the given out-degree, on the same dyadic coefficients."""
     a = random_positive_series(5, 0.6, sample_rng(20261018, 0), floor=0.5)
-    exact = rationalize_series(pullback_direct(a, 0.5, 8192, 30))
-    approx = z2_closed(exact.to_float())  # the same dyadic coefficients
-    ref = z2_closed(exact)
+    exact = rationalize_series(pullback_direct(a, 0.5, 8192, degree))
+    return z2_closed(exact.to_float()), z2_closed(exact)
+
+
+def test_float_z2_closed_error_bound_degree_30():
+    approx, ref = float_z2_closed_error(30)
     err = abs(Fraction(approx.real) - ref.re) + abs(Fraction(approx.imag) - ref.im)
     assert ref.re > 0
     assert err <= Fraction(1, 10**13) * ref.re
+
+
+def test_float_z2_closed_error_bound_degree_60():
+    approx, ref = float_z2_closed_error(60)  # the criterion-4 shape
+    assert type(approx) is complex
+    err = abs(Fraction(approx.real) - ref.re) + abs(Fraction(approx.imag) - ref.im)
+    assert ref.re > 0
+    assert err <= Fraction(1, 10**13) * ref.re
+
+
+# form tables and coefficient caches ------------------------------------------
+
+
+def test_forms_on_degenerate_supports():
+    # the zero series; a one-value support whose only zero-sum row has a
+    # zero coefficient; a support with no zero-sum row at all
+    for coeffs in ({}, {0: 3}, {1: 2, 2: (1, 1)}):
+        a = TrigSeries.exact(coeffs)
+        f = a.to_float()
+        for value in (z1_closed(a), z2_closed(a), zeta_invariant(a, 3)):
+            assert value == RC_ZERO and isinstance(value, RationalComplex)
+        for value in (z1_closed(f), z2_closed(f), zeta_invariant(f, 3)):
+            assert value == 0j and type(value) is complex
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty form-table cache before and after the test, so no table built
+    from a stand-in coefficient outlives it."""
+    _form_table.cache_clear()
+    yield
+    _form_table.cache_clear()
+
+
+def test_routes_never_share_a_table(monkeypatch, fresh_tables):
+    a = random_exact_series(random.Random(23), 3)
+    closed = z2_closed(a)
+    # a closed table exists for this support; the brute route neither reads
+    # it nor calls z2_coeff_closed
+    monkeypatch.setattr(invariants, "z2_coeff_closed", lambda *ms: Fraction(7))
+    assert zeta_invariant(a, 2) == closed
+    # the swapped-in function is the one a new closed table calls
+    assert z2_closed(a) != closed
+    monkeypatch.undo()
+
+    _form_table.cache_clear()
+    brute = zeta_invariant(a, 2)
+    monkeypatch.setattr(invariants, "z_coeff", lambda idx: Fraction(7))
+    assert z2_closed(a) == brute
+    monkeypatch.undo()
+
+    # with a closed table cached, the brute route still builds its own
+    _form_table.cache_clear()
+    z2_closed(a)
+    monkeypatch.setattr(invariants, "z_coeff", lambda idx: Fraction(7))
+    assert zeta_invariant(a, 2) != closed
+
+
+def test_one_table_per_support(fresh_tables):
+    rng = random.Random(29)
+    a, b = random_exact_series(rng, 4), random_exact_series(rng, 4)
+    assert a.support == b.support and a != b
+    for x, y in ((a, b), (a.to_float(), b.to_float())):
+        z2_closed(x)
+        value = z2_closed(y)
+        info = _form_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        _form_table.cache_clear()
+    assert value == pytest.approx(complex(zeta_invariant(b, 2)), rel=1e-13)
+
+
+def test_coefficient_caches_are_bounded():
+    # perfbench/layers.py reads z2_coeff_closed.cache_info() and
+    # len(_Z_CACHE) after every traced run
+    size = z2_coeff_closed.cache_info().maxsize
+    assert size == _COEFF_CACHE_SIZE
+    assert size >= 2048 and size & (size - 1) == 0
+    for _ in raising_relation_sweep(2, 5):
+        pass
+    assert 0 < len(invariants._Z_CACHE) <= _COEFF_CACHE_SIZE
+
+
+def test_z_cache_drops_its_oldest_entries(monkeypatch):
+    monkeypatch.setattr(invariants, "_Z_CACHE", {})
+    monkeypatch.setattr(invariants, "symmetrize_z",
+                        lambda key: Fraction(key[1]))
+    for j in range(_COEFF_CACHE_SIZE + 10):
+        assert z_coeff((j, -j)) == j
+    cache = invariants._Z_CACHE
+    assert len(cache) == _COEFF_CACHE_SIZE
+    assert next(iter(cache)) == (-10, 10) and (-9, 9) not in cache
