@@ -32,7 +32,7 @@ for kappa in (0.0, 0.5):
 
 print("\nleading coefficient as a Hermitian form on (a_2, ..., a_m):")
 for kappa in (0.0, 0.5, 1.0):
-    H = a_kappa_form(TrigSeries.zero("float"), kappa, 10)
+    H = a_kappa_form(kappa, 10)
     pd = positive_definite_check(H)
     eigs = np.linalg.eigvalsh((H + H.T) / 2)
     print(f"  kappa = {kappa}: positive definite = {pd}, "

@@ -4,7 +4,7 @@ Every run prints a header line to stderr with the library version, scalar
 backend, seed (when one is involved), and a digest of the effective
 configuration, so saved reports are self-describing.  Data goes to stdout
 or to --out.  Exit codes: 0 success / all checks pass, 1 check failure,
-2 usage error or bad input value (a ValueError, one "error:" line).
+2 usage error, bad value or unusable file (one "error:" line).
 
 An optional config file (--config PATH, "key = value" lines) supplies
 defaults for any long flag of the chosen command; explicit flags win.
@@ -31,9 +31,8 @@ from .fourier import TrigSeries, load_series
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
                          z2_coeff_closed, z_coeff, zero_sum_multisets, zeta,
                          zeta_invariant)
-from .lie import (GENERATORS, RELATION_PLANES, bracket_check,
-                  generator_relation_check, plane_tuples,
-                  raising_relation_check)
+from .lie import (GENERATORS, RELATION_PLANES, _relation_check,
+                  bracket_check, plane_tuples)
 from .scalars import RationalComplex
 from .trace import stabilization_sweep, trace_difference
 
@@ -187,16 +186,15 @@ def cmd_check_invariance(args) -> int:
 def _relation_task(payload):
     # module-level so ProcessPoolExecutor can pickle it
     variant, source, idx = payload
-    if variant == "reduced":
-        return idx, raising_relation_check(idx, source)
-    return idx, generator_relation_check(idx, variant, source)
+    return idx, _relation_check(idx, -RELATION_PLANES[variant], source)
 
 
 def cmd_check_relations(args) -> int:
     _header(args, "exact")
-    tasks = [(args.variant, args.source, idx)
-             for plane in RELATION_PLANES[args.variant]
-             for idx in plane_tuples(args.k, args.radius, plane, args.stride)]
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    tasks = [(args.variant, args.source, idx) for idx in plane_tuples(
+        args.k, args.radius, RELATION_PLANES[args.variant], args.stride)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_relation_task, tasks, chunksize=64))
@@ -223,7 +221,11 @@ def cmd_trace_check(args) -> int:
     if args.half_width == "auto":
         N = 4 * k * a.degree if a.degree else 4 * k
     else:
-        N = int(args.half_width)
+        try:
+            N = int(args.half_width)
+        except ValueError:
+            raise ValueError('--N takes "auto" or an integer, '
+                             f'got {args.half_width!r}') from None
     tdiff = trace_difference(a, k, N)
     zval = zeta_invariant(a, k)
     equal = tdiff == zval
@@ -417,7 +419,7 @@ def main(argv=None) -> int:
     except SteklovZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # bad input, reported like a usage error
+    except (ValueError, OSError) as exc:  # reported like a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,7 +207,7 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
     ratios = [s.ratio for s in samples if s.ratio is not None]
     kappa_checks = tuple(
         (kappa, bool(positive_definite_check(
-            a_kappa_form(TrigSeries.zero("float"), kappa, 10))))
+            a_kappa_form(kappa, 10))))
         for kappa in cfg.kappas)
     return CampaignReport(
         config=cfg,
@@ -222,12 +222,7 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
 # the leading Hermitian form of Z_2 as a quadratic in a_0 -------------------
 
 
-def _check_tail(tail: TrigSeries) -> None:
-    if any(abs(n) <= 1 for n in tail.support):
-        raise ValueError("tail series must vanish on frequencies |n| <= 1")
-
-
-def a_kappa_form(tail: TrigSeries, kappa: float, m: int) -> np.ndarray:
+def a_kappa_form(kappa: float, m: int) -> np.ndarray:
     """Hermitian form on the tail coordinates (a_2, ..., a_m).
 
     With a_1 = kappa * a_0, the invariant Z_2 is a quadratic trinomial in
@@ -236,7 +231,6 @@ def a_kappa_form(tail: TrigSeries, kappa: float, m: int) -> np.ndarray:
     2 kappa n (n^2-1)(n+2)(n+1/2), second off-diagonal
     kappa^2 n (n^2-1)(n+2)(n+3), all scaled by 4/5.
     """
-    _check_tail(tail)
     if m < 2:
         raise ValueError("m must be >= 2")
     kappa = float(kappa)
@@ -260,7 +254,8 @@ def trinomial_extract(tail: TrigSeries, kappa):
     Determined by evaluating Z_2 at a_0 in {0, 1, -1} and solving the
     three-point interpolation; exact when the tail and kappa are exact.
     """
-    _check_tail(tail)
+    if any(abs(n) <= 1 for n in tail.support):
+        raise ValueError("tail series must vanish on frequencies |n| <= 1")
     exact = tail.backend == EXACT and isinstance(kappa, (int, Fraction))
     base = tail if exact else tail.to_float()
 

@@ -254,9 +254,12 @@ def series_to_json(a: TrigSeries) -> dict:
 
 def series_from_json(obj: dict, backend: str = EXACT) -> TrigSeries:
     coeffs = {}
-    for row in obj["coeffs"]:
-        coeffs[int(row["n"])] = parse_scalar(row.get("re", "0"),
-                                             row.get("im", "0"), backend)
+    try:
+        for row in obj["coeffs"]:
+            coeffs[int(row["n"])] = parse_scalar(row.get("re", "0"),
+                                                 row.get("im", "0"), backend)
+    except KeyError as exc:
+        raise ValueError(f"series JSON lacks the key {exc}") from None
     return TrigSeries(coeffs, backend)
 
 

@@ -26,7 +26,10 @@ among the symmetric coefficients.  The reduced one (from D+) reads
     sum_alpha (j_alpha - 1) Z_{j_1 .. j_alpha + 1 .. j_{2k}} = 0
                      whenever j_1 + ... + j_{2k} = -1,
 
-and is checked here as an exact rational identity, never in floats.
+and is checked here as an exact rational identity, never in floats, like
+its mirror from D-: sum_alpha (j_alpha + 1) Z_{.. j_alpha - 1 ..} = 0 on the
+plane sum = +1.  As Z vanishes off the zero-sum plane, the relations of D and
+E are combinations of these two.
 """
 
 from __future__ import annotations
@@ -114,11 +117,9 @@ def _coeff_source(source: str):
     raise ValueError(f"unknown coefficient source {source!r}")
 
 
-# variant -> the planes sum(indices) = c on which its relation is not
-# vacuous: off them every bumped tuple misses the zero-sum plane.  "reduced"
-# is raising_relation_check, the others generator_relation_check.
-RELATION_PLANES = {"reduced": (-1,), "D": (-1, 1), "E": (-1, 1),
-                   "Dplus": (-1,), "Dminus": (1,)}
+# variant -> the plane sum(indices) = c on which its relation is not
+# vacuous: off it every bumped tuple misses the zero-sum plane.
+RELATION_PLANES = {"reduced": -1, "Dminus": 1}
 
 
 def _bump_sum(idx: tuple, step: int, coeff) -> Fraction:
@@ -130,37 +131,30 @@ def _bump_sum(idx: tuple, step: int, coeff) -> Fraction:
     return total
 
 
+def _relation_check(indices, step: int, source: str) -> Fraction:
+    """The bump sum of one side, on its plane sum(indices) = -step only."""
+    idx = tuple(int(j) for j in indices)
+    if len(idx) < 2 or len(idx) % 2:
+        raise ValueError("need a multi-index of even length >= 2")
+    if sum(idx) != -step:
+        raise WrongSum(f"indices must sum to {-step}, got {idx} "
+                       f"(sum {sum(idx)})")
+    return _bump_sum(idx, step, _coeff_source(source))
+
+
 def raising_relation_check(indices, source: str = "brute") -> Fraction:
     """Exact value of sum_alpha (j_alpha - 1) Z_{..., j_alpha + 1, ...}.
 
     Requires sum(indices) = -1 (the relation is vacuous elsewhere); the
     conformal invariance of Z_k makes the value exactly zero.
     """
-    idx = tuple(int(j) for j in indices)
-    if len(idx) < 2 or len(idx) % 2:
-        raise ValueError("need a multi-index of even length >= 2")
-    if sum(idx) != -1:
-        raise WrongSum(f"indices must sum to -1, got {idx} (sum {sum(idx)})")
-    return _bump_sum(idx, 1, _coeff_source(source))
+    return _relation_check(indices, 1, source)
 
 
-def generator_relation_check(indices, variant: str,
-                             source: str = "brute") -> Fraction:
-    """The invariance relation induced by one generator.
-
-    Dplus: sum (j_alpha - 1) Z at the +1 bump;
-    Dminus: sum (j_alpha + 1) Z at the -1 bump;
-    D / E: difference / sum of those two.  Each variant vanishes identically;
-    off its RELATION_PLANES every term is already zero.
-    """
-    variants = tuple(v for v in RELATION_PLANES if v != "reduced")
-    if variant not in variants:
-        raise ValueError(f"variant must be one of {variants}")
-    coeff = _coeff_source(source)
-    idx = tuple(int(j) for j in indices)
-    up = _bump_sum(idx, 1, coeff) if variant != "Dminus" else 0
-    down = _bump_sum(idx, -1, coeff) if variant != "Dplus" else 0
-    return up - down if variant == "D" else up + down
+def lowering_relation_check(indices, source: str = "brute") -> Fraction:
+    """The mirror of raising_relation_check: the exact value of
+    sum_alpha (j_alpha + 1) Z_{..., j_alpha - 1, ...} on sum(indices) = +1."""
+    return _relation_check(indices, -1, source)
 
 
 def plane_tuples(k: int, radius: int, plane: int, stride: int = 1):

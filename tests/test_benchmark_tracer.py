@@ -1,0 +1,33 @@
+"""The benchmark tracer (perfbench/layers.py) wraps library functions by
+module and name.  This pins that contract inside the test suite, so that
+renaming or deleting a traced name fails here and not only under
+``perfbench/run.py --trace 1``."""
+
+import importlib.util
+import pathlib
+
+from steklov_zeta import cli, invariants, lie, trace
+
+LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_the_relation_check_and_restores_originals():
+    originals = (invariants.z2_coeff_closed, lie.raising_relation_check,
+                 trace.BandedOperator.matmul, cli._emit)
+    tracer = load_layers().Tracer()
+    tracer.install()
+    try:
+        results = list(lie.raising_relation_sweep(1, 3))
+    finally:
+        tracer.uninstall()
+    assert len(results) == 6 and all(value == 0 for _, value in results)
+    assert tracer.calls["lie.raising_relation_check"] == 6
+    assert (invariants.z2_coeff_closed, lie.raising_relation_check,
+            trace.BandedOperator.matmul, cli._emit) == originals

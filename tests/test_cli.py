@@ -124,12 +124,13 @@ def test_out_of_range_rho_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("variant, planes", [
-    ("reduced", (-1,)), ("Dplus", (-1,)), ("Dminus", (1,)),
-    ("D", (-1, 1)), ("E", (-1, 1))])
+    ("reduced", (-1,)), (None, (-1,)), ("Dminus", (1,))])
 def test_check_relations_sweeps_the_variant_planes(capsys, variant, planes):
-    # k = 2, radius 3 has 224 tuples on each of the planes -1 and +1
+    # k = 2, radius 3 has 224 tuples on each of the planes -1 and +1;
+    # variant None leaves --variant at its default
+    flags = () if variant is None else ("--variant", variant)
     code, out, err = run(capsys, "check-relations", "--k", "2", "--radius", "3",
-                         "--variant", variant)
+                         *flags)
     rows = [tuple(map(int, row.split(",")))
             for row in out.strip().splitlines()[1:]]
     assert code == 0 and len(rows) == 224 * len(planes)
@@ -138,18 +139,36 @@ def test_check_relations_sweeps_the_variant_planes(capsys, variant, planes):
 
 
 def test_check_relations_variants_use_the_source(capsys):
-    code, out, err = run(capsys, "check-relations", "--k", "3", "--radius", "1",
-                         "--variant", "D", "--source", "closed")
+    for variant in ("reduced", "Dminus"):
+        code, out, err = run(capsys, "check-relations", "--k", "3",
+                             "--radius", "1", "--variant", variant,
+                             "--source", "closed")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == \
+            "error: closed coefficients are available for k in {1, 2} only"
+        rows = {}
+        for source in ("brute", "closed"):
+            code, rows[source], _ = run(capsys, "check-relations", "--k", "2",
+                                        "--radius", "3", "--variant", variant,
+                                        "--source", source)
+            assert code == 0
+        assert rows["closed"] == rows["brute"]
+
+
+@pytest.mark.parametrize("variant", ["D", "E", "Dplus"])
+def test_check_relations_rejects_removed_variants(capsys, variant):
+    code, out, err = run(capsys, "check-relations", "--k", "1", "--radius", "2",
+                         "--variant", variant)
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == \
-        "error: closed coefficients are available for k in {1, 2} only"
-    rows = {}
-    for source in ("brute", "closed"):
-        code, rows[source], _ = run(capsys, "check-relations", "--k", "2",
-                                    "--radius", "3", "--variant", "Dplus",
-                                    "--source", source)
-        assert code == 0
-    assert rows["closed"] == rows["brute"]
+    assert f"argument --variant: invalid choice: '{variant}'" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_check_relations_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "check-relations", "--k", "1", "--radius", "2",
+                         "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: --jobs must be >= 1, got {jobs}"
 
 
 def test_check_relations_jobs_deterministic(capsys):
@@ -167,6 +186,14 @@ def test_trace_check(capsys, pair_series):
     report = json.loads(out)
     assert report["equal"] is True
     assert report["stabilized_at"] <= report["stabilization_bound"]
+
+
+def test_trace_check_bad_n_names_the_flag(capsys, pair_series):
+    code, out, err = run(capsys, "trace-check", "--series", pair_series,
+                         "--k", "1", "--N", "abc")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        "error: --N takes \"auto\" or an integer, got 'abc'"
 
 
 def test_explore_json(capsys):
@@ -201,9 +228,35 @@ def test_usage_error_exit_code(capsys, pair_series):
     assert code == 2 and out == "" and err.count("error:") == 1
 
 
-def test_missing_file_is_reported(capsys):
-    with pytest.raises(FileNotFoundError):
-        main(["compute-z", "--series", "/nonexistent.json", "--k", "1"])
+def test_missing_file_is_reported(capsys, tmp_path):
+    path = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "compute-z", "--series", path, "--k", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        f"error: [Errno 2] No such file or directory: '{path}'"
+
+
+@pytest.mark.parametrize("case", ["missing-series", "missing-config",
+                                  "unwritable-out", "series-without-coeffs"])
+def test_file_error_is_a_usage_error(capsys, tmp_path, case):
+    bad_series = tmp_path / "bad.json"
+    bad_series.write_text('{"terms": []}\n')
+    argv, names = {
+        "missing-series": (("compute-z", "--series", str(tmp_path / "x.json"),
+                            "--k", "1"), "x.json"),
+        "missing-config": (("--config", str(tmp_path / "x.cfg"), "compute-z",
+                            "--series", str(bad_series), "--k", "1"), "x.cfg"),
+        "unwritable-out": (("explore", "--seed", "7", "--count", "1", "--n0",
+                            "2", "--out", str(tmp_path / "no_dir" / "x.json")),
+                           "x.json"),
+        "series-without-coeffs": (("compute-z", "--series", str(bad_series),
+                                   "--k", "1"), "'coeffs'"),
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.count("error:") == 1
+    assert err.splitlines()[-1].startswith("error: ")
+    assert names in err.splitlines()[-1]
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path, pair_series):

@@ -115,7 +115,7 @@ def test_coefficient_bound_from_z1():
 
 
 def test_a_kappa_form_diagonal_kappa_zero():
-    H = a_kappa_form(TrigSeries.zero("float"), 0.0, 6)
+    H = a_kappa_form(0.0, 6)
     assert H.shape == (5, 5)
     assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
     for n in range(2, 7):
@@ -124,19 +124,14 @@ def test_a_kappa_form_diagonal_kappa_zero():
 
 
 def test_a_kappa_form_smallest_case():
-    H = a_kappa_form(TrigSeries.zero("float"), 0.0, 2)
+    H = a_kappa_form(0.0, 2)
     assert H.shape == (1, 1)
     assert H[0, 0] == pytest.approx(16.0)
 
 
-def test_a_kappa_form_rejects_low_frequency_tail():
-    with pytest.raises(ValueError):
-        a_kappa_form(TrigSeries.from_complex({1: 1.0}), 0.0, 4)
-
-
 def test_a_kappa_form_positive_definite_sample():
     for kappa in (0.0, 0.5, -0.5, 1.0, -1.0):
-        H = a_kappa_form(TrigSeries.zero("float"), kappa, 10)
+        H = a_kappa_form(kappa, 10)
         assert positive_definite_check(H)
 
 
@@ -150,6 +145,12 @@ def test_trinomial_exact_pair_tail():
     A, B, N0 = trinomial_extract(tail, 0)
     assert A == 16 and B == 0
     assert N0 == z2_closed(tail).re == 48
+
+
+def test_trinomial_rejects_low_frequency_tail():
+    for n in (0, 1, -1):
+        with pytest.raises(ValueError, match=r"\|n\| <= 1"):
+            trinomial_extract(TrigSeries.from_complex({n: 1.0, 3: 0.5}), 0.5)
 
 
 def test_trinomial_constant_term_is_tail_invariant():
@@ -171,7 +172,7 @@ def test_trinomial_leading_matches_hermitian_form():
     for kappa in (0.0, 0.5, -1.0):
         A, _, _ = trinomial_extract(tail, kappa)
         v = np.array([tail.coeff(n) for n in range(2, m + 1)])
-        H = a_kappa_form(tail, kappa, m)
+        H = a_kappa_form(kappa, m)
         quad = float(np.real(v.conj() @ H @ v))
         assert A == pytest.approx(quad, rel=1e-9, abs=1e-9)
 

@@ -162,6 +162,13 @@ def test_json_reads_rational_strings_into_floats():
     assert a.coeff(0) == 0.25
 
 
+@pytest.mark.parametrize("obj, key", [({"terms": []}, "'coeffs'"),
+                                      ({"coeffs": [{"re": "1"}]}, "'n'")])
+def test_json_missing_key_is_a_value_error(obj, key):
+    with pytest.raises(ValueError, match=f"lacks the key {key}"):
+        series_from_json(obj)
+
+
 def test_series_is_immutable():
     a = TrigSeries.exact({0: 1})
     with pytest.raises(AttributeError):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov_zeta import (GENERATORS, RationalComplex, TrigSeries, UnknownBracket,
-                          WrongSum, apply_generator, bracket_check,
-                          generator_relation_check, is_real, lie,
-                          plane_tuples, raising_relation_check,
-                          raising_relation_sweep, symmetrize_z)
+                          WrongSum, apply_generator, bracket_check, is_real,
+                          lie, lowering_relation_check, plane_tuples,
+                          raising_relation_check, raising_relation_sweep,
+                          symmetrize_z)
 from steklov_zeta.lie import _bump_sum
 
 from util import random_exact_series, random_zero_sum_tuple
@@ -126,19 +126,36 @@ def test_raising_relation_closed_needs_low_order():
         raising_relation_check((0, 0, 0, 0, 0, -1), source="closed")
 
 
+def test_lowering_relation_examples():
+    assert lowering_relation_check((3, -2)) == 0
+    assert lowering_relation_check((0, 0, 0, 1), source="closed") == 0
+    assert lowering_relation_check((0, 0, 0, 1), source="brute") == 0
+    assert lowering_relation_check((-1, -1, 1, 1, 0, 1)) == 0
+
+
+def test_lowering_relation_wrong_sum():
+    for idx in ((1, -1), (2, -3), (0, 0, 0, -1)):
+        with pytest.raises(WrongSum, match="must sum to 1,"):
+            lowering_relation_check(idx)
+
+
+@pytest.mark.parametrize("idx", [(), (1,), (1, 0, 0)])
+def test_relation_checks_need_even_length(idx):
+    for check in (raising_relation_check, lowering_relation_check):
+        with pytest.raises(ValueError, match="even length"):
+            check(idx)
+
+
 def test_generator_variants_identities():
     rng = random.Random(53)
     for _ in range(10):
         idx = random_zero_sum_tuple(rng, 2, 4)
         idx = idx[:-1] + (idx[-1] - 1,)  # shift onto the sum = -1 plane
-        up = generator_relation_check(idx, "Dplus")
-        down = generator_relation_check(idx, "Dminus")
-        assert generator_relation_check(idx, "D") == up - down
-        assert generator_relation_check(idx, "E") == up + down
-        assert up == 0 and down == 0
-        # sign-flipped input swaps the two one-sided variants (up to sign)
+        up = raising_relation_check(idx)
+        assert up == 0
+        # sign-flipped input lands on the +1 plane of the mirror relation
         flipped = tuple(-j for j in idx)
-        assert generator_relation_check(flipped, "Dminus") == -up
+        assert lowering_relation_check(flipped) == -up
 
 
 def fake_coeff(idx):
@@ -162,25 +179,41 @@ def test_bump_sum_with_non_invariant_coefficient():
 
 def test_relation_variants_combine_the_bump_sums(monkeypatch):
     monkeypatch.setattr(lie, "z_coeff", fake_coeff)
+    monkeypatch.setattr(lie, "z_coeff_closed", lambda idx: 2 * fake_coeff(idx))
     for idx, (up, down) in FAKE_BUMP_SUMS.items():
-        assert generator_relation_check(idx, "Dplus") == up
-        assert generator_relation_check(idx, "Dminus") == down
-        assert generator_relation_check(idx, "D") == up - down
-        assert generator_relation_check(idx, "E") == up + down
         if sum(idx) == -1:
             assert raising_relation_check(idx) == up
-    with pytest.raises(ValueError):
-        generator_relation_check((2, -3), "reduced")
+            assert raising_relation_check(idx, "closed") == 2 * up
+        else:
+            assert lowering_relation_check(idx) == down
+            assert lowering_relation_check(idx, "closed") == 2 * down
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lowering_mirrors_raising(monkeypatch, k):
+    """For a sign-flip symmetric coefficient, invariant or not, the lowering
+    sum at -idx is minus the raising sum at idx; an odd one breaks this."""
+    idxs = list(plane_tuples(k, 4, -1))
+    monkeypatch.setattr(lie, "z_coeff", fake_coeff)
+    for idx in idxs:
+        flipped = tuple(-j for j in idx)
+        assert lowering_relation_check(flipped) == -raising_relation_check(idx)
+    monkeypatch.setattr(lie, "z_coeff", lambda idx: Fraction(idx[0]))
+    assert any(lowering_relation_check(tuple(-j for j in idx))
+               != -raising_relation_check(idx) for idx in idxs)
 
 
 def test_all_variants_vanish_on_sample():
     rng = random.Random(59)
     for _ in range(6):
         idx = random_zero_sum_tuple(rng, 1, 6)
-        for plane_shift in (-1, 1):
-            shifted = (idx[0], idx[1] + plane_shift)
-            for variant in ("D", "E", "Dplus", "Dminus"):
-                assert generator_relation_check(shifted, variant) == 0
+        assert raising_relation_check((idx[0], idx[1] - 1)) == 0
+        assert lowering_relation_check((idx[0], idx[1] + 1)) == 0
+    for _ in range(6):
+        idx = random_zero_sum_tuple(rng, 2, 4)
+        for source in ("brute", "closed"):
+            assert raising_relation_check(idx[:-1] + (idx[-1] - 1,), source) == 0
+            assert lowering_relation_check(idx[:-1] + (idx[-1] + 1,), source) == 0
 
 
 def test_sweep_small_radius():
