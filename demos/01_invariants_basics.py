@@ -12,8 +12,9 @@ shows that they agree exactly:
 
 from fractions import Fraction
 
-from steklov_zeta import (TrigSeries, brute_n, symmetrize_z, trace_difference,
-                          z1_closed, z2_closed, zeta_invariant)
+from steklov_zeta import (TrigSeries, brute_n, exact_width, symmetrize_z,
+                          trace_difference, z1_closed, z2_closed,
+                          zeta_invariant)
 
 # a = 2 + cos(theta) + (2/3) cos(3 theta), written as exact coefficients
 a = TrigSeries.exact({
@@ -31,7 +32,7 @@ print("  symmetrized Z(2,2,-1,-3) =", symmetrize_z((2, 2, -1, -3)))
 for k in (1, 2):
     brute = zeta_invariant(a, k)
     closed = z1_closed(a) if k == 1 else z2_closed(a)
-    trace = trace_difference(a, k, 4 * k * a.degree)
+    trace = trace_difference(a, k, exact_width(a, k))
     print(f"\nZ_{k}(a):")
     print("  combinatorial sum :", brute.re)
     print("  closed form       :", closed.re)

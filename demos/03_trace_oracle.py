@@ -3,19 +3,18 @@
 The difference Tr[(aL)^{2k} - (aD)^{2k}] over the frequency basis is a
 finite number even though each trace alone diverges with the truncation.
 Better: the difference becomes *exactly constant* once the truncation
-half-width reaches the true width max(deg(a), k deg(a) - 1), since only
-closed index paths that visit both signs survive the difference.
-trace_difference still requires N >= 4k deg(a), and evaluates at the
-true width.  This script shows the stabilization sweep and the agreement
-with the combinatorial invariant.
+half-width reaches exact_width(a, k) = max(deg(a), k deg(a) - 1), since
+only closed index paths that visit both signs survive the difference.
+trace_difference requires N >= exact_width(a, k) and evaluates there.
+This script shows the stabilization sweep and the agreement with the
+combinatorial invariant.
 """
 
 from fractions import Fraction
 
-from steklov_zeta import (KIND_DN, TrigSeries, operator_matrix,
-                          stabilization_check, trace_difference,
+from steklov_zeta import (KIND_DN, TrigSeries, exact_width, operator_matrix,
+                          stabilization_sweep, trace_difference,
                           zeta_invariant)
-from steklov_zeta.trace import _trace_difference_at
 
 a = TrigSeries.exact({2: 1, -2: 1, 1: (0, Fraction(1, 2)),
                       -1: (0, Fraction(-1, 2))})
@@ -28,19 +27,15 @@ for m, n in ((2, 0), (3, 1), (0, -2), (1, 2)):
 
 k = 2
 print(f"\ndoubling sweep of the trace difference (k = {k}):")
-N = a.degree
-while N <= 32:
-    print(f"  N = {N:3d}: {_trace_difference_at(a, k, N).re}")
-    N *= 2
+sweep = stabilization_sweep(a, k)
+for N, value in sweep:
+    print(f"  N = {N:3d}: {value.re}")
 
-stable_at = stabilization_check(a, k)
-width = max(a.degree, k * a.degree - 1)
-bound = 4 * k * a.degree
-print(f"stabilizes at N = {stable_at} (true width max(deg, k deg - 1) = "
-      f"{width}; trace_difference requires N >= 4k deg = {bound})")
-print(f"raw truncation at the true width: {_trace_difference_at(a, k, width).re}")
+width = exact_width(a, k)
+print(f"stabilizes at N = {sweep[-3][0]} (exact width max(deg, k deg - 1) "
+      f"= {width})")
 
-exact = trace_difference(a, k, bound)
+exact = trace_difference(a, k, width)
 combinatorial = zeta_invariant(a, k)
 print(f"trace value    : {exact.re}")
 print(f"combinatorial  : {combinatorial.re}")

@@ -34,7 +34,7 @@ from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
 from .lie import (GENERATORS, RELATION_PLANES, _relation_check,
                   bracket_check, plane_tuples)
 from .scalars import RationalComplex
-from .trace import stabilization_sweep, trace_difference
+from .trace import exact_width, stabilization_sweep, trace_difference
 
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
@@ -63,7 +63,11 @@ def _emit(text: str, out_path) -> None:
 
 
 def _parse_indices(text: str) -> tuple:
-    return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+    try:
+        return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
+    except ValueError:
+        raise ValueError("--indices takes comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _fmt_scalar(value) -> str:
@@ -106,6 +110,10 @@ def cmd_brute_n(args) -> int:
         return 0
     if args.k is None or args.radius is None:
         raise ValueError("need either --indices or both --k and --radius")
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    if args.radius < 0:
+        raise ValueError(f"--radius must be >= 0, got {args.radius}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     slots = 2 * args.k
@@ -218,14 +226,7 @@ def cmd_trace_check(args) -> int:
     _header(args, "exact")
     a = load_series(args.series, "exact")
     k = args.k
-    if args.half_width == "auto":
-        N = 4 * k * a.degree if a.degree else 4 * k
-    else:
-        try:
-            N = int(args.half_width)
-        except ValueError:
-            raise ValueError('--N takes "auto" or an integer, '
-                             f'got {args.half_width!r}') from None
+    N = exact_width(a, k)
     tdiff = trace_difference(a, k, N)
     zval = zeta_invariant(a, k)
     equal = tdiff == zval
@@ -236,7 +237,6 @@ def cmd_trace_check(args) -> int:
         "zeta_invariant": _fmt_scalar(zval),
         "equal": equal,
         "stabilized_at": sweep[-3][0],
-        "stabilization_bound": 4 * k * a.degree,
         "stabilization_sweep": [[n, _fmt_scalar(v)] for n, v in sweep],
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -346,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                  help="operator-trace oracle vs the combinatorial sum")
     p.add_argument("--series", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", dest="half_width", default="auto",
-                   help='truncation half-width or "auto" (= 4k deg)')
     p.add_argument("--out")
     p.set_defaults(func=cmd_trace_check)
 
@@ -416,12 +414,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except SteklovZetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:  # reported like a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SteklovZetaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

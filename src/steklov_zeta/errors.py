@@ -9,7 +9,7 @@ class BackendMismatch(SteklovZetaError):
     """An operation received a mix of exact-rational and float data."""
 
 
-class GridTooSmall(SteklovZetaError):
+class GridTooSmall(SteklovZetaError, ValueError):
     """A sampling grid cannot resolve the requested degree."""
 
 
@@ -33,7 +33,7 @@ class UnknownBracket(SteklovZetaError):
     """The requested generator pair is not in the bracket tables."""
 
 
-class TruncationTooSmall(SteklovZetaError):
+class TruncationTooSmall(SteklovZetaError, ValueError):
     """Operator truncation is below the exactness threshold."""
 
 

@@ -253,9 +253,16 @@ def series_to_json(a: TrigSeries) -> dict:
 
 
 def series_from_json(obj: dict, backend: str = EXACT) -> TrigSeries:
+    """The series of {"coeffs": [{"n": ..., "re": ..., "im": ...}, ...]};
+    any other shape raises a ValueError that names this one."""
     coeffs = {}
     try:
-        for row in obj["coeffs"]:
+        rows = obj["coeffs"] if isinstance(obj, dict) else None
+        if not (isinstance(rows, list)
+                and all(isinstance(row, dict) for row in rows)):
+            raise ValueError("series JSON must be an object with a "
+                             '"coeffs" list of objects')
+        for row in rows:
             coeffs[int(row["n"])] = parse_scalar(row.get("re", "0"),
                                                  row.get("im", "0"), backend)
     except KeyError as exc:
@@ -271,4 +278,8 @@ def save_series(a: TrigSeries, path) -> None:
 
 def load_series(path, backend: str = EXACT) -> TrigSeries:
     with open(path, encoding="utf-8") as fh:
-        return series_from_json(json.load(fh), backend)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+    return series_from_json(obj, backend)

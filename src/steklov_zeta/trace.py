@@ -136,19 +136,25 @@ def _trace_difference_at(a: TrigSeries, k: int, N: int):
     return t.over(D ** (2 * k))
 
 
+def exact_width(a: TrigSeries, k: int) -> int:
+    """The half-width W = max(deg(a), k deg(a) - 1) at which the truncated
+    trace difference is the infinite one (module docstring)."""
+    return max(a.degree, k * a.degree - 1)
+
+
 def trace_difference(a: TrigSeries, k: int, N: int):
     """Tr[(aL)^{2k} - (aD_theta)^{2k}], exact for the rational backend.
 
-    Requires N >= 4k deg(a) (TruncationTooSmall otherwise), but evaluates
-    at the true width max(deg(a), k deg(a) - 1) of the module docstring:
-    in exact arithmetic every N from there on gives the same value.
+    Requires N >= exact_width(a, k) (TruncationTooSmall otherwise) and
+    evaluates at that width, so every admissible N gives the same value.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
-    need = 4 * k * a.degree
-    if N < need:
-        raise TruncationTooSmall(f"half-width {N} < 4k*deg(a) = {need}")
-    return _trace_difference_at(a, k, max(a.degree, k * a.degree - 1))
+    W = exact_width(a, k)
+    if N < W:
+        raise TruncationTooSmall(f"half-width {N} < exact width "
+                                 f"max(deg(a), k*deg(a) - 1) = {W}")
+    return _trace_difference_at(a, k, W)
 
 
 def stabilization_sweep(a: TrigSeries, k: int, max_half_width: int = 512):
@@ -175,9 +181,8 @@ def stabilization_check(a: TrigSeries, k: int, max_half_width: int = 512) -> int
     constant across two successive doublings.
 
     Empirical confirmation of the truncation width: the value is exact from
-    W = max(deg(a), k deg(a) - 1) on, so the returned N is at most the
-    first width of the sweep that reaches W, which is below 2k deg(a) for
-    non-constant a.
+    W = exact_width(a, k) on, the width trace_difference evaluates at, so
+    the returned N is at most the first width of the sweep that reaches W.
     """
     sweep = stabilization_sweep(a, k, max_half_width)
     return sweep[-3][0]

@@ -1,6 +1,7 @@
 """The benchmark tracer (perfbench/layers.py) wraps library functions by
-module and name.  This pins that contract inside the test suite, so that
-renaming or deleting a traced name fails here and not only under
+module and name, and reads library caches by name for its state metrics.
+This pins that contract inside the test suite, so that renaming or
+deleting a traced name or a cache fails here and not only under
 ``perfbench/run.py --trace 1``."""
 
 import importlib.util
@@ -21,12 +22,16 @@ def load_layers():
 def test_tracer_counts_the_relation_check_and_restores_originals():
     originals = (invariants.z2_coeff_closed, lie.raising_relation_check,
                  trace.BandedOperator.matmul, cli._emit)
-    tracer = load_layers().Tracer()
+    layers = load_layers()
+    tracer = layers.Tracer()
     tracer.install()
     try:
         results = list(lie.raising_relation_sweep(1, 3))
+        # the state metrics read library caches by name
+        metrics = tracer.metrics(1)
     finally:
         tracer.uninstall()
+    assert list(metrics) == [name for name, _, _ in layers.METRICS]
     assert len(results) == 6 and all(value == 0 for _, value in results)
     assert tracer.calls["lie.raising_relation_check"] == 6
     assert (invariants.z2_coeff_closed, lie.raising_relation_check,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from steklov_zeta import TrigSeries, save_series
+from steklov_zeta import TrigSeries, exact_width, save_series
 from steklov_zeta.cli import main
 
 
@@ -180,20 +180,27 @@ def test_check_relations_jobs_deterministic(capsys):
 
 
 def test_trace_check(capsys, pair_series):
-    code, out, _ = run(capsys, "trace-check", "--series", pair_series,
-                       "--k", "1")
-    assert code == 0
-    report = json.loads(out)
-    assert report["equal"] is True
-    assert report["stabilized_at"] <= report["stabilization_bound"]
+    """The report's half_width is the width the value was computed at, and
+    the sweep settles no later than its first width that reaches it."""
+    for k in (1, 2, 3):
+        code, out, _ = run(capsys, "trace-check", "--series", pair_series,
+                           "--k", str(k))
+        assert code == 0
+        report = json.loads(out)
+        assert report["equal"] is True
+        assert report["half_width"] == \
+            exact_width(TrigSeries.exact({2: 1, -2: 1}), k)
+        assert "stabilization_bound" not in report
+        first_exact = min(n for n, _ in report["stabilization_sweep"]
+                          if n >= report["half_width"])
+        assert report["stabilized_at"] <= first_exact
 
 
-def test_trace_check_bad_n_names_the_flag(capsys, pair_series):
+def test_trace_check_has_no_width_flag(capsys, pair_series):
     code, out, err = run(capsys, "trace-check", "--series", pair_series,
-                         "--k", "1", "--N", "abc")
+                         "--k", "1", "--N", "8")
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == \
-        "error: --N takes \"auto\" or an integer, got 'abc'"
+    assert "unrecognized arguments: --N 8" in err
 
 
 def test_explore_json(capsys):
@@ -228,6 +235,33 @@ def test_usage_error_exit_code(capsys, pair_series):
     assert code == 2 and out == "" and err.count("error:") == 1
 
 
+def test_too_small_grid_is_a_usage_error(capsys, pair_series):
+    code, out, err = run(capsys, "check-invariance", "--series", pair_series,
+                         "--rho", "0.3", "--k", "2", "--grid", "8")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error: grid size 8 < ")
+
+
+@pytest.mark.parametrize("k, radius, message", [
+    ("1", "-2", "--radius must be >= 0, got -2"),
+    ("-1", "2", "--k must be >= 1, got -1"),
+    ("0", "2", "--k must be >= 1, got 0")])
+def test_brute_n_table_rejects_an_empty_range(capsys, k, radius, message):
+    code, out, err = run(capsys, "brute-n", "--k", k, "--radius", radius)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv", [("brute-n", "--indices=a,b"),
+                                  ("z2-coeff", "--indices=a,b,c,d")],
+                         ids=["brute-n", "z2-coeff"])
+def test_indices_must_be_integers(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(
+        "error: --indices takes comma-separated integers, got 'a,b")
+
+
 def test_missing_file_is_reported(capsys, tmp_path):
     path = str(tmp_path / "missing.json")
     code, out, err = run(capsys, "compute-z", "--series", path, "--k", "1")
@@ -236,12 +270,22 @@ def test_missing_file_is_reported(capsys, tmp_path):
         f"error: [Errno 2] No such file or directory: '{path}'"
 
 
+SHAPE = '"coeffs" list of objects'
+SERIES_FILES = {  # case -> (file text, what the error line names)
+    "series-list": ("[1, 2]", SHAPE),
+    "series-list-of-numbers": ('{"coeffs": [1, 2]}', SHAPE),
+    "series-coeffs-object": ('{"coeffs": {"n": 1}}', SHAPE),
+    "series-not-json": ("not json", "series-not-json.json is not JSON"),
+}
+
+
 @pytest.mark.parametrize("case", ["missing-series", "missing-config",
-                                  "unwritable-out", "series-without-coeffs"])
+                                  "unwritable-out", "series-without-coeffs",
+                                  *SERIES_FILES])
 def test_file_error_is_a_usage_error(capsys, tmp_path, case):
     bad_series = tmp_path / "bad.json"
     bad_series.write_text('{"terms": []}\n')
-    argv, names = {
+    cases = {
         "missing-series": (("compute-z", "--series", str(tmp_path / "x.json"),
                             "--k", "1"), "x.json"),
         "missing-config": (("--config", str(tmp_path / "x.cfg"), "compute-z",
@@ -251,7 +295,12 @@ def test_file_error_is_a_usage_error(capsys, tmp_path, case):
                            "x.json"),
         "series-without-coeffs": (("compute-z", "--series", str(bad_series),
                                    "--k", "1"), "'coeffs'"),
-    }[case]
+    }
+    for name, (text, named) in SERIES_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text + "\n")
+        cases[name] = (("compute-z", "--series", str(path), "--k", "1"), named)
+    argv, names = cases[case]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "Traceback" not in err and err.count("error:") == 1

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
-                          TrigSeries, TruncationTooSmall, operator_matrix,
-                          stabilization_check, stabilization_sweep,
-                          trace_difference, zeta_invariant)
+                          TrigSeries, TruncationTooSmall, exact_width,
+                          operator_matrix, stabilization_check,
+                          stabilization_sweep, trace_difference,
+                          zeta_invariant)
 from steklov_zeta.trace import _trace_difference_at
 
 from util import random_exact_series
@@ -49,10 +50,25 @@ def test_constant_weight_trace_difference_vanishes():
         assert trace_difference(a, k, 8) == 0
 
 
+def criterion3_series():
+    """The 50 random series of acceptance criterion 3, degrees 1..3."""
+    rng = random.Random(20250808)
+    for _ in range(50):
+        yield random_exact_series(rng, rng.randint(1, 3))
+
+
 def test_truncation_guard():
-    a = TrigSeries.exact({2: 1, -2: 1})
-    with pytest.raises(TruncationTooSmall):
-        trace_difference(a, 1, 7)
+    """trace_difference takes exactly the N >= exact_width(a, k)."""
+    pair = TrigSeries.exact({2: 1, -2: 1})
+    assert trace_difference(pair, 1, 7) == 4  # below the former 4k deg
+    for a in list(criterion3_series())[:10]:
+        for k in (1, 2, 3):
+            W = exact_width(a, k)
+            with pytest.raises(TruncationTooSmall, match=f"= {W}$"):
+                trace_difference(a, k, W - 1)
+            with pytest.raises(ValueError):
+                trace_difference(a, k, W - 1)
+            assert trace_difference(a, k, W) == zeta_invariant(a, k)
 
 
 def test_trace_equals_invariant_single_pair():
@@ -79,9 +95,10 @@ def test_trace_value_stable_beyond_threshold():
     rng = random.Random(67)
     a = random_exact_series(rng, 2)
     k = 2
-    base = trace_difference(a, k, 4 * k * 2)
+    W = exact_width(a, k)
+    base = trace_difference(a, k, W)
     for extra in (1, 5, 16):
-        assert trace_difference(a, k, 4 * k * 2 + extra) == base
+        assert trace_difference(a, k, W + extra) == base
 
 
 def test_homogeneity():
@@ -130,15 +147,20 @@ def true_width(a, k):
     return max(a.degree, k * a.degree - 1)
 
 
+def test_exact_width_is_the_true_width():
+    for a in criterion3_series():
+        for k in (1, 2, 3):
+            assert exact_width(a, k) == true_width(a, k)
+    assert exact_width(TrigSeries.exact({0: 3}), 2) == 0
+
+
 def test_true_width_is_exact_and_sharp():
     """On the criterion-3 series the raw truncation at max(deg, k deg - 1)
     is Z_k every time; one below it misses Z_k somewhere for every k >= 2,
     deg >= 2.  (For k = 1 the width is deg, the matrices' own minimum.)"""
-    rng = random.Random(20250808)
     misses = {(k, deg): 0 for k in (2, 3) for deg in (2, 3)}
-    for _ in range(50):
-        deg = rng.randint(1, 3)
-        a = random_exact_series(rng, deg)
+    for a in criterion3_series():
+        deg = a.degree
         for k in (1, 2, 3):
             z = zeta_invariant(a, k)
             assert _trace_difference_at(a, k, true_width(a, k)) == z
