@@ -22,8 +22,8 @@ from .explorer import (CampaignConfig, CampaignReport, SampleRecord,
                        positive_definite_check, random_positive_series,
                        random_real_series, trinomial_extract,
                        z2_nonneg_campaign)
-from .fourier import (CircleGrid, TrigSeries, evaluate, from_samples,
-                      is_real, load_series, min_on_circle,
+from .fourier import (CircleGrid, TrigSeries, evaluate, evaluate_at,
+                      from_samples, is_real, load_series, min_on_circle,
                       normalization_integral, sample_series, save_series,
                       series_from_json, series_to_json)
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,

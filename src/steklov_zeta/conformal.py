@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendMismatch
-from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, evaluate,
+from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, evaluate_at,
                       from_samples, grid_angles)
 
 
@@ -224,17 +224,19 @@ def pullback_direct(a: TrigSeries, rho, grid_size: int,
                     out_degree: int) -> TrigSeries:
     """Sampling route for the same transport: b = (a o phi) / (dphi/dtheta).
 
-    phi(theta) = arg Phi_rho(e^{i theta}) and
-    dphi/dtheta = (1 - rho^2) / |1 - rho e^{i theta}|^2.  Float backend only;
-    the result is the degree-out_degree interpolant from grid_size samples.
+    e^{i phi(theta)} = Phi_rho(e^{i theta}) = (z - rho) / (1 - rho z) with
+    z = e^{i theta}, and dphi/dtheta = (1 - rho^2) / |1 - rho z|^2.  The angle
+    phi itself is never formed: a is evaluated at the point w / |w| of the
+    circle (w = Phi_rho(z), renormalized against rounding) by
+    fourier.evaluate_at.  Float backend only; the result is the
+    degree-out_degree interpolant from grid_size samples.
     """
     r = float(_rho_value(rho))
-    theta = grid_angles(grid_size)
-    z = np.exp(1j * theta)
-    w = (z - r) / (1.0 - r * z)
-    phi = np.angle(w)
-    dphi = (1.0 - r * r) / np.abs(1.0 - r * z) ** 2
-    samples = evaluate(a.to_float(), phi) / dphi
+    z = np.exp(1j * grid_angles(grid_size))
+    den = 1.0 - r * z
+    w = (z - r) / den
+    dphi = (1.0 - r * r) / np.abs(den) ** 2
+    samples = evaluate_at(a.to_float(), w / np.abs(w)) / dphi
     return from_samples(CircleGrid(grid_size, samples), out_degree)
 
 

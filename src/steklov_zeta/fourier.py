@@ -167,15 +167,62 @@ def grid_angles(size: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(size) / size
 
 
-def evaluate(a: TrigSeries, theta):
-    """Evaluate sum_n a_n e^{i n theta}; theta may be a scalar or an array."""
-    th = np.asarray(theta, dtype=float)
-    out = np.zeros(th.shape, dtype=complex)
-    for n, v in a._coeffs.items():
-        out += complex(v) * np.exp(1j * n * th)
-    if np.ndim(theta) == 0:
+def _power(x: np.ndarray, g: int) -> np.ndarray:
+    """x**g for an integer g >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if g & 1:
+            out = x if out is None else out * x
+        g >>= 1
+        if not g:
+            return out
+        x = x * x
+
+
+def _horner(terms: list, x: np.ndarray) -> np.ndarray:
+    """sum c x^p over terms [(p, c), ...] with strictly decreasing p >= 0.
+
+    Horner's rule: between two stored frequencies the partial sum is
+    multiplied by x**gap, which is x itself on a dense run.
+    """
+    if not terms:
+        return np.zeros(x.shape, dtype=complex)
+    if terms[-1][0]:
+        terms = terms + [(0, 0j)]
+    steps = {}
+    acc = np.full(x.shape, terms[0][1], dtype=complex)
+    for (p, _), (q, c) in zip(terms, terms[1:]):
+        gap = p - q
+        if gap not in steps:
+            steps[gap] = _power(x, gap)
+        acc *= steps[gap]
+        acc += c
+    return acc
+
+
+def evaluate_at(a: TrigSeries, z):
+    """Evaluate sum_n a_n z^n at points z on the unit circle.
+
+    z may be a scalar (a Python complex comes back) or an array.  The
+    frequencies n >= 0 run through Horner's rule in z and the negative ones
+    in conj(z), which equals 1/z on the circle, so no exponential is taken.
+    With u the unit roundoff and every |z| = 1, each Horner step (one
+    complex product, one sum) adds at most about 3.3u * sum|a_n| and there
+    are at most deg + 1 steps per side; a point that is off the circle by a
+    relative d moves the term a_n z^n by about |n| d |a_n|.
+    """
+    w = np.asarray(z, dtype=complex)
+    items = [(n, complex(v)) for n, v in a.items()]
+    out = _horner([t for t in reversed(items) if t[0] >= 0], w)
+    out += _horner([(-n, v) for n, v in items if n < 0], np.conj(w))
+    if np.ndim(z) == 0:
         return complex(out)
     return out
+
+
+def evaluate(a: TrigSeries, theta):
+    """Evaluate sum_n a_n e^{i n theta}; theta may be a scalar or an array."""
+    return evaluate_at(a, np.exp(1j * np.asarray(theta, dtype=float)))
 
 
 def sample_series(a: TrigSeries, size: int) -> CircleGrid:
@@ -220,21 +267,26 @@ def min_on_circle(a: TrigSeries, grid_size: int = DEFAULT_GRID) -> float:
     A positivity *screen*, not a certificate: the true minimum can only be
     lower than the sampled one.
     """
+    return float(np.min(_real_samples(a, grid_size)))
+
+
+def _real_samples(a: TrigSeries, grid_size: int) -> np.ndarray:
+    """Real parts of a on the equispaced grid; a must be real."""
     if not is_real(a):
         raise NotReal("min_on_circle needs a real (conjugate-symmetric) series")
-    values = evaluate(a, grid_angles(grid_size))
-    return float(np.min(values.real))
+    return evaluate(a, grid_angles(grid_size)).real
 
 
 def normalization_integral(a: TrigSeries, grid_size: int = DEFAULT_GRID) -> float:
     """(1/2pi) * integral of dtheta / a(theta) by the trapezoid rule.
 
     For a constant series {0: c} this is 1/c; rescaling a by c > 0 divides
-    the integral by c.
+    the integral by c.  Positivity is screened on the same samples, as in
+    min_on_circle.
     """
-    if min_on_circle(a, grid_size) <= 0.0:
+    values = _real_samples(a, grid_size)
+    if float(np.min(values)) <= 0.0:
         raise NotPositive("normalization integral requires a > 0 on the circle")
-    values = evaluate(a, grid_angles(grid_size)).real
     return float(np.mean(1.0 / values))
 
 
@@ -252,9 +304,37 @@ def series_to_json(a: TrigSeries) -> dict:
     return {"coeffs": rows}
 
 
+def _row_entry(i: int, row: dict, backend: str):
+    """(n, a_n) of row i of a series file.  n is an int or a string of one
+    (not a bool or a float); re and im are strings or numbers (not bools)
+    of rational value.  Anything else raises a ValueError naming the row."""
+    where = f"series JSON row {i}"
+    n = row["n"]
+    if isinstance(n, str):
+        try:
+            n = int(n)
+        except ValueError:
+            pass
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f'{where}: "n" must be an integer, '
+                         f'got {json.dumps(row["n"])}')
+    parts = row.get("re", "0"), row.get("im", "0")
+    for key, x in zip(("re", "im"), parts):
+        if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+            raise ValueError(f'{where}: "{key}" must be a string or a number, '
+                             f"got {json.dumps(x)}")
+    try:
+        return n, parse_scalar(*parts, backend)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        got = " and ".join(json.dumps(x) for x in parts)
+        raise ValueError(f'{where}: "re" and "im" must be finite rationals, '
+                         f"got {got}") from None
+
+
 def series_from_json(obj: dict, backend: str = EXACT) -> TrigSeries:
     """The series of {"coeffs": [{"n": ..., "re": ..., "im": ...}, ...]};
-    any other shape raises a ValueError that names this one."""
+    any other shape raises a ValueError that names this one, and a row
+    entry of the wrong type one that names the row (see _row_entry)."""
     coeffs = {}
     try:
         rows = obj["coeffs"] if isinstance(obj, dict) else None
@@ -262,9 +342,9 @@ def series_from_json(obj: dict, backend: str = EXACT) -> TrigSeries:
                 and all(isinstance(row, dict) for row in rows)):
             raise ValueError("series JSON must be an object with a "
                              '"coeffs" list of objects')
-        for row in rows:
-            coeffs[int(row["n"])] = parse_scalar(row.get("re", "0"),
-                                                 row.get("im", "0"), backend)
+        for i, row in enumerate(rows):
+            n, value = _row_entry(i, row, backend)
+            coeffs[n] = value
     except KeyError as exc:
         raise ValueError(f"series JSON lacks the key {exc}") from None
     return TrigSeries(coeffs, backend)

@@ -29,11 +29,12 @@ not on its values: the zero-sum multisets of support values, as rows of
 positions into the sorted support, each with its weight coefficient times
 orderings (see _form_table).  A table is cached on (support, slots,
 coefficient function, backend), so a series with a new support pays the
-enumeration once and every later series on that support pays one gather,
-product and sum.  The exact backend sums on Gaussian integers and divides
-once, so its values are exact; the float backend sums in numpy, in another
-order than a term-by-term loop, so float values may differ from such a loop
-in the last bits.
+enumeration once and every later series on that support pays one gather
+per pair of slots, a product and a sum.  The exact backend sums on Gaussian
+integers and divides once, so its values are exact; the float backend
+multiplies pair products and sums in numpy, in another order than a
+term-by-term loop, so float values may differ from such a loop in the last
+bits.
 """
 
 from __future__ import annotations
@@ -218,11 +219,14 @@ def _orderings(multiset: tuple) -> int:
 def _form_table(support: tuple, slots: int, coeff, backend: str):
     """The zero-sum terms of a form on one support: (rows, weights, den).
 
-    rows is an (M, slots) array of positions into the sorted support, one
-    row per zero-sum multiset of support values whose coefficient
-    coeff(*multiset) is nonzero; each row's weight is coefficient times
-    orderings.  For the exact backend the weights are ints over one common
-    denominator den; for the float one they are float64 and den is 1.
+    There is one term per zero-sum multiset of support values whose
+    coefficient coeff(*multiset) is nonzero, and its weight is coefficient
+    times orderings.  For the exact backend rows is an (M, slots) array of
+    positions into the sorted support and the weights are ints over one
+    common denominator den.  For the float one the weights are float64, den
+    is 1, and rows is the (slots/2, M) array of pair indices p * S + q into
+    the S x S outer product of the coefficient vector, where (p, q) are the
+    positions in slots (2i, 2i + 1) of a row; slots is even for every form.
     """
     where = {v: i for i, v in enumerate(support)}
     rows, weights = [], []
@@ -241,7 +245,8 @@ def _form_table(support: tuple, slots: int, coeff, backend: str):
         den = math.lcm(*(w.denominator for w in weights))
         return rows, [w.numerator * (den // w.denominator)
                       for w in weights], den
-    return rows, np.array(weights, dtype=float), 1
+    pairs = rows[:, 0::2] * len(support) + rows[:, 1::2]
+    return np.ascontiguousarray(pairs.T), np.array(weights, dtype=float), 1
 
 
 def _form_sum(a: TrigSeries, slots: int, coeff):
@@ -257,8 +262,10 @@ def _form_sum(a: TrigSeries, slots: int, coeff):
     the one they call.  The exact backend sums the rows on
     Gaussian integers, with the coefficients of a scaled by the lcm D of
     their denominators, and divides once by den * D^slots; the float backend
-    gathers the coefficients of each row, multiplies them into the weights
-    and sums in numpy, returning a Python complex.
+    forms the outer product of the coefficient vector once, gathers one
+    pair product per two slots of each row (2 gathers for Z_2, 3 for
+    k = 3), multiplies them into the weights and sums in numpy, returning
+    a Python complex.
     """
     exact = a.backend == EXACT
     if not a:
@@ -274,9 +281,10 @@ def _form_sum(a: TrigSeries, slots: int, coeff):
             total = total + w * prod
         return total.over(den * D ** slots)
     vec = np.array([a.coeff(v) for v in a.support], dtype=complex)
-    terms = weights * vec[rows[:, 0]]
-    for s in range(1, slots):
-        terms *= vec[rows[:, s]]
+    products = np.multiply.outer(vec, vec).ravel()
+    terms = weights * products.take(rows[0])
+    for pair in rows[1:]:
+        terms *= products.take(pair)
     return complex(terms.sum())
 
 

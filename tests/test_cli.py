@@ -276,6 +276,19 @@ SERIES_FILES = {  # case -> (file text, what the error line names)
     "series-list-of-numbers": ('{"coeffs": [1, 2]}', SHAPE),
     "series-coeffs-object": ('{"coeffs": {"n": 1}}', SHAPE),
     "series-not-json": ("not json", "series-not-json.json is not JSON"),
+    # row entries of the wrong type, each named with its row
+    "series-n-list": ('{"coeffs": [{"n": [1]}]}',
+                      'row 0: "n" must be an integer, got [1]'),
+    "series-re-list": ('{"coeffs": [{"n": 1, "re": [1]}]}',
+                       'row 0: "re" must be a string or a number, got [1]'),
+    "series-n-fractional": ('{"coeffs": [{"n": -2, "re": "1"}, '
+                            '{"n": 2.7, "re": "1"}]}',
+                            'row 1: "n" must be an integer, got 2.7'),
+    "series-n-bool": ('{"coeffs": [{"n": true, "re": "1"}]}',
+                      'row 0: "n" must be an integer, got true'),
+    "series-re-division-by-zero": (
+        '{"coeffs": [{"n": 2, "re": "1/0"}]}',
+        'row 0: "re" and "im" must be finite rationals, got "1/0" and "0"'),
 }
 
 
@@ -306,6 +319,14 @@ def test_file_error_is_a_usage_error(capsys, tmp_path, case):
     assert "Traceback" not in err and err.count("error:") == 1
     assert err.splitlines()[-1].startswith("error: ")
     assert names in err.splitlines()[-1]
+
+
+def test_series_file_accepts_integer_strings_and_numbers(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"coeffs": [{"n": "2", "re": 1}, '
+                    '{"n": -2, "re": "1", "im": 0.0}]}\n')
+    code, out, _ = run(capsys, "compute-z", "--series", str(path), "--k", "1")
+    assert (code, out.strip()) == (0, "4")
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path, pair_series):

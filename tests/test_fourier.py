@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from steklov_zeta import (BackendMismatch, CircleGrid, GridTooSmall,
                           NotPositive, NotReal, RationalComplex, TrigSeries,
-                          evaluate, from_samples, is_real, min_on_circle,
-                          normalization_integral, sample_series,
+                          evaluate, evaluate_at, from_samples, fourier,
+                          is_real, min_on_circle, normalization_integral,
+                          random_real_series, sample_series,
                           series_from_json, series_to_json)
+from steklov_zeta.explorer import rationalize_series
+from steklov_zeta.fourier import grid_angles
 
 
 def test_stored_zeros_are_dropped():
@@ -47,6 +50,102 @@ def test_evaluate_vectorized_matches_scalar():
     vals = evaluate(a, thetas)
     for th, v in zip(thetas, vals):
         assert evaluate(a, float(th)) == pytest.approx(v)
+
+
+
+# the Horner point kernel against exact arithmetic ---------------------------
+
+EPS = np.finfo(float).eps
+# rational points of the unit circle, their conjugates and their negatives
+CIRCLE_POINTS = [RationalComplex(Fraction(s * x, h), Fraction(s * t * y, h))
+                 for x, y, h in ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+                 for t in (1, -1) for s in (1, -1)]
+
+
+def exact_sum_at(a: TrigSeries, z: RationalComplex) -> RationalComplex:
+    """sum_n a_n z^n in exact arithmetic; z^{-1} = conj(z) since |z| = 1."""
+    total = RationalComplex(0, 0)
+    for n, v in a.items():
+        base = z if n >= 0 else z.conjugate()
+        power = RationalComplex(1, 0)
+        for _ in range(abs(n)):
+            power = power * base
+        total = total + v * power
+    return total
+
+
+def horner_bound(a: TrigSeries) -> float:
+    """Derived error bound of evaluate_at at a rounded point of the circle.
+
+    u = eps/2.  Each Horner step is one complex product (error <= sqrt(5) u)
+    and one sum (<= u) of terms bounded by sum|a_n|, <= 3.3u sum|a_n|; a
+    gap power x^g by repeated squaring costs fewer products than the g
+    steps it replaces.  There are at most deg + 1 steps on each side, one
+    final sum, and the rounding of the coefficients, so 4 (deg + 1) eps
+    sum|a_n| covers the arithmetic.  The rounded point is off by at most
+    u |z| per component, which moves z^n by about |n| eps: eps sum|n a_n|.
+    """
+    s = sum(abs(complex(v)) for _, v in a.items())
+    s1 = sum(abs(n) * abs(complex(v)) for n, v in a.items())
+    return 4 * (a.degree + 1) * EPS * s + EPS * s1
+
+
+def series_cases():
+    rng = np.random.default_rng(20261018)
+    dense = random_real_series(60, 0.6, rng)
+    sparse = TrigSeries.from_complex({0: 0.75, 40: 0.3 - 0.2j,
+                                      -40: 0.3 + 0.2j})
+    return {"dense-60": dense, "sparse-0-40": sparse}
+
+
+@pytest.mark.parametrize("case", ["dense-60", "sparse-0-40"])
+def test_evaluate_at_within_its_bound_at_rational_points(case):
+    a = rationalize_series(series_cases()[case])
+    f = a.to_float()
+    assert f == series_cases()[case]  # the same dyadic coefficients
+    points = np.array([complex(z) for z in CIRCLE_POINTS])
+    bound = horner_bound(a)
+    for z, zf, value in zip(CIRCLE_POINTS, points, evaluate_at(f, points)):
+        ref = exact_sum_at(a, z)
+        scalar = evaluate_at(f, zf)
+        assert type(scalar) is complex
+        for got in (value, scalar):
+            err = abs(complex(float(Fraction(got.real) - ref.re),
+                              float(Fraction(got.imag) - ref.im)))
+            assert err <= bound, (z, err, bound)
+
+
+def exp_loop_evaluate(a: TrigSeries, theta: np.ndarray) -> np.ndarray:
+    """The earlier kernel, one exponential per coefficient; the oracle."""
+    out = np.zeros(theta.shape, dtype=complex)
+    for n, v in a.items():
+        out += complex(v) * np.exp(1j * n * theta)
+    return out
+
+
+@pytest.mark.parametrize("case", ["dense-60", "sparse-0-40"])
+def test_evaluate_equals_exp_loop_on_the_grid(case):
+    # both kernels see the same float angles.  evaluate_at is within
+    # horner_bound of the exact sum at exp(i theta) (the rounded point is
+    # within eps of the circle).  The loop rounds n * theta (<= pi eps |n|),
+    # then the exponential, product and sums: <= 4 (deg + 1) eps sum|a_n|
+    # + 4 eps sum|n a_n|.  Their difference is within the sum of the two.
+    a = series_cases()[case]
+    theta = grid_angles(8192)
+    s = a.sum_abs()
+    s1 = sum(abs(n) * abs(v) for n, v in a.items())
+    bound = 8 * (a.degree + 1) * EPS * s + 5 * EPS * s1
+    diff = np.max(np.abs(evaluate(a, theta) - exp_loop_evaluate(a, theta)))
+    assert diff <= bound
+
+
+def test_evaluate_at_degenerate_series():
+    z = np.array([1.0, 1j, -1.0])
+    assert np.array_equal(evaluate_at(TrigSeries.zero("float"), z),
+                          np.zeros(3, dtype=complex))
+    only_negative = TrigSeries.exact({-2: 1})  # no n >= 0 terms
+    assert np.allclose(evaluate_at(only_negative, z), [1.0, -1.0, 1.0])
+    assert evaluate_at(TrigSeries.exact({0: 3}), 1j) == 3
 
 
 def test_from_samples_round_trip_single_mode():
@@ -130,6 +229,19 @@ def test_normalization_scaling():
     base = normalization_integral(a)
     assert normalization_integral(Fraction(3) * a) == pytest.approx(base / 3,
                                                                     rel=1e-12)
+
+
+def test_normalization_samples_the_grid_once(monkeypatch):
+    calls = []
+    real_evaluate = fourier.evaluate
+    monkeypatch.setattr(fourier, "evaluate",
+                        lambda *args: calls.append(1) or real_evaluate(*args))
+    a = TrigSeries.exact({0: 2, 1: Fraction(1, 2), -1: Fraction(1, 2)})
+    assert normalization_integral(a, 64) == pytest.approx(1 / math.sqrt(3),
+                                                          rel=1e-12)
+    assert len(calls) == 1
+    with pytest.raises(NotReal):
+        normalization_integral(TrigSeries.exact({1: 1}))
 
 
 def test_normalization_requires_positive():

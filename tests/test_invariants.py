@@ -426,6 +426,34 @@ def test_float_z2_closed_error_bound_degree_60():
 # form tables and coefficient caches ------------------------------------------
 
 
+def complex_dyadic_series(degree: int, seed: int):
+    """(float series, exact copy): a non-real series with every coefficient
+    on [-degree, degree], and the same dyadic coefficients as Fractions."""
+    rng = sample_rng(seed, degree)
+    f = TrigSeries.from_complex(
+        {n: complex(*rng.uniform(-1.0, 1.0, 2)) for n in range(-degree,
+                                                             degree + 1)})
+    exact = TrigSeries.exact({n: RationalComplex(Fraction(v.real),
+                                                 Fraction(v.imag))
+                              for n, v in f.items()})
+    return f, exact
+
+
+@pytest.mark.parametrize("form, degree", [
+    (z1_closed, 8), (z2_closed, 8), (lambda a: zeta_invariant(a, 3), 3)],
+    ids=["z1", "z2", "z3"])
+def test_float_pair_table_matches_exact(form, degree):
+    # the float table reads 1, 2 and 3 pair products per row for Z_1, Z_2
+    # and Z_3; any pair that is not two slots of the same row moves the sum
+    f, exact = complex_dyadic_series(degree, 20261018)
+    approx, ref = form(f), form(exact)
+    assert type(approx) is complex
+    err = abs(complex(float(Fraction(approx.real) - ref.re),
+                      float(Fraction(approx.imag) - ref.im)))
+    assert err <= 1e-13 * abs(complex(ref))
+
+
+
 def test_forms_on_degenerate_supports():
     # the zero series; a one-value support whose only zero-sum row has a
     # zero coefficient; a support with no zero-sum row at all
