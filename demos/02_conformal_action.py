@@ -26,7 +26,7 @@ b = apply_moebius(a, rho, 4)
 print("  input :", a)
 print("  output:", b, " (eigenvalue", (1 - rho) / (1 + rho), ")")
 
-print("\nrow formulas match the direct sampling pullback:")
+print("\nthe column recurrence matches the direct sampling pullback:")
 g = TrigSeries.from_complex({0: 1.5, 2: 0.3 + 0.2j, -2: 0.3 - 0.2j})
 m = apply_moebius(g, 0.3, 12)
 p = pullback_direct(g, 0.3, 4096, 12)
@@ -48,4 +48,4 @@ for N in (20, 30, 40):
 
 print("\nexponential form: the matrix is exp(t D) with tanh t = rho:")
 dev = exp_relation_check(Fraction(1, 5), 30, 1000)
-print(f"  RK4 vs closed form at rho = 1/5, N = 30: {dev:.3e}")
+print(f"  RK4 vs mu_matrix at rho = 1/5, N = 30: {dev:.3e}")

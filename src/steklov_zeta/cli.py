@@ -27,7 +27,7 @@ from .conformal import (MoebiusParam, mu_matrix, pullback_direct,
                         suggest_out_degree)
 from .errors import SteklovZetaError
 from .explorer import CampaignConfig, z2_nonneg_campaign
-from .fourier import TrigSeries, load_series
+from .fourier import TrigSeries, is_real, load_series
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
                          z2_coeff_closed, z_coeff, zero_sum_multisets, zeta,
                          zeta_invariant)
@@ -70,7 +70,10 @@ def _parse_indices(text: str) -> tuple:
                          f"got {text!r}") from None
 
 
-def _fmt_scalar(value) -> str:
+def _fmt_scalar(value, real: bool = False) -> str:
+    """Exact values print as rationals, "re+imi" when im != 0.  A float is
+    printed as a bare real iff the caller says it is one (real=True, e.g. Z_k
+    of a real series), never from its round-off imaginary part."""
     if isinstance(value, RationalComplex):
         if value.im == 0:
             return str(value.re)
@@ -78,9 +81,7 @@ def _fmt_scalar(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
     z = complex(value)
-    if z.imag == 0:
-        return repr(z.real)
-    return repr(z)
+    return repr(z.real) if real else repr(z)
 
 
 # command handlers ----------------------------------------------------------
@@ -95,7 +96,7 @@ def cmd_compute_z(args) -> int:
         value = zeta_invariant(a, args.k)
     else:
         value = zeta(a, args.k)
-    _emit(_fmt_scalar(value) + "\n", args.out)
+    _emit(_fmt_scalar(value, real=is_real(a)) + "\n", args.out)
     return 0
 
 

@@ -7,22 +7,32 @@ problem equivalent) is linear on Fourier coefficients:
 
     b_n = sum_k mu_{nk}(rho) a_k.
 
-The matrix entries mu_{nk} have closed forms: a finite binomial sum for
-n >= 2, k >= 2; explicit rows for n in {-1, 0, 1}; the reflection symmetry
-mu_{nk} = mu_{-n,-k}; and exact zero regions (n >= 2 with k <= 1, and the
-reflected one).  All entries are rational functions of rho, so the exact
-backend evaluates them as Fractions.  The family satisfies the group law
-M(rho) M(rho') = M(rho'') with rho'' = (rho + rho')/(1 + rho rho'), and is
-the exponential of a constant tridiagonal generator:
+Column k of M(rho) = (mu_{nk}) is the Fourier series of e^{ik phi} / phi',
+with e^{i phi} = B(z) = (z - rho)/(1 - rho z) and 1/phi' =
+(1 - rho z)(1 - rho/z)/(1 - rho^2).  Column 0 is thus
+(-rho/z + (1 + rho^2) - rho z)/(1 - rho^2); column k+1 is column k times
+(z - rho), divided by (1 - rho z) through the running sum
+c_n = m_n + rho c_{n-1}.  Both steps move terms only toward higher n, so
+rows n <= N of a column need only rows n <= N of the column before: the
+truncation |n| <= N is exact, with no tail.  Columns k < 0 follow from
+mu_{nk} = mu_{-n,-k}; the zero regions (n <= -2 for k >= -1, n >= 2 for
+k <= 1) and the low rows need no branches.  For rho = p/q, d = q^2 - p^2,
+mu_{nk} = U^{(k)}_n / (d q^{n+k+1}) with integers U (rows n >= -1):
 
-    M(rho) = exp(t D),  tanh t = rho,
-    d_{nk} = (n - 2) delta_{n-1,k} - (n + 2) delta_{n+1,k}.
+    (U^{(0)}_{-1}, U^{(0)}_0, U^{(0)}_1) = (-pq, (q^2 + p^2) q, -p q^3),
+    U^{(k+1)}_n = q^2 U^{(k)}_{n-1} - p U^{(k)}_n + p U^{(k+1)}_{n-1}.
 
-Truncation note: entries decay super-exponentially away from the band
-|n/k| in [(1-|rho|)/(1+|rho|), (1+|rho|)/(1-|rho|)], but *inside and near*
-that band they are O(1).  Identities among truncated matrices therefore
-hold on a central block only when the truncation width comfortably exceeds
-the band spread of the block; see group_law_check.
+The float backend runs the same recurrence with p = rho, q = 1.  There is
+no alternating sum to cancel: |B| = 1 on the circle and the division
+contracts for |rho| < 1, so rounding grows at most linearly in k.
+
+M(rho) M(rho') = M(rho'') for rho'' = (rho + rho')/(1 + rho rho'), and
+M(rho) = exp(t D) for tanh t = rho, with the tridiagonal generator
+d_{nk} = (n - 2) delta_{n-1,k} - (n + 2) delta_{n+1,k}.  Entries decay
+super-exponentially off the band |n/k| in
+[(1-|rho|)/(1+|rho|), (1+|rho|)/(1-|rho|)] but are O(1) inside it, so
+identities among truncated products hold on a central block only when N
+comfortably exceeds the band spread of the block; see group_law_check.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ import numpy as np
 from .errors import BackendMismatch
 from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, evaluate_at,
                       from_samples, grid_angles)
+from .scalars import GaussianInteger, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -90,68 +101,50 @@ def _rho_value(rho):
     raise ValueError(f"rho must lie in (-1, 1), got {rho}")
 
 
-def binom(r: int, s: int) -> int:
-    """Binomial coefficient, zero whenever r < 0, s < 0, or s > r."""
-    if r < 0 or s < 0 or s > r:
-        return 0
-    return math.comb(r, s)
-
-
 @lru_cache(maxsize=1024, typed=True)
 def _pow(base, exponent: int):
-    # typed: 0.5 and Fraction(1, 2) are equal keys, but an exact call must
-    # not get a float power back
+    # typed: an int power must never come back as an equal float one
     return base ** exponent
 
 
-def _mu_main(n: int, k: int, rho):
-    # n >= 2, k >= 2.  With rho = p/q every term
-    # rho^{n+k+2-2l} (1-rho^2)^{l-1} has the denominator q^{n+k}, so an
-    # exact rho sums the numerators in int; a float rho runs the same sum
-    # with p = rho, q = 1.0.
-    exact = isinstance(rho, Fraction)
-    p, q = (rho.numerator, rho.denominator) if exact else (rho, 1.0)
-    w = q * q - p * p
-    total = p * 0
-    for l in range(3, min(n, k) + 2):
-        term = (binom(n - 2, l - 3) * binom(k + 1, l)
-                * p ** (n + k + 2 - 2 * l) * w ** (l - 1))
-        total += -term if l % 2 else term
-    # global factor (-1)^{k+1}
-    if k % 2 == 0:
-        total = -total
-    return Fraction(total, q ** (n + k)) if exact else total
+def _columns(r, K: int, N: int):
+    """(U, q, d) with U[k][n + 1] = U^{(k)}_n (module docstring) for k <= K,
+    -1 <= n <= N; a float r runs it with p = r, q = 1.0."""
+    p, q = (r, 1.0) if isinstance(r, float) else (r.numerator, r.denominator)
+    qq = q * q
+    cols = [([-p * q, (qq + p * p) * q, -p * qq * q] + [0] * N)[:N + 2]]
+    for _ in range(K):
+        below = run = 0  # U^{(k)}_{n-1} and U^{(k+1)}_{n-1}
+        new = []
+        for u in cols[-1]:
+            run = qq * below - p * u + p * run
+            new.append(run)
+            below = u
+        cols.append(new)
+    return cols, q, qq - p * p
+
+
+_cached_columns = lru_cache(maxsize=32, typed=True)(_columns)
+
+
+def _entry(u, e: int, q, d):
+    """mu_{nk} from its numerator u = U^{(k)}_n and e = n + k + 1."""
+    if isinstance(q, float):
+        return u / d
+    return Fraction(u, d * _pow(q, e))
 
 
 def mu(n: int, k: int, rho):
     """Matrix entry mu_{nk}(rho); exact Fraction when rho is rational.
-
-    Covers all integer (n, k) through the zero regions, the reflection
-    symmetry, and the explicit low rows.
-    """
+    Columns are cached per rho in power-of-two blocks for per-entry loops."""
     r = _rho_value(rho)
-    if r == 0:
-        one, zero = r + 1, r * 0
-        return one if n == k else zero
-    if n >= 2:
-        return r * 0 if k <= 1 else _mu_main(n, k, r)
-    if n <= -2:
-        return r * 0 if k >= -1 else _mu_main(-n, -k, r)
-    omr2 = 1 - r * r
-    if n == 0:
-        kk = abs(k)
-        return _pow(-r, kk) * ((kk + 1) - (kk - 1) * r * r) / omr2
-    if n == -1:
-        if k >= -1:
-            return _pow(-r, k + 1) / omr2
-        return mu(1, -k, r)
-    # n == 1
-    if k >= -1:
-        poly = ((k * (k + 1)) // 2 - (k * k - 1) * r * r
-                + ((k * (k - 1)) // 2) * _pow(r, 4))
-        return _pow(-r, k - 1) * poly / omr2 if k >= 1 else \
-            poly / (_pow(-r, 1 - k) * omr2)
-    return mu(-1, -k, r)
+    if k < 0:
+        n, k = -n, -k
+    if n < -1:
+        return 0.0 if isinstance(r, float) else Fraction(0)
+    cols, q, d = _cached_columns(r, 1 << max(k, 15).bit_length(),
+                                 1 << max(n, 15).bit_length())
+    return _entry(cols[k][n + 1], n + k + 1, q, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +173,14 @@ def mu_matrix(rho, N: int) -> TruncatedMatrix:
     if N < 1:
         raise ValueError("half-width must be >= 1")
     r = _rho_value(rho)
+    cols, q, d = _columns(r, N, N)
+    # vals[k][n + N] = mu_{nk} for 0 <= k <= N, |n| <= N; zero below n = -1
+    vals = [[_entry(0, 0, q, d)] * (N - 1)
+            + [_entry(u, n + k + 1, q, d) for n, u in enumerate(col, -1)]
+            for k, col in enumerate(cols)]
     idx = range(-N, N + 1)
-    ent = tuple(tuple(mu(n, k, r) for k in idx) for n in idx)
+    ent = tuple(tuple(vals[k][n + N] if k >= 0 else vals[-k][N - n]
+                      for k in idx) for n in idx)
     return TruncatedMatrix(N, ent, exact=not isinstance(r, float))
 
 
@@ -200,23 +199,32 @@ def d_matrix(N: int) -> TruncatedMatrix:
 def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
     """Transport a through the boundary map, row by row in Fourier space.
 
-    Each output coefficient is the finite exact sum over the input support;
-    out_degree is the caller's truncation of the (infinite) output, best
-    chosen with suggest_out_degree.
+    Builds the columns |k| <= deg(a) on rows |n| <= out_degree, the caller's
+    truncation of the (infinite) output (see suggest_out_degree); each kept
+    coefficient is exact.  An exact a is cleared to Gaussian integers over D
+    and row n is one Gaussian-integer sum over d D q^{E_n}, divided once.
     """
     r = _rho_value(rho)
     if a.backend == EXACT and isinstance(r, float):
         raise BackendMismatch("exact series with float rho; pass a Fraction")
-    if a.backend == FLOAT:
-        r = float(r)
+    exact = a.backend == EXACT
+    r = r if exact else float(r)
+    values = [v for _, v in a.items()]
+    values, D = clear_denominators(values) if exact else (values, 1)
+    # mu_{nk} = mu_{sn,|k|} with s the sign of k
+    terms = [(abs(k), -1 if k < 0 else 1, v)
+             for (k, _), v in zip(a.items(), values)]
+    cols, q, d = _columns(r, a.degree, out_degree)
+    zero = GaussianInteger(0, 0) if exact else 0j
     coeffs = {}
     for n in range(-out_degree, out_degree + 1):
-        total = None
-        for k, v in a.items():
-            term = mu(n, k, r) * v
-            total = term if total is None else total + term
-        if total is not None:
-            coeffs[n] = total
+        row = [(cols[k][s * n + 1], s * n + k + 1, v)
+               for k, s, v in terms if s * n >= -1]
+        if row:
+            E = max(e for _, e, _ in row)
+            total = sum((u * _pow(q, E - e) * v for u, e, v in row if u), zero)
+            den = d * D * _pow(q, E)
+            coeffs[n] = total.over(den) if exact else total / den
     return TrigSeries(coeffs, a.backend)
 
 
@@ -261,17 +269,13 @@ def group_law_check(rho, rho2, N: int, exact: bool = False,
                     block: int | None = None) -> float:
     """Max deviation of M_N(rho) M_N(rho') - M_N(rho'') on |n|,|k| <= block.
 
-    rho'' = (rho + rho')/(1 + rho rho') and block defaults to N//2.  The
-    deviation is pure truncation error: the product drops every inner term
-    sum_p mu_{np}(rho) mu_{pk}(rho') with |p| > N, and it is largest at the
-    block corners, whose band reaches furthest out (see module docstring).
-    At a fixed block it shrinks super-exponentially as N grows past the
-    band spread of the block; at rho = rho' = 3/10, block 20 it is 1.2e-3,
-    1.2e-8 and below 1e-14 at N = 40, 50, 60.  With the default block N//2
-    the corners move out with N and stay near the band edge, so the
-    deviation does NOT shrink that way (1.2e-3, 6.5e-4, 4.4e-4 at
-    N = 40, 52, 60).  With exact=True (rational parameters only) the
-    same product is carried out on Fraction entries.
+    rho'' = (rho + rho')/(1 + rho rho'), block defaults to N//2, and
+    exact=True (rational rho only) runs the product on Fractions.  The
+    deviation is pure truncation error: the product drops the inner terms
+    |p| > N, largest at the block corners, whose band reaches furthest out.
+    At rho = rho' = 3/10, block 20 it is 1.2e-3, 1.2e-8 and below 1e-14 at
+    N = 40, 50, 60; with the default block the corners move out with N and
+    it does NOT shrink that way (1.2e-3, 6.5e-4, 4.4e-4 at N = 40, 52, 60).
     """
     if block is None:
         block = N // 2
@@ -303,12 +307,8 @@ def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
 
 
 def exp_relation_check(rho, N: int, steps: int) -> float:
-    """Max deviation of exp(t D_N) from M_N(rho) on the central block.
-
-    Integrates the generator flow with a fixed-step 4th-order scheme over
-    t = artanh(rho) and compares against the closed-form entries on
-    |n|, |k| <= N//2.
-    """
+    """Max deviation on |n|, |k| <= N//2 of exp(t D_N), integrated by RK4
+    in fixed steps over t = artanh(rho), from the recurrence's M_N(rho)."""
     r = _rho_value(rho)
     D = d_matrix(N).to_array()
     M = rk4_exponential(D, MoebiusParam(r).t, steps)
@@ -321,7 +321,7 @@ def exp_relation_check(rho, N: int, steps: int) -> float:
 def decay_constant(k: int) -> float:
     """Constant C_k in the tail bound |mu_{nk}| <= C_k n^{|k|} |rho|^{n/2}."""
     kk = abs(k)
-    return float(sum(Fraction(binom(kk + 1, l), math.factorial(l - 3))
+    return float(sum(Fraction(math.comb(kk + 1, l), math.factorial(l - 3))
                      for l in range(3, kk + 2))) or 1.0
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +71,56 @@ def test_mu_matrix_json(capsys, tmp_path):
     obj = json.loads(out_path.read_text())
     assert obj["half_width"] == 2 and obj["exact"] is False
     assert obj["entries"][2][2] == pytest.approx(5 / 3)
+
+
+@pytest.mark.parametrize("rho, digest", [
+    ("3/10", "f66e989bb7d16957d7d38bdf2140b03684a2dbd48a6d305b2fb7d3e5a64f9206"),
+    ("1/2", "40f5654345983bb901d7ab93e8f73f3539c17b829e49137cd0076943495294b9"),
+    ("-2/7", "6989c90c30236316443e9d19d86515c400da4b1f4b49a0b43c18bc4d352a8524"),
+])
+def test_exact_mu_matrix_csv_is_pinned(capsys, rho, digest):
+    # digests of the exact output as computed by the alternating binomial
+    # sum, before the column recurrence; "--rho=" keeps argparse from
+    # reading -2/7 as a flag
+    code, out, _ = run(capsys, "mu-matrix", "--format", "csv",
+                       "--half-width", "24", f"--rho={rho}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a_n for n >= 0 of real series whose float Z_k carry a nonzero round-off
+# imaginary part; a_{-n} = conj(a_n)
+REAL_SERIES = {
+    "degree2": {0: (8, 0), 1: (Fraction(4, 3), Fraction(2, 7)), 2: (5, 2)},
+    "degree3": {0: (5, 0), 1: (Fraction(1, 5), Fraction(1, 2)),
+                2: (Fraction(-3, 8), Fraction(2, 9)),
+                3: (Fraction(1, 7), Fraction(4, 3))},
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REAL_SERIES))
+def test_float_z_of_a_real_series_prints_as_real(capsys, tmp_path, name, k):
+    coeffs = {m: (re, s * im) for n, (re, im) in REAL_SERIES[name].items()
+              for m, s in ((n, 1), (-n, -1))}
+    path = str(tmp_path / "a.json")
+    save_series(TrigSeries.exact(coeffs), path)
+    code, out, _ = run(capsys, "compute-z", "--series", path, "--k", str(k),
+                       "--backend", "float")
+    _, exact, _ = run(capsys, "compute-z", "--series", path, "--k", str(k))
+    assert code == 0 and "j" not in out
+    assert float(out) == pytest.approx(float(Fraction(exact.strip())),
+                                       rel=1e-12)
+
+
+def test_float_z_of_a_complex_series_prints_as_complex(capsys, tmp_path):
+    path = str(tmp_path / "a.json")
+    save_series(TrigSeries.exact({0: 2, 1: (1, 1), -2: 1}), path)
+    for k in (1, 2):
+        code, out, _ = run(capsys, "compute-z", "--series", path,
+                           "--k", str(k), "--backend", "float")
+        assert code == 0 and complex(out.strip()) == 0
+        assert out.strip().endswith("j")
 
 
 def test_check_invariance(capsys, pair_series):

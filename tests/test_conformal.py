@@ -14,8 +14,7 @@ from steklov_zeta import (BackendMismatch, MoebiusParam, TrigSeries,
                           exp_relation_check, group_law_check, mu, mu_matrix,
                           pullback_direct, rotate, suggest_out_degree,
                           z1_closed, z2_closed)
-from steklov_zeta.conformal import (_mu_main, binom, decay_constant,
-                                    rk4_exponential)
+from steklov_zeta.conformal import decay_constant, rk4_exponential
 
 from util import random_exact_series
 
@@ -111,12 +110,12 @@ def test_mu_float_agrees_with_exact():
 
 
 def mu_main_in_rho_arithmetic(n, k, rho):
-    """The binomial sum of _mu_main before the common denominator: every
-    term in rho's own arithmetic (Fraction or float)."""
+    """Exact oracle for n, k >= 2: the closed-form alternating binomial sum
+    for mu_{nk}, every term in Fraction arithmetic."""
     omr2 = 1 - rho * rho
     total = rho * 0
     for l in range(3, min(n, k) + 2):
-        term = (binom(n - 2, l - 3) * binom(k + 1, l)
+        term = (math.comb(n - 2, l - 3) * math.comb(k + 1, l)
                 * rho ** (n + k + 2 - 2 * l) * omr2 ** (l - 1))
         total += -term if l % 2 else term
     return total if k % 2 else -total
@@ -127,20 +126,28 @@ MU_RHOS = [Fraction(1, 10), Fraction(-1, 10), Fraction(3, 10), Fraction(1, 2),
 
 
 @pytest.mark.parametrize("rho", MU_RHOS, ids=str)
-def test_mu_main_common_denominator_matches_binomial_sum(rho):
+def test_mu_matrix_matches_binomial_sum(rho):
+    M = mu_matrix(rho, 40)
     for n in range(2, 41):
         for k in range(2, 41):
-            exact = _mu_main(n, k, rho)
-            assert type(exact) is Fraction
-            assert exact == mu_main_in_rho_arithmetic(n, k, rho)
-            # floats: the same operations in the same order, bit for bit
-            got = _mu_main(n, k, float(rho))
-            assert repr(got) == repr(mu_main_in_rho_arithmetic(n, k, float(rho)))
+            assert type(M.at(n, k)) is Fraction
+            assert M.at(n, k) == mu_main_in_rho_arithmetic(n, k, rho)
+
+
+@pytest.mark.parametrize("N", [60, 100])
+@pytest.mark.parametrize("rho", [Fraction(3, 10), Fraction(1, 2),
+                                 Fraction(9, 10)], ids=str)
+def test_float_mu_matrix_is_accurate(rho, N):
+    """Float entries within 1e-12 of the largest exact entry at widths where
+    an alternating binomial sum for mu cancels catastrophically."""
+    exact = mu_matrix(rho, N).to_array()
+    got = mu_matrix(float(rho), N).to_array()
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_mu_exact_after_float_at_equal_rho():
-    """A float call must not leave powers in the cache that an exact call
-    at an equal-valued rho then reuses."""
+    """A float call must not leave powers or columns in a cache that an
+    exact call at an equal-valued rho then reuses."""
     cases = [(n, k) for n in (-1, 0, 1, 10) for k in (-3, 0, 2, 9)]
     code = ("from fractions import Fraction; from steklov_zeta import mu; "
             f"print([repr(mu(n, k, Fraction(1, 2))) for n, k in {cases}])")
