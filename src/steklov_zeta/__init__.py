@@ -13,10 +13,10 @@ from .conformal import (MoebiusParam, TruncatedMatrix, apply_moebius,
                         conjugate, d_matrix, exp_relation_check,
                         group_law_check, mu, mu_matrix, pullback_direct,
                         rotate, suggest_out_degree)
-from .errors import (BackendMismatch, CanonicalizationFailure,
-                     DegenerateDenominator, GridTooSmall, NonZeroSum,
-                     NotHermitian, NotPositive, NotReal, SteklovZetaError,
-                     TruncationTooSmall, UnknownBracket, WrongSum)
+from .errors import (BackendMismatch, DegenerateDenominator, GridTooSmall,
+                     NonZeroSum, NotHermitian, NotPositive, NotReal,
+                     SteklovZetaError, TruncationTooSmall, UnknownBracket,
+                     WrongSum)
 from .explorer import (CampaignConfig, CampaignReport, SampleRecord,
                        a_kappa_form, inequality_ratio,
                        positive_definite_check, random_positive_series,

@@ -37,14 +37,6 @@ class TruncationTooSmall(SteklovZetaError, ValueError):
     """Operator truncation is below the exactness threshold."""
 
 
-class CanonicalizationFailure(SteklovZetaError):
-    """No group image of a quadruple landed in a closed-form case.
-
-    This cannot happen for zero-sum quadruples; raising it indicates an
-    internal logic error rather than bad input.
-    """
-
-
 class DegenerateDenominator(SteklovZetaError):
     """A normalizing denominator vanished (no frequencies >= 2)."""
 

@@ -39,7 +39,7 @@ from itertools import islice
 
 from .errors import UnknownBracket, WrongSum
 from .fourier import EXACT, TrigSeries
-from .invariants import z_coeff, z_coeff_closed
+from .invariants import _validate_index, z_coeff, z_coeff_closed
 from .scalars import RationalComplex
 
 GENERATORS = ("C", "D", "E", "D0", "Dminus", "Dplus")
@@ -133,9 +133,7 @@ def _bump_sum(idx: tuple, step: int, coeff) -> Fraction:
 
 def _relation_check(indices, step: int, source: str) -> Fraction:
     """The bump sum of one side, on its plane sum(indices) = -step only."""
-    idx = tuple(int(j) for j in indices)
-    if len(idx) < 2 or len(idx) % 2:
-        raise ValueError("need a multi-index of even length >= 2")
+    idx = _validate_index(indices)
     if sum(idx) != -step:
         raise WrongSum(f"indices must sum to {-step}, got {idx} "
                        f"(sum {sum(idx)})")

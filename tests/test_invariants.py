@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,9 @@ from steklov_zeta import (NonZeroSum, RationalComplex, TrigSeries, brute_n,
 from steklov_zeta.conformal import pullback_direct
 from steklov_zeta.explorer import (random_positive_series, rationalize_series,
                                    sample_rng)
-from steklov_zeta import invariants
+from steklov_zeta import invariants, lie
 from steklov_zeta.invariants import (_COEFF_CACHE_SIZE, _form_table,
-                                     _orderings, _p1, _p2, zero_sum_multisets)
+                                     _p1_90, _p2_90, zero_sum_multisets)
 from steklov_zeta.lie import raising_relation_sweep
 from steklov_zeta.scalars import RC_ZERO
 
@@ -218,6 +220,33 @@ def test_reality_of_invariants():
 
 
 # quadruple closed form ---------------------------------------------------
+#
+# The paper's quintics on the two normal regions of a zero-sum quadruple
+# (see image_search_z2_coeff), and their averages over the orders of the
+# symmetric slots: all of (i, j, k) for P1, (j, k) for P2.  The library
+# evaluates the averages in their symmetric variables; these literal forms
+# are the oracle.
+
+
+def _q1(i: int, j: int, k: int) -> int:
+    return (3 * i**5 + 15 * i**4 * j + 10 * i**3 * j**2 + 10 * i**3 * j * k
+            - 5 * i**3 - 25 * i**2 * j - 10 * i * j * k + 2 * i)
+
+
+def _p1(i: int, j: int, k: int) -> Fraction:
+    total = sum(_q1(*p) for p in itertools.permutations((i, j, k)))
+    return Fraction(total, 6 * 15)
+
+
+def _q2(i: int, j: int, k: int) -> int:
+    return (5 * i**5 + 25 * i**4 * j + 10 * i**3 * j**2 + 20 * i**3 * j * k
+            - 10 * i**2 * j**3 - 15 * i * j**4 - 20 * i * j**3 * k
+            - 4 * j**5 - 5 * j**4 * k + 10 * j**3 * k**2
+            - 5 * i**3 - 15 * i**2 * j + 5 * i * j**2 - 5 * j**2 * k + 4 * j)
+
+
+def _p2(i: int, j: int, k: int) -> Fraction:
+    return Fraction(_q2(i, j, k) + _q2(i, k, j), 2 * 45)
 
 
 def test_z2_coeff_nonzero_sum_is_zero():
@@ -255,12 +284,16 @@ def test_z_coeff_closed_matches_brute_on_box():
 
 
 def test_closed_polynomials_are_odd():
-    pts = range(-3, 4)
-    for i in pts:
-        for j in pts:
-            for k in pts:
-                assert _p1(-i, -j, -k) == -_p1(i, j, k)
-                assert _p2(-i, -j, -k) == -_p2(i, j, k)
+    # the oracle quintics are odd, and the library's symmetric forms are 90
+    # times them, hence odd too
+    for i, j, k in itertools.product(range(-6, 7), repeat=3):
+        assert _p1(-i, -j, -k) == -_p1(i, j, k)
+        assert _p2(-i, -j, -k) == -_p2(i, j, k)
+        assert _p1_90(i, j, k) == 90 * _p1(i, j, k)
+        assert _p2_90(i, j, k) == 90 * _p2(i, j, k)
+        assert _p1_90(-i, -j, -k) == -_p1_90(i, j, k)
+        assert _p2_90(-i, -j, -k) == -_p2_90(i, j, k)
+    assert _p1_90(2, 0, 0) == 120  # 90 * 4/3, as in the module comment
 
 
 def test_coeff_bound_examples():
@@ -393,11 +426,30 @@ def test_z2_coeff_closed_equals_image_search_on_box_14():
     assert z2_coeff_closed.__wrapped__(1, 2, 3, 4) == 0
 
 
+def test_z2_coeff_closed_equals_image_search_on_large_random_quadruples():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        q = list(random_zero_sum_tuple(rng, 2, 5000))
+        rng.shuffle(q)
+        got = z2_coeff_closed.__wrapped__(*q)
+        assert got == image_search_z2_coeff(*q), q
+
+
+def _unit_coeff(*ms) -> Fraction:
+    return Fraction(1)
+
+
 def test_orderings_is_the_multinomial_count():
-    for length in range(7):
-        for ms in itertools.combinations_with_replacement(range(-2, 3), length):
-            expected = len(set(itertools.permutations(ms)))
-            assert _orderings(ms) == expected, ms
+    # with every coefficient 1 a table weight is the orderings alone
+    for support in (tuple(range(-3, 4)), (-5, -2, 0, 1, 4)):
+        for slots in range(1, 7):
+            rows, weights, den = _form_table.__wrapped__(
+                support, slots, _unit_coeff, "exact")
+            assert den == 1
+            assert len(weights) == len(rows) > 0
+            for row, w in zip(rows.tolist(), weights):
+                ms = tuple(support[p] for p in row)
+                assert w == len(set(itertools.permutations(ms))), ms
 
 
 def float_z2_closed_error(degree: int):
@@ -532,3 +584,134 @@ def test_z_cache_drops_its_oldest_entries(monkeypatch):
     cache = invariants._Z_CACHE
     assert len(cache) == _COEFF_CACHE_SIZE
     assert next(iter(cache)) == (-10, 10) and (-9, 9) not in cache
+
+
+def reference_form_table(support, slots, coeff, backend):
+    """The term-by-term table build, one multiset at a time, kept as the
+    oracle for the table's rows, weights and den."""
+    where = {v: i for i, v in enumerate(support)}
+    rows, weights = [], []
+    for ms in zero_sum_multisets(support, slots):
+        c = coeff(*ms)
+        if not c:
+            continue
+        rows.append([where[v] for v in ms])
+        o = math.factorial(slots)
+        for run in Counter(ms).values():
+            o //= math.factorial(run)
+        weights.append(c * o if backend == "exact"
+                       else c.numerator * o / c.denominator)
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), slots)
+    if backend == "exact":
+        den = math.lcm(*(w.denominator for w in weights))
+        return rows, [w.numerator * (den // w.denominator)
+                      for w in weights], den
+    pairs = rows[:, 0::2] * len(support) + rows[:, 1::2]
+    return np.ascontiguousarray(pairs.T), np.array(weights, dtype=float), 1
+
+
+def _six_slot_coeff(*ms) -> Fraction:
+    """A stand-in coefficient with zeros and mixed denominators (the brute
+    six-slot coefficient is too slow for thousands of multisets)."""
+    return Fraction((ms[0] * ms[-1] + ms[2]) % 7, 1 + ms[1] % 5)
+
+
+SPARSE_SUPPORT = (-29, -17, -11, -6, -2, 0, 1, 2, 6, 7, 11, 18, 25, 29)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("slots, coeff, support", [
+    (2, invariants._pair_coeff_closed, tuple(range(-30, 31))),
+    (4, z2_coeff_closed, tuple(range(-30, 31))),
+    # range(-30, 31) holds 787,986 six-slot multisets
+    (6, _six_slot_coeff, tuple(range(-12, 13))),
+    (2, invariants._pair_coeff_closed, SPARSE_SUPPORT),
+    (4, z2_coeff_closed, SPARSE_SUPPORT),
+    (6, _six_slot_coeff, SPARSE_SUPPORT)],
+    ids=["2-dense", "4-dense", "6-dense", "2-sparse", "4-sparse", "6-sparse"])
+def test_form_table_equals_term_by_term_build(slots, coeff, support,
+                                              backend):
+    rows, weights, den = _form_table.__wrapped__(support, slots, coeff,
+                                                 backend)
+    ref_rows, ref_weights, ref_den = reference_form_table(support, slots,
+                                                          coeff, backend)
+    assert len(ref_weights) > 0
+    assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
+    assert np.array_equal(rows, ref_rows)
+    assert den == ref_den
+    if backend == "exact":
+        assert all(type(w) is int for w in weights)
+        assert weights == ref_weights
+    else:
+        assert weights.dtype == ref_weights.dtype
+        assert weights.tobytes() == ref_weights.tobytes()
+
+
+def test_closed_table_calls_the_module_coefficient_once_per_multiset(
+        monkeypatch, fresh_tables):
+    # the benchmark tracer counts z2_coeff_closed calls by swapping the
+    # module attribute; a table build must call it once per multiset that
+    # the module's zero_sum_multisets yields
+    yielded, called = [], []
+    enumerate_multisets = invariants.zero_sum_multisets
+    closed = invariants.z2_coeff_closed
+
+    def counting_multisets(values, slots):
+        for ms in enumerate_multisets(values, slots):
+            yielded.append(ms)
+            yield ms
+
+    def counting_coeff(*ms):
+        called.append(ms)
+        return closed(*ms)
+
+    monkeypatch.setattr(invariants, "zero_sum_multisets", counting_multisets)
+    monkeypatch.setattr(invariants, "z2_coeff_closed", counting_coeff)
+    f, exact = complex_dyadic_series(8, 20261018)
+    count = sum(1 for _ in enumerate_multisets(f.support, 4))
+    for a in (f, exact):
+        del yielded[:], called[:]
+        z2_closed(a)
+        assert len(called) == len(yielded) == count == 177
+        assert called == yielded
+        z2_closed(a)  # a warm table calls neither
+        assert len(called) == len(yielded) == count
+
+
+# one index check -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: z_coeff((2.5, -2.5)), "2.5"),
+    (lambda: brute_n((2.9, -2.9)), "2.9"),
+    (lambda: symmetrize_z((1, Fraction(1, 2), -1, Fraction(-1, 2))),
+     "Fraction"),
+    (lambda: coeff_bound_check((1.0, -1)), "1.0"),
+    (lambda: z_coeff_closed(("1", "-1")), "'1'"),
+    (lambda: z_coeff_closed((1.5, -1.5)), "1.5"),
+    (lambda: z_coeff_closed((1, -1, 0.5, -0.5)), "0.5"),
+    (lambda: z2_coeff_closed(1.5, -1.5, 0, 0), "1.5"),
+    (lambda: lie.raising_relation_check((0.5, -1.5)), "0.5"),
+    (lambda: lie.lowering_relation_check(("2", -1), "closed"), "'2'")],
+    ids=["z_coeff", "brute_n", "symmetrize_z", "coeff_bound_check",
+         "closed-str", "closed-pair", "closed-quad", "z2_coeff_closed",
+         "raising", "lowering"])
+def test_non_integer_indices_raise_value_error(call, bad):
+    with pytest.raises(ValueError, match=f"index .*{bad}.* is not an integer"):
+        call()
+
+
+def test_a_cached_quadruple_does_not_admit_floats():
+    assert z2_coeff_closed(2, -2, 0, 0) == Fraction(4, 3)
+    with pytest.raises(ValueError, match="is not an integer"):
+        z2_coeff_closed(2.0, -2.0, 0, 0)
+
+
+def test_integer_like_indices_are_accepted():
+    two = np.int64(2)
+    assert z_coeff((two, -two)) == z_coeff((2, -2)) == 2
+    assert brute_n((two, np.int32(-2))) == 2
+    got = z2_coeff_closed(two, -two, np.int64(0), 0)
+    assert got == Fraction(4, 3) and type(got) is Fraction
+    assert z_coeff_closed((True, -1)) == z_coeff_closed((1, -1)) == 0
+    assert lie.raising_relation_check((two, np.int64(-3)), "closed") == 0
