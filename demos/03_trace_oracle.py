@@ -2,18 +2,18 @@
 
 The difference Tr[(aL)^{2k} - (aD)^{2k}] over the frequency basis is a
 finite number even though each trace alone diverges with the truncation.
-Better: the difference becomes *exactly constant* once the truncation
-half-width reaches exact_width(a, k) = max(deg(a), k deg(a) - 1), since
-only closed index paths that visit both signs survive the difference.
-trace_difference requires N >= exact_width(a, k) and evaluates there.
-This script shows the stabilization sweep and the agreement with the
-combinatorial invariant.
+Only closed index paths that visit an odd number of negative frequencies
+survive the difference, and they all lie inside the half-width
+exact_width(a, k) = max(deg(a), k deg(a) - 1), so the truncated difference
+is exact from there on.  trace_difference rejects a smaller N and
+evaluates at that width.  This script shows the rejection one below the
+width and the agreement with the combinatorial invariant at and above it.
 """
 
 from fractions import Fraction
 
-from steklov_zeta import (KIND_DN, TrigSeries, exact_width, operator_matrix,
-                          stabilization_sweep, trace_difference,
+from steklov_zeta import (KIND_DN, TrigSeries, TruncationTooSmall,
+                          exact_width, operator_matrix, trace_difference,
                           zeta_invariant)
 
 a = TrigSeries.exact({2: 1, -2: 1, 1: (0, Fraction(1, 2)),
@@ -26,17 +26,18 @@ for m, n in ((2, 0), (3, 1), (0, -2), (1, 2)):
     print(f"  ({m:2d},{n:2d}) -> {A.entry(m, n)}")
 
 k = 2
-print(f"\ndoubling sweep of the trace difference (k = {k}):")
-sweep = stabilization_sweep(a, k)
-for N, value in sweep:
-    print(f"  N = {N:3d}: {value.re}")
-
 width = exact_width(a, k)
-print(f"stabilizes at N = {sweep[-3][0]} (exact width max(deg, k deg - 1) "
-      f"= {width})")
+print(f"\nexact width max(deg, k deg - 1) for k = {k}: {width}")
+try:
+    trace_difference(a, k, width - 1)
+except TruncationTooSmall as exc:
+    print(f"  N = {width - 1:3d}: rejected ({exc})")
+else:
+    raise AssertionError("a half-width below the exact width was accepted")
 
-exact = trace_difference(a, k, width)
 combinatorial = zeta_invariant(a, k)
-print(f"trace value    : {exact.re}")
+for N in (width, width + 5):
+    value = trace_difference(a, k, N)
+    print(f"  N = {N:3d}: {value.re}")
+    assert value == combinatorial
 print(f"combinatorial  : {combinatorial.re}")
-assert exact == combinatorial

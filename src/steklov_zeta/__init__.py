@@ -35,7 +35,6 @@ from .lie import (GENERATORS, RELATION_PLANES, apply_generator,
                   raising_relation_check, raising_relation_sweep)
 from .scalars import RationalComplex
 from .trace import (BandedOperator, KIND_DN, KIND_DTHETA, exact_width,
-                    operator_matrix, stabilization_check,
-                    stabilization_sweep, trace_difference)
+                    operator_matrix, trace_difference)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,7 +34,7 @@ from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
 from .lie import (GENERATORS, RELATION_PLANES, _relation_check,
                   bracket_check, plane_tuples)
 from .scalars import RationalComplex
-from .trace import exact_width, stabilization_sweep, trace_difference
+from .trace import exact_width, trace_difference
 
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
@@ -231,14 +231,11 @@ def cmd_trace_check(args) -> int:
     tdiff = trace_difference(a, k, N)
     zval = zeta_invariant(a, k)
     equal = tdiff == zval
-    sweep = stabilization_sweep(a, k)
     report = {
         "k": k, "degree": a.degree, "half_width": N,
         "trace_difference": _fmt_scalar(tdiff),
         "zeta_invariant": _fmt_scalar(zval),
         "equal": equal,
-        "stabilized_at": sweep[-3][0],
-        "stabilization_sweep": [[n, _fmt_scalar(v)] for n, v in sweep],
     }
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if equal else 1

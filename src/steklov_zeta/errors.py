@@ -21,11 +21,11 @@ class NotPositive(SteklovZetaError):
     """A positive function on the circle was required."""
 
 
-class NonZeroSum(SteklovZetaError):
+class NonZeroSum(SteklovZetaError, ValueError):
     """A zero-sum multi-index was required."""
 
 
-class WrongSum(SteklovZetaError):
+class WrongSum(SteklovZetaError, ValueError):
     """A multi-index with a specific (nonzero) sum was required."""
 
 

@@ -20,6 +20,7 @@ arguments with a default of 4096.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,20 @@ def _coerce_exact(value) -> RationalComplex:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def _indices(values) -> list:
+    """The values as Python ints via operator.index (ints, bools, numpy
+    integers); anything else raises a ValueError naming it, never a
+    truncated value.  The library's one integer check, for frequencies and
+    for coefficient indices (invariants._validate_index)."""
+    out = []
+    for j in values:
+        try:
+            out.append(operator.index(j))
+        except TypeError:
+            raise ValueError(f"index {j!r} is not an integer") from None
+    return out
+
+
 class TrigSeries:
     """Finitely supported Fourier coefficient table.
 
@@ -57,8 +72,7 @@ class TrigSeries:
         if backend not in (EXACT, FLOAT):
             raise ValueError(f"unknown backend {backend!r}")
         clean = {}
-        for n, v in coeffs.items():
-            n = int(n)
+        for n, v in zip(_indices(coeffs), coeffs.values()):
             v = _coerce_exact(v) if backend == EXACT else complex(v)
             if v:
                 clean[n] = v

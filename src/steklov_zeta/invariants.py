@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -55,25 +54,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonZeroSum
-from .fourier import EXACT, TrigSeries
+from .fourier import EXACT, TrigSeries, _indices
 from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 
 def _validate_index(indices) -> tuple:
     """The multi-index as a tuple of Python ints, of even length >= 2.
 
-    Every entry goes through operator.index, so ints, bools and numpy
-    integers pass and anything else (a float, a string, a Fraction) raises
-    a ValueError naming it, never a truncated or concatenated value.  The
-    one index check of the library: lie's relation checks, z_coeff_closed
-    and a z2_coeff_closed cache miss use it too.
+    Every entry goes through fourier._indices, the library's one integer
+    check (a float or a string raises a ValueError naming it); lie's
+    relation checks, z_coeff_closed and a z2_coeff_closed miss call it too.
     """
-    idx = []
-    for j in indices:
-        try:
-            idx.append(operator.index(j))
-        except TypeError:
-            raise ValueError(f"index {j!r} is not an integer") from None
+    idx = _indices(indices)
     if len(idx) < 2 or len(idx) % 2:
         raise ValueError(f"multi-index must have even length >= 2, "
                          f"got {tuple(idx)}")

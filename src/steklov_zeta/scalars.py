@@ -151,9 +151,6 @@ class GaussianInteger:
     def __add__(self, other):
         return GaussianInteger(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other):
-        return GaussianInteger(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other):
         return GaussianInteger(self.re * other.re - self.im * other.im,
                                self.re * other.im + self.im * other.re)

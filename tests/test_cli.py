@@ -232,20 +232,20 @@ def test_check_relations_jobs_deterministic(capsys):
 
 
 def test_trace_check(capsys, pair_series):
-    """The report's half_width is the width the value was computed at, and
-    the sweep settles no later than its first width that reaches it."""
+    """The report holds the value at the width it was computed at and the
+    combinatorial value, and nothing else."""
     for k in (1, 2, 3):
         code, out, _ = run(capsys, "trace-check", "--series", pair_series,
                            "--k", str(k))
         assert code == 0
         report = json.loads(out)
+        assert list(report) == ["k", "degree", "half_width",
+                                "trace_difference", "zeta_invariant", "equal"]
         assert report["equal"] is True
+        assert report["trace_difference"] == report["zeta_invariant"]
+        assert (report["k"], report["degree"]) == (k, 2)
         assert report["half_width"] == \
             exact_width(TrigSeries.exact({2: 1, -2: 1}), k)
-        assert "stabilization_bound" not in report
-        first_exact = min(n for n, _ in report["stabilization_sweep"]
-                          if n >= report["half_width"])
-        assert report["stabilized_at"] <= first_exact
 
 
 def test_trace_check_has_no_width_flag(capsys, pair_series):
@@ -312,6 +312,13 @@ def test_indices_must_be_integers(capsys, argv):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith(
         "error: --indices takes comma-separated integers, got 'a,b")
+
+
+def test_non_zero_sum_index_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "brute-n", "--indices=1,2")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1] == "error: indices must sum to zero, got (1, 2)"
 
 
 def test_missing_file_is_reported(capsys, tmp_path):

@@ -23,6 +23,24 @@ def test_stored_zeros_are_dropped():
     assert a.degree == 0
 
 
+@pytest.mark.parametrize("make, coeffs", [
+    (TrigSeries.exact, {2.5: 1, -2: 1}),
+    (TrigSeries.from_complex, {2.7: 1.0}),
+    (TrigSeries.exact, {"1": 1}),
+], ids=["exact-2.5", "float-2.7", "string"])
+def test_frequency_must_be_an_integer(make, coeffs):
+    bad = next(iter(coeffs))
+    with pytest.raises(ValueError, match=f"index {bad!r} is not an integer"):
+        make(coeffs)
+
+
+def test_numpy_integer_frequencies_are_accepted():
+    a = TrigSeries.exact({np.int64(3): 1, np.int32(-3): 2})
+    assert a.items() == TrigSeries.exact({3: 1, -3: 2}).items()
+    assert all(type(n) is int for n in a.support)
+    assert TrigSeries.from_complex({np.int64(2): 1.0}).degree == 2
+
+
 def test_degree_tracks_support():
     a = TrigSeries.exact({4: 1, -7: (0, 1)})
     assert a.degree == 7

@@ -5,9 +5,10 @@ import pytest
 
 from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
                           TrigSeries, TruncationTooSmall, exact_width,
-                          operator_matrix, stabilization_check,
-                          stabilization_sweep, trace_difference,
-                          zeta_invariant)
+                          operator_matrix, pullback_direct,
+                          random_positive_series, trace_difference,
+                          z1_closed, z2_closed, zeta_invariant)
+from steklov_zeta.explorer import sample_rng
 from steklov_zeta.trace import _trace_difference_at
 
 from util import random_exact_series
@@ -112,27 +113,34 @@ def test_homogeneity():
 
 def test_stabilization_low_frequency_series():
     a = TrigSeries.exact({0: 3, 1: (1, 1), -1: (1, -1)})
-    assert stabilization_check(a, 2) == 1  # zero at every width
+    assert zeta_invariant(a, 2) == 0
+    for N in range(1, 9):  # zero at every width
+        assert _trace_difference_at(a, 2, N) == 0
 
 
 def test_stabilization_single_pair():
     a = TrigSeries.exact({2: 1, -2: 1})
-    assert stabilization_check(a, 1) <= 8
+    for N in range(2, 17):  # W = deg = 2 for k = 1
+        assert _trace_difference_at(a, 1, N) == 4
 
 
 def test_stabilization_degree_three():
     a = TrigSeries.exact({3: 1, -3: 1, 1: (0, 1), -1: (0, -1)})
-    assert stabilization_check(a, 2) <= 24
+    z = zeta_invariant(a, 2)
+    W = exact_width(a, 2)
+    assert _trace_difference_at(a, 2, W - 1) != z
+    for N in range(W, 25):
+        assert _trace_difference_at(a, 2, N) == z
 
 
 def test_stabilization_sweep_evidence():
+    """The raw truncation stays at Z_1 over doubling widths up to 256."""
     a = TrigSeries.exact({2: 1, -2: 1})
-    sweep = stabilization_sweep(a, 1)
-    widths = [n for n, _ in sweep]
-    assert widths == sorted(widths)
-    assert sweep[-1][1] == sweep[-2][1] == sweep[-3][1]
-    assert sweep[-1][1] == zeta_invariant(a, 1)
-    assert stabilization_check(a, 1) == sweep[-3][0]
+    z = zeta_invariant(a, 1)
+    N = a.degree
+    while N <= 256:
+        assert _trace_difference_at(a, 1, N) == z
+        N *= 2
 
 
 def test_float_backend_trace_close_to_exact():
@@ -141,6 +149,27 @@ def test_float_backend_trace_close_to_exact():
     exact = complex(trace_difference(a, 2, 16))
     approx = trace_difference(a.to_float(), 2, 16)
     assert approx == pytest.approx(exact, rel=1e-9, abs=1e-9)
+
+
+def test_float_trace_matches_closed_forms():
+    """Float trace_difference is within 1e-12 relative of z1_closed on the
+    criterion-4 series and their degree-60 pullbacks, and of z2_closed on
+    the series and the rho = 0.5 pullback of the first one; subtracting
+    two traces is off by up to 3e-9 (k = 1) and 1.1e-6 (k = 2) here."""
+    def rel(a, k, closed):
+        z = closed(a)
+        return abs(trace_difference(a, k, exact_width(a, k)) - z) / abs(z)
+
+    worst = 0.0
+    for i in range(10):
+        a = random_positive_series(5, 0.6, sample_rng(20250804, i), floor=0.5)
+        pullbacks = [pullback_direct(a, rho, 8192, 60)
+                     for rho in (0.1, 0.3, 0.5)]
+        worst = max(worst, rel(a, 2, z2_closed),
+                    *(rel(b, 1, z1_closed) for b in [a] + pullbacks))
+        if i == 0:
+            worst = max(worst, rel(pullbacks[-1], 2, z2_closed))
+    assert worst <= 1e-12
 
 
 def true_width(a, k):
