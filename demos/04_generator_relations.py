@@ -3,8 +3,10 @@
 Invariance of Z_k under the automorphism group, differentiated at the
 identity, says that certain integer-weighted sums of the symmetric
 coefficients vanish.  No direct combinatorial proof is known for general
-k, which makes a large exact sweep genuinely informative: every tuple is
-a falsifiable instance.  Everything below runs in rational arithmetic.
+k, which makes a large exact sweep genuinely informative: every relation
+is a falsifiable instance.  A relation is symmetric in its indices, so the
+sweep checks it once, on its sorted multiset.  Everything below runs in
+rational arithmetic.
 """
 
 from steklov_zeta import (GENERATORS, TrigSeries, apply_generator,
@@ -24,11 +26,9 @@ for g in GENERATORS:
     print(f"  {g:6s}: {apply_generator(g, e1)}")
 
 print("\nthe raising relation on the sum = -1 plane, k = 1, radius 10:")
-bad = 0
-for idx, value in raising_relation_sweep(1, 10):
-    bad += value != 0
-print(f"  all {sum(1 for _ in raising_relation_sweep(1, 10))} tuples vanish"
-      f" (violations: {bad})")
+values = [value for _, value in raising_relation_sweep(1, 10)]
+bad = sum(value != 0 for value in values)
+print(f"  all {len(values)} multisets vanish (violations: {bad})")
 
 print("\none k = 3 instance spelled out:")
 idx = (2, -1, 1, -2, 0, -1)

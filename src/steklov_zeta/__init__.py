@@ -31,8 +31,9 @@ from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
                          z2_coeff_closed, z_coeff, z_coeff_closed, zeta,
                          zeta_invariant)
 from .lie import (GENERATORS, RELATION_PLANES, apply_generator,
-                  bracket_check, lowering_relation_check, plane_tuples,
-                  raising_relation_check, raising_relation_sweep)
+                  bracket_check, lowering_relation_check,
+                  raising_relation_check, raising_relation_sweep,
+                  relation_sweep)
 from .scalars import RationalComplex
 from .trace import (BandedOperator, KIND_DN, KIND_DTHETA, exact_width,
                     operator_matrix, trace_difference)

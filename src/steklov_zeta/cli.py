@@ -6,8 +6,9 @@ configuration, so saved reports are self-describing.  Data goes to stdout
 or to --out.  Exit codes: 0 success / all checks pass, 1 check failure,
 2 usage error, bad value or unusable file (one "error:" line).
 
-An optional config file (--config PATH, "key = value" lines) supplies
-defaults for any long flag of the chosen command; explicit flags win.
+An optional config file (--config PATH or --config=PATH, "key = value"
+lines) supplies defaults for any long flag of the chosen command; explicit
+flags win.
 Switches take true / false.
 """
 
@@ -19,7 +20,6 @@ import hashlib
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -31,8 +31,7 @@ from .fourier import TrigSeries, is_real, load_series
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
                          z2_coeff_closed, z_coeff, zero_sum_multisets, zeta,
                          zeta_invariant)
-from .lie import (GENERATORS, RELATION_PLANES, _relation_check,
-                  bracket_check, plane_tuples)
+from .lie import GENERATORS, RELATION_PLANES, bracket_check, relation_sweep
 from .scalars import RationalComplex
 from .trace import exact_width, trace_difference
 
@@ -192,23 +191,10 @@ def cmd_check_invariance(args) -> int:
     return 0 if ok else 1
 
 
-def _relation_task(payload):
-    # module-level so ProcessPoolExecutor can pickle it
-    variant, source, idx = payload
-    return idx, _relation_check(idx, -RELATION_PLANES[variant], source)
-
-
 def cmd_check_relations(args) -> int:
     _header(args, "exact")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    tasks = [(args.variant, args.source, idx) for idx in plane_tuples(
-        args.k, args.radius, RELATION_PLANES[args.variant], args.stride)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_relation_task, tasks, chunksize=64))
-    else:
-        results = [_relation_task(t) for t in tasks]
+    results = list(relation_sweep(args.k, args.radius, args.variant,
+                                  args.stride, args.source))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow([f"j{i+1}" for i in range(2 * args.k)]
@@ -336,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="reduced")
     p.add_argument("--source", choices=["brute", "closed"], default="brute")
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_relations)
 
@@ -395,13 +380,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in argv and argv.index("--config") + 1 < len(argv):
-            cfg_path = argv[argv.index("--config") + 1]
-            raw = _load_config(cfg_path)
-            command = next((tok for tok in argv
-                            if not tok.startswith("-") and tok != cfg_path),
-                           None)
-            subparser = _SUBPARSERS.get(command)
+        pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+        pre.add_argument("--config")  # as argparse reads it: PATH or =PATH
+        pre.add_argument("command", nargs="?")
+        known = pre.parse_known_args(argv)[0]
+        if known.config is not None:
+            raw = _load_config(known.config)
+            subparser = _SUBPARSERS.get(known.command)
             if subparser is not None:
                 for action in subparser._actions:
                     if action.dest in raw:

@@ -45,8 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendMismatch
-from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, evaluate_at,
-                      from_samples, grid_angles)
+from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, _indices,
+                      evaluate_at, from_samples, grid_angles)
 from .scalars import GaussianInteger, clear_denominators
 
 
@@ -137,6 +137,7 @@ def _entry(u, e: int, q, d):
 def mu(n: int, k: int, rho):
     """Matrix entry mu_{nk}(rho); exact Fraction when rho is rational.
     Columns are cached per rho in power-of-two blocks for per-entry loops."""
+    n, k = _indices((n, k))
     r = _rho_value(rho)
     if k < 0:
         n, k = -n, -k
@@ -170,6 +171,7 @@ class TruncatedMatrix:
 
 def mu_matrix(rho, N: int) -> TruncatedMatrix:
     """Truncated matrix (mu_{nk}) for |n|, |k| <= N."""
+    (N,) = _indices((N,))
     if N < 1:
         raise ValueError("half-width must be >= 1")
     r = _rho_value(rho)

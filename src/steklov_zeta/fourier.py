@@ -48,8 +48,8 @@ def _coerce_exact(value) -> RationalComplex:
 def _indices(values) -> list:
     """The values as Python ints via operator.index (ints, bools, numpy
     integers); anything else raises a ValueError naming it, never a
-    truncated value.  The library's one integer check, for frequencies and
-    for coefficient indices (invariants._validate_index)."""
+    truncated value.  The library's one integer check: frequencies,
+    coefficient indices, orders k and the sizes of mu_matrix and sweeps."""
     out = []
     for j in values:
         try:
@@ -57,6 +57,15 @@ def _indices(values) -> list:
         except TypeError:
             raise ValueError(f"index {j!r} is not an integer") from None
     return out
+
+
+def _order(k) -> int:
+    """The order k as an int >= 1, else a ValueError: the one check of k
+    (zeta_invariant, exact_width, trace_difference)."""
+    (k,) = _indices((k,))
+    if k < 1:
+        raise ValueError(f"order k must be >= 1, got {k}")
+    return k
 
 
 class TrigSeries:

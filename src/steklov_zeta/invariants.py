@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonZeroSum
-from .fourier import EXACT, TrigSeries, _indices
+from .fourier import EXACT, TrigSeries, _indices, _order
 from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 
@@ -129,9 +129,9 @@ def symmetrize_z_full(indices) -> Fraction:
 
 # Entries kept by each coefficient cache (_Z_CACHE, z2_coeff_closed).  They
 # serve the relation sweeps and single lookups, which revisit keys; a k = 2,
-# radius-5 raising-relation sweep touches about a thousand.  A table build
-# gains nothing from them: it looks each multiset up once, so its hit ratio
-# is 0.
+# radius-5 raising-relation sweep (one check per multiset) touches about a
+# hundred.  A table build gains nothing from them: it looks each multiset up
+# once, so its hit ratio is 0.
 _COEFF_CACHE_SIZE = 4096
 
 _Z_CACHE: dict[tuple, Fraction] = {}
@@ -159,37 +159,35 @@ def z_coeff(indices) -> Fraction:
 # enumeration of zero-sum index multisets -----------------------------------
 
 
-def zero_sum_multisets(values, slots: int):
-    """Non-decreasing zero-sum tuples of the given length over the distinct
-    values, in lexicographic order; ``slots = 0`` yields ``()`` once.
+def zero_sum_multisets(values, slots: int, total: int = 0):
+    """Non-decreasing tuples of the given length over the distinct values
+    with sum ``total``, in lexicographic order (``slots = 0``: ``()`` once
+    if total = 0).  The library's one enumerator of index planes.
 
     Iterative depth-first search.  With running sum t and m slots left
     (this one included), a slot takes the values v >= the previous slot's
-    value with t + m*v <= 0 (larger values overshoot, since later slots are
-    no smaller) and t + v + (m-1)*max >= 0 (smaller ones can never climb
-    back to zero); both bounds are found by bisection.  The last slot is
-    closed by looking up -t among the values, not by a scan: the bounds of
-    the slot before it already make -t lie in [v, max].
+    value with t + m*v <= total (larger values overshoot, since later slots
+    are no smaller) and t + v + (m-1)*max >= total (smaller ones can never
+    climb back to it); both bounds are found by bisection.  The last slot
+    is closed by looking up total - t among the values, not by a scan: the
+    bounds of the slot before it already make total - t lie in [v, max].
     """
     vals = sorted(set(values))
     if not vals or slots < 0:
         return
-    if slots == 0:
-        yield ()
+    if slots < 2:  # () sums to 0, (v,) to v
+        if total in (vals if slots else (0,)):
+            yield (total,) * slots
         return
     present = set(vals)
     last = slots - 1
-    if last == 0:
-        if 0 in present:
-            yield (0,)
-        return
     vmax = vals[-1]
     out = [0] * slots
     sums = [0] * last       # sums[d]: running sum of out[:d]
     at = [0] * last         # next index to try in each open slot
     stop = [0] * last       # one past the last admissible index
-    stop[0] = bisect_right(vals, 0)
-    at[0] = bisect_left(vals, -last * vmax)
+    stop[0] = bisect_right(vals, total // slots)
+    at[0] = bisect_left(vals, total - last * vmax)
     d = 0
     while d >= 0:
         i = at[d]
@@ -204,11 +202,11 @@ def zero_sum_multisets(values, slots: int):
             d += 1
             sums[d] = t
             left = slots - d
-            at[d] = max(i, bisect_left(vals, -t - (left - 1) * vmax))
-            stop[d] = bisect_right(vals, -t // left)
+            at[d] = max(i, bisect_left(vals, total - t - (left - 1) * vmax))
+            stop[d] = bisect_right(vals, (total - t) // left)
             continue
-        if -t in present:
-            out[last] = -t
+        if total - t in present:
+            out[last] = total - t
             yield tuple(out)
 
 
@@ -312,9 +310,7 @@ def zeta_invariant(a: TrigSeries, k: int):
     Returns a backend scalar (RationalComplex or complex); the value is real
     whenever a is conjugate-symmetric.
     """
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    return _form_sum(a, 2 * k, _z_coeff_of)
+    return _form_sum(a, 2 * _order(k), _z_coeff_of)
 
 
 def _pair_coeff_closed(i: int, j: int) -> Fraction:

@@ -38,8 +38,9 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import UnknownBracket, WrongSum
-from .fourier import EXACT, TrigSeries
-from .invariants import _validate_index, z_coeff, z_coeff_closed
+from .fourier import EXACT, TrigSeries, _indices
+from .invariants import (_validate_index, z_coeff, z_coeff_closed,
+                         zero_sum_multisets)
 from .scalars import RationalComplex
 
 GENERATORS = ("C", "D", "E", "D0", "Dminus", "Dplus")
@@ -155,31 +156,25 @@ def lowering_relation_check(indices, source: str = "brute") -> Fraction:
     return _relation_check(indices, -1, source)
 
 
-def plane_tuples(k: int, radius: int, plane: int, stride: int = 1):
-    """Every stride-th tuple of [-radius, radius]^{2k} with sum = plane.
-
-    Tuples run in lexicographic order.  Each slot only takes values from
-    which the remaining slots can still reach the plane, so no tuple off
-    the plane is built; stride > 1 takes a deterministic, evenly spaced
-    sample of the enumeration.
+def relation_sweep(k: int, radius: int, variant: str = "reduced",
+                   stride: int = 1, source: str = "brute"):
+    """(multiset, exact value) for every stride-th sorted multiset of length
+    2k over [-radius, radius] on the variant's plane, in lexicographic order.
+    The value is symmetric in the indices, so each relation is checked once.
     """
-    if k < 1 or radius < 1 or stride < 1:
-        raise ValueError("need k >= 1, radius >= 1, stride >= 1")
-
-    def rec(prefix: tuple, rest: int, left: int):
-        if left == 1:
-            yield prefix + (rest,)
-            return
-        reach = (left - 1) * radius
-        for v in range(max(-radius, rest - reach),
-                       min(radius, rest + reach) + 1):
-            yield from rec(prefix + (v,), rest - v, left - 1)
-
-    return islice(rec((), plane, 2 * k), None, None, stride)
+    k, radius, stride = _indices((k, radius, stride))
+    if min(k, radius, stride) < 1 or variant not in RELATION_PLANES:
+        raise ValueError(f"need k, radius, stride >= 1 and a variant in "
+                         f"{tuple(RELATION_PLANES)}, got {k}, {radius}, "
+                         f"{stride}, {variant!r}")
+    plane = RELATION_PLANES[variant]
+    check = raising_relation_check if plane == -1 else lowering_relation_check
+    multisets = zero_sum_multisets(range(-radius, radius + 1), 2 * k, plane)
+    return ((idx, check(idx, source))
+            for idx in islice(multisets, None, None, stride))
 
 
 def raising_relation_sweep(k: int, radius: int, stride: int = 1,
                            source: str = "brute"):
-    """(indices, exact value) for plane_tuples(k, radius, -1, stride)."""
-    for idx in plane_tuples(k, radius, -1, stride):
-        yield idx, raising_relation_check(idx, source)
+    """relation_sweep of the reduced (D+) relation, on the plane sum = -1."""
+    return relation_sweep(k, radius, "reduced", stride, source)

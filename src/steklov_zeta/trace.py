@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TruncationTooSmall
-from .fourier import EXACT, FLOAT, TrigSeries
+from .fourier import EXACT, FLOAT, TrigSeries, _order
 from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 KIND_DN = "dn"            # symbol |n|
@@ -165,7 +165,7 @@ def _trace_difference_at(a: TrigSeries, k: int, N: int):
 def exact_width(a: TrigSeries, k: int) -> int:
     """The half-width W = max(deg(a), k deg(a) - 1) at which the truncated
     trace difference is the infinite one (module docstring)."""
-    return max(a.degree, k * a.degree - 1)
+    return max(a.degree, _order(k) * a.degree - 1)
 
 
 def trace_difference(a: TrigSeries, k: int, N: int):
@@ -178,8 +178,7 @@ def trace_difference(a: TrigSeries, k: int, N: int):
     series and their degree-60 pullbacks (tests/test_trace.py; 1.2e-14 at
     worst, where subtracting two traces loses up to 1.1e-6).
     """
-    if k < 1:
-        raise ValueError("order k must be >= 1")
+    k = _order(k)
     W = exact_width(a, k)
     if N < W:
         raise TruncationTooSmall(f"half-width {N} < exact width "

@@ -1,22 +1,30 @@
 """The benchmark tracer (perfbench/layers.py) wraps library functions by
-module and name, and reads library caches by name for its state metrics.
-This pins that contract inside the test suite, so that renaming or
-deleting a traced name or a cache fails here and not only under
-``perfbench/run.py --trace 1``."""
+module and name, and reads library caches by name for its state metrics;
+the benchmark workloads (perfbench/workloads.py) call the library by name
+and signature.  This pins both contracts inside the test suite, so that
+renaming or deleting a traced name, a cache or a called function fails
+here and not only under ``perfbench/run.py``."""
 
 import importlib.util
 import pathlib
+import sys
 
 from steklov_zeta import TrigSeries, cli, invariants, lie, trace
 
-LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("layers")
 
 
 def test_tracer_counts_the_relation_check_and_restores_originals():
@@ -33,11 +41,26 @@ def test_tracer_counts_the_relation_check_and_restores_originals():
     finally:
         tracer.uninstall()
     assert list(metrics) == [name for name, _, _ in layers.METRICS]
-    assert len(results) == 6 and all(value == 0 for _, value in results)
-    assert tracer.calls["lie.raising_relation_check"] == 6
+    # one check per sorted multiset on the plane, each enumerated through
+    # the traced zero_sum_multisets
+    assert len(results) == 3 and all(value == 0 for _, value in results)
+    assert tracer.calls["lie.raising_relation_check"] == 3
+    assert tracer.calls["invariants.zero_sum_multisets"] == 1
+    assert tracer.calls["invariants.zero_sum_multisets.yielded"] == 3
     # the trace chain runs through the traced BandedOperator.matmul
     assert z2 == 48
     assert tracer.calls["trace.BandedOperator.matmul"] == 1
     assert tracer.calls["trace.matmul.out_nnz"] > 0
     assert (invariants.z2_coeff_closed, lie.raising_relation_check,
             trace.BandedOperator.matmul, cli._emit) == originals
+
+
+def test_benchmark_workloads_run_their_first_op(tmp_path):
+    """Op 0 of every workload, untimed: each returned check is ok."""
+    workloads = load_perfbench("workloads")
+    for name in workloads.NAMES:
+        workload = workloads.build(name, 1, str(tmp_path))
+        checks = workload.op(0)
+        assert checks, name
+        assert all(isinstance(c, workloads.Check) and c.ok
+                   for c in checks), (name, checks)

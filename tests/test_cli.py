@@ -178,14 +178,17 @@ def test_out_of_range_rho_is_a_usage_error(capsys):
 @pytest.mark.parametrize("variant, planes", [
     ("reduced", (-1,)), (None, (-1,)), ("Dminus", (1,))])
 def test_check_relations_sweeps_the_variant_planes(capsys, variant, planes):
-    # k = 2, radius 3 has 224 tuples on each of the planes -1 and +1;
-    # variant None leaves --variant at its default
+    # k = 2, radius 3 has 16 sorted multisets (224 ordered tuples) on each
+    # of the planes -1 and +1, one row each; variant None leaves --variant
+    # at its default
     flags = () if variant is None else ("--variant", variant)
     code, out, err = run(capsys, "check-relations", "--k", "2", "--radius", "3",
                          *flags)
     rows = [tuple(map(int, row.split(",")))
             for row in out.strip().splitlines()[1:]]
-    assert code == 0 and len(rows) == 224 * len(planes)
+    assert code == 0 and len(rows) == 16 * len(planes)
+    assert all(list(row[:4]) == sorted(row[:4]) for row in rows)
+    assert rows == sorted(rows)
     assert f"checked {len(rows)} tuples, all_zero=True" in err
     assert sorted({sum(row[:4]) for row in rows}) == list(planes)
 
@@ -215,20 +218,13 @@ def test_check_relations_rejects_removed_variants(capsys, variant):
     assert f"argument --variant: invalid choice: '{variant}'" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_check_relations_rejects_jobs_below_one(capsys, jobs):
+@pytest.mark.parametrize("jobs", ["0", "-3", "2"])
+def test_check_relations_rejects_jobs(capsys, jobs):
+    # the sweep checks each relation once, in one process; --jobs is gone
     code, out, err = run(capsys, "check-relations", "--k", "1", "--radius", "2",
                          "--jobs", jobs)
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == f"error: --jobs must be >= 1, got {jobs}"
-
-
-def test_check_relations_jobs_deterministic(capsys):
-    code1, out1, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6")
-    code2, out2, _ = run(capsys, "check-relations", "--k", "1", "--radius", "6",
-                         "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    assert f"unrecognized arguments: --jobs {jobs}" in err
 
 
 def test_trace_check(capsys, pair_series):
@@ -416,6 +412,21 @@ def test_config_file_supplies_defaults(capsys, tmp_path, pair_series):
     code, out, err = run(capsys, "--config", str(cfg), "z2-coeff",
                          "--indices=-3,2,2,-1")
     assert code == 2 and out == "" and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("spelling", ["separate", "equals"])
+def test_config_path_is_read_in_both_spellings(capsys, tmp_path, pair_series,
+                                               spelling):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("k = 2\n")
+    flag = (("--config", str(cfg)) if spelling == "separate"
+            else (f"--config={cfg}",))
+    code, out, _ = run(capsys, *flag, "compute-z", "--series", pair_series)
+    assert code == 0 and out.strip() == "48"
+    # a count from the file is the one explore runs
+    cfg.write_text("count = 3\n")
+    code, out, _ = run(capsys, *flag, "explore", "--seed", "4", "--n0", "2")
+    assert code == 0 and len(json.loads(out)["samples"]) == 3
 
 
 def test_version_flag(capsys):

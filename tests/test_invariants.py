@@ -13,7 +13,7 @@ from steklov_zeta import (NonZeroSum, RationalComplex, TrigSeries, brute_n,
                           coeff_bound_check, symmetrize_z, symmetrize_z_full,
                           z1_closed, z2_closed, z2_coeff_closed, z_coeff,
                           z_coeff_closed, zeta, zeta_invariant)
-from steklov_zeta.conformal import pullback_direct
+from steklov_zeta.conformal import mu, mu_matrix, pullback_direct
 from steklov_zeta.explorer import (random_positive_series, rationalize_series,
                                    sample_rng)
 from steklov_zeta import invariants, lie
@@ -21,6 +21,7 @@ from steklov_zeta.invariants import (_COEFF_CACHE_SIZE, _form_table,
                                      _p1_90, _p2_90, zero_sum_multisets)
 from steklov_zeta.lie import raising_relation_sweep
 from steklov_zeta.scalars import RC_ZERO
+from steklov_zeta.trace import exact_width, trace_difference
 
 from util import random_exact_series, random_zero_sum_tuple
 
@@ -334,30 +335,31 @@ def test_float_backend_matches_exact():
 # kernels against their earlier, slower implementations ---------------------
 
 
-def recursive_zero_sum_multisets(values, slots):
-    """The earlier recursive enumerator, kept as the oracle."""
+def recursive_zero_sum_multisets(values, slots, total=0):
+    """The earlier recursive enumerator, kept as the oracle, with its
+    target moved from 0 to total."""
     vals = sorted(set(values))
     if not vals:
         return
     vmax = vals[-1]
     out = []
 
-    def rec(start, left, total):
+    def rec(start, left, rest):
         if left == 0:
-            if total == 0:
+            if rest == 0:
                 yield tuple(out)
             return
-        if total + left * vmax < 0:
+        if left * vmax < rest:
             return
         for i in range(start, len(vals)):
             v = vals[i]
-            if total + left * v > 0:
+            if left * v > rest:
                 break
             out.append(v)
-            yield from rec(i, left - 1, total + v)
+            yield from rec(i, left - 1, rest - v)
             out.pop()
 
-    yield from rec(0, slots, 0)
+    yield from rec(0, slots, total)
 
 
 def test_zero_sum_multisets_equals_recursive_oracle():
@@ -374,6 +376,10 @@ def test_zero_sum_multisets_equals_recursive_oracle():
             got = list(zero_sum_multisets(values, slots))
             assert got == list(recursive_zero_sum_multisets(values, slots)), \
                 (values, slots)
+            for total in (-1, 1, rng.randint(-30, 30)):
+                got = list(zero_sum_multisets(values, slots, total))
+                assert got == list(recursive_zero_sum_multisets(
+                    values, slots, total)), (values, slots, total)
 
 
 def test_zero_sum_multisets_is_a_generator():
@@ -382,6 +388,8 @@ def test_zero_sum_multisets_is_a_generator():
     assert next(gen) == (-3, -3, 3, 3)
     assert list(zero_sum_multisets((1, -1), 0)) == [()]
     assert list(zero_sum_multisets((), 0)) == []
+    assert list(zero_sum_multisets((1, -1), 0, 1)) == []
+    assert list(zero_sum_multisets((1, -1), 1, -1)) == [(-1,)]
 
 
 def _in_case1(t):
@@ -701,6 +709,33 @@ def test_non_integer_indices_raise_value_error(call, bad):
         call()
 
 
+_ORDER_SERIES = TrigSeries.exact({1: 1, -1: 1, 2: (1, 2)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zeta_invariant(_ORDER_SERIES, 1.5), "index 1.5 is not"),
+    (lambda: zeta_invariant(_ORDER_SERIES, 0), "order k must be >= 1, got 0"),
+    (lambda: zeta(_ORDER_SERIES, "3"), "index '3' is not"),
+    (lambda: trace_difference(_ORDER_SERIES, 1.5, 10), "index 1.5 is not"),
+    (lambda: trace_difference(_ORDER_SERIES, -1, 10), "got -1"),
+    (lambda: exact_width(_ORDER_SERIES, 0), "order k must be >= 1, got 0"),
+    (lambda: exact_width(_ORDER_SERIES, 2.0), "index 2.0 is not"),
+    (lambda: mu("2", 1, Fraction(1, 2)), "index '2' is not"),
+    (lambda: mu(2, 1.0, 0.5), "index 1.0 is not"),
+    (lambda: mu_matrix(Fraction(1, 2), 2.5), "index 2.5 is not"),
+    (lambda: mu_matrix(0.5, 0), "half-width must be >= 1")],
+    ids=["zeta_invariant-float", "zeta_invariant-zero", "zeta-str",
+         "trace_difference-float", "trace_difference-negative",
+         "exact_width-zero", "exact_width-float", "mu-n", "mu-k",
+         "mu_matrix-float", "mu_matrix-zero"])
+def test_order_and_sizes_raise_value_error(call, message):
+    """k goes through fourier._order, the integer arguments of mu and
+    mu_matrix through fourier._indices: a ValueError, never a TypeError
+    or a silent value."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_a_cached_quadruple_does_not_admit_floats():
     assert z2_coeff_closed(2, -2, 0, 0) == Fraction(4, 3)
     with pytest.raises(ValueError, match="is not an integer"):
@@ -715,3 +750,5 @@ def test_integer_like_indices_are_accepted():
     assert got == Fraction(4, 3) and type(got) is Fraction
     assert z_coeff_closed((True, -1)) == z_coeff_closed((1, -1)) == 0
     assert lie.raising_relation_check((two, np.int64(-3)), "closed") == 0
+    assert exact_width(_ORDER_SERIES, two) == 3
+    assert mu(two, np.int64(1), Fraction(1, 2)) == mu(2, 1, Fraction(1, 2))

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from steklov_zeta import (GENERATORS, RationalComplex, TrigSeries, UnknownBracket,
                           WrongSum, apply_generator, bracket_check, is_real,
-                          lie, lowering_relation_check, plane_tuples,
+                          lie, lowering_relation_check,
                           raising_relation_check, raising_relation_sweep,
-                          symmetrize_z)
+                          relation_sweep, symmetrize_z)
+from steklov_zeta.invariants import zero_sum_multisets
 from steklov_zeta.lie import _bump_sum
 
 from util import random_exact_series, random_zero_sum_tuple
@@ -193,7 +194,8 @@ def test_relation_variants_combine_the_bump_sums(monkeypatch):
 def test_lowering_mirrors_raising(monkeypatch, k):
     """For a sign-flip symmetric coefficient, invariant or not, the lowering
     sum at -idx is minus the raising sum at idx; an odd one breaks this."""
-    idxs = list(plane_tuples(k, 4, -1))
+    idxs = [idx for idx in itertools.product(range(-4, 5), repeat=2 * k)
+            if sum(idx) == -1]
     monkeypatch.setattr(lie, "z_coeff", fake_coeff)
     for idx in idxs:
         flipped = tuple(-j for j in idx)
@@ -218,7 +220,7 @@ def test_all_variants_vanish_on_sample():
 
 def test_sweep_small_radius():
     results = list(raising_relation_sweep(1, 6))
-    assert len(results) == 12  # j1 in [-6,5], j2 = -1-j1 in range
+    assert len(results) == 6  # j1 in [-6, -1], j2 = -1 - j1 >= j1
     assert all(value == 0 for _, value in results)
 
 
@@ -233,26 +235,62 @@ def test_sweep_closed_source_k2():
         assert value == 0
 
 
-def box_filter_tuples(k, radius, plane):
-    """Reference enumeration: the whole box, filtered to the plane."""
-    return [idx for idx in itertools.product(range(-radius, radius + 1),
-                                             repeat=2 * k)
-            if sum(idx) == plane]
+def box_filter_tuples(k, radius):
+    """Reference enumeration: the whole box, as {plane: ordered tuples}."""
+    planes = {}
+    for idx in itertools.product(range(-radius, radius + 1), repeat=2 * k):
+        planes.setdefault(sum(idx), []).append(idx)
+    return planes
 
 
 @pytest.mark.parametrize("k, radii", [(1, range(1, 6)), (2, range(1, 6)),
                                       (3, range(1, 4))])
 def test_plane_tuples_equal_box_filter(k, radii):
+    """The sorted multisets of the box tuples on each plane are what
+    zero_sum_multisets yields for it, and the relation sweep walks them
+    with [::stride] semantics.  On the relation planes every ordered tuple
+    has its multiset's relation value (both sources for k <= 2): the value
+    is symmetric, so the sweep checks each relation once."""
+    sources = ("brute", "closed") if k <= 2 else ("brute",)
+    checks = {-1: raising_relation_check, 1: lowering_relation_check}
     for radius in radii:
+        box = box_filter_tuples(k, radius)
+        values = range(-radius, radius + 1)
         for plane in (-1, 0, 1, 2 * k * radius, 2 * k * radius + 1):
-            full = box_filter_tuples(k, radius, plane)
+            multisets = sorted({tuple(sorted(idx))
+                                for idx in box.get(plane, ())})
+            assert list(zero_sum_multisets(values, 2 * k, plane)) \
+                == multisets, (k, radius, plane)
+        for variant, plane in lie.RELATION_PLANES.items():
+            multisets = sorted({tuple(sorted(idx)) for idx in box[plane]})
             for stride in (1, 3, 7):
-                got = list(plane_tuples(k, radius, plane, stride))
-                assert got == full[::stride], (k, radius, plane, stride)
+                got = [idx for idx, _ in relation_sweep(k, radius, variant,
+                                                        stride)]
+                assert got == multisets[::stride], (k, radius, plane, stride)
+            for source in sources:
+                swept = dict(relation_sweep(k, radius, variant,
+                                            source=source))
+                for idx in box[plane]:
+                    assert checks[plane](idx, source) \
+                        == swept[tuple(sorted(idx))], (idx, source)
 
 
-@pytest.mark.parametrize("k, radius, stride", [(0, 3, 1), (1, 0, 1),
-                                               (1, -1, 1), (1, 3, 0)])
+@pytest.mark.parametrize("k, radius, stride", [
+    (0, 3, 1), (1, 0, 1), (1, -1, 1), (1, 3, 0),
+    (1.5, 2, 1), (1, 2.5, 1), (1, 3, 2.0), ("2", 3, 1)])
 def test_plane_tuples_rejects_bad_parameters(k, radius, stride):
+    """The relation sweep takes its integers through fourier._indices: a
+    value below 1 or a non-integer is a ValueError, never a TypeError."""
     with pytest.raises(ValueError):
-        plane_tuples(k, radius, -1, stride)
+        raising_relation_sweep(k, radius, stride)
+    with pytest.raises(ValueError):
+        relation_sweep(k, radius, "Dminus", stride)
+
+
+def test_relation_sweep_rejects_unknown_variant_and_source():
+    with pytest.raises(ValueError, match="a variant in"):
+        relation_sweep(1, 2, "Dplus")
+    with pytest.raises(ValueError, match="unknown coefficient source"):
+        list(raising_relation_sweep(1, 2, source="exact"))
+
+
