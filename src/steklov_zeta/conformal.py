@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BackendMismatch
-from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, _indices,
+from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, _indices, _size,
                       evaluate_at, from_samples, grid_angles)
 from .scalars import GaussianInteger, clear_denominators
 
@@ -171,9 +171,7 @@ class TruncatedMatrix:
 
 def mu_matrix(rho, N: int) -> TruncatedMatrix:
     """Truncated matrix (mu_{nk}) for |n|, |k| <= N."""
-    (N,) = _indices((N,))
-    if N < 1:
-        raise ValueError("half-width must be >= 1")
+    N = _size(N, "half-width")
     r = _rho_value(rho)
     cols, q, d = _columns(r, N, N)
     # vals[k][n + N] = mu_{nk} for 0 <= k <= N, |n| <= N; zero below n = -1
@@ -188,8 +186,7 @@ def mu_matrix(rho, N: int) -> TruncatedMatrix:
 
 def d_matrix(N: int) -> TruncatedMatrix:
     """Generator of the translation family: two shifted diagonals."""
-    if N < 1:
-        raise ValueError("half-width must be >= 1")
+    N = _size(N, "half-width")
     idx = range(-N, N + 1)
     ent = tuple(
         tuple((n - 2) if k == n - 1 else -(n + 2) if k == n + 1 else 0
@@ -207,6 +204,7 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
     and row n is one Gaussian-integer sum over d D q^{E_n}, divided once.
     """
     r = _rho_value(rho)
+    out_degree = _size(out_degree, "out degree", 0)
     if a.backend == EXACT and isinstance(r, float):
         raise BackendMismatch("exact series with float rho; pass a Fraction")
     exact = a.backend == EXACT
@@ -279,9 +277,9 @@ def group_law_check(rho, rho2, N: int, exact: bool = False,
     N = 40, 50, 60; with the default block the corners move out with N and
     it does NOT shrink that way (1.2e-3, 6.5e-4, 4.4e-4 at N = 40, 52, 60).
     """
-    if block is None:
-        block = N // 2
-    if not 0 <= block <= N:
+    N = _size(N, "half-width")
+    block = N // 2 if block is None else _size(block, "block", 0)
+    if block > N:
         raise ValueError(f"block must lie in [0, N={N}], got {block}")
     r1, r2 = _rho_value(rho), _rho_value(rho2)
     if exact and (isinstance(r1, float) or isinstance(r2, float)):
@@ -295,8 +293,7 @@ def group_law_check(rho, rho2, N: int, exact: bool = False,
 
 def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
     """Integrate M' = D M from the identity over [0, t], classical RK4."""
-    if steps < 1:
-        raise ValueError("need at least one step")
+    steps = _size(steps, "steps")
     h = t / steps
     M = np.eye(D.shape[0])
     for _ in range(steps):
@@ -333,10 +330,11 @@ def suggest_out_degree(max_input_freq: int, rho, tol: float) -> int:
     Uses the decay bound |mu_{nk}| <= C_k n^{|k|} |rho|^{n/2} (valid for
     |n| >= 2|k|), summed over both signs of n past the cut.
     """
+    max_input_freq = _size(max_input_freq, "max input frequency", 0)
     r = abs(float(_rho_value(rho)))
     if r == 0.0:
         return max_input_freq
-    k = max(1, abs(max_input_freq))
+    k = max(1, max_input_freq)
     log_ck = math.log(decay_constant(k))
     log_r = math.log(r)
 

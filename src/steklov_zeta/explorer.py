@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateDenominator, NotHermitian, NotReal
-from .fourier import EXACT, TrigSeries, is_real, min_on_circle
+from .fourier import EXACT, TrigSeries, _size, is_real, min_on_circle
 from .invariants import z1_closed, z2_closed, zeta
 from .scalars import RationalComplex
 
@@ -38,10 +38,10 @@ class CampaignConfig:
     kappas: tuple = ()
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.max_degree < 2:
-            raise ValueError("max degree must be >= 2")
+        # stored as ints, so a numpy integer still serializes to JSON
+        object.__setattr__(self, "count", _size(self.count, "count"))
+        object.__setattr__(self, "max_degree",
+                           _size(self.max_degree, "max degree", 2))
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ def random_real_series(n0: int, scale: float,
     imaginary parts of a_n are uniform in [-scale/sqrt(2), scale/sqrt(2)]
     and a_{-n} is the conjugate.
     """
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
+    n0 = _size(n0, "n0")
     coeffs = {0: complex(rng.uniform(-scale, scale), 0.0)}
     s = scale / math.sqrt(2.0)
     for n in range(1, n0 + 1):
@@ -231,8 +230,7 @@ def a_kappa_form(kappa: float, m: int) -> np.ndarray:
     2 kappa n (n^2-1)(n+2)(n+1/2), second off-diagonal
     kappa^2 n (n^2-1)(n+2)(n+3), all scaled by 4/5.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    m = _size(m, "m", 2)
     kappa = float(kappa)
     size = m - 1
     H = np.zeros((size, size))
@@ -258,23 +256,18 @@ def trinomial_extract(tail: TrigSeries, kappa):
         raise ValueError("tail series must vanish on frequencies |n| <= 1")
     exact = tail.backend == EXACT and isinstance(kappa, (int, Fraction))
     base = tail if exact else tail.to_float()
+    kappa = Fraction(kappa) if exact else float(kappa)
 
     def z2_at(x):
-        if exact:
-            kx = Fraction(kappa) * x
-            head = TrigSeries.exact({0: Fraction(x), 1: kx, -1: kx})
-            return z2_closed(base + head).re
-        kx = float(kappa) * x
-        head = TrigSeries.from_complex({0: x, 1: kx, -1: kx})
-        return complex(z2_closed(base + head)).real
+        kx = kappa * x
+        z = z2_closed(base + TrigSeries({0: x, 1: kx, -1: kx}, base.backend))
+        return z.re if exact else z.real
 
     z0 = z2_at(0)
     zp = z2_at(1)
     zm = z2_at(-1)
-    two = Fraction(2) if exact else 2.0
-    four = Fraction(4) if exact else 4.0
-    A = (zp + zm) / two - z0
-    B = (zp - zm) / four
+    A = (zp + zm) / 2 - z0
+    B = (zp - zm) / 4
     return A, B, z0
 
 

@@ -49,7 +49,7 @@ def _indices(values) -> list:
     """The values as Python ints via operator.index (ints, bools, numpy
     integers); anything else raises a ValueError naming it, never a
     truncated value.  The library's one integer check: frequencies,
-    coefficient indices, orders k and the sizes of mu_matrix and sweeps."""
+    coefficient indices, orders k and every size argument (_size)."""
     out = []
     for j in values:
         try:
@@ -59,13 +59,14 @@ def _indices(values) -> list:
     return out
 
 
-def _order(k) -> int:
-    """The order k as an int >= 1, else a ValueError: the one check of k
-    (zeta_invariant, exact_width, trace_difference)."""
-    (k,) = _indices((k,))
-    if k < 1:
-        raise ValueError(f"order k must be >= 1, got {k}")
-    return k
+def _size(value, name: str, least: int = 1) -> int:
+    """value as an int >= least, else a ValueError naming it: the one check
+    of orders k, grid sizes, degrees (least 0), half-widths, step and
+    sample counts."""
+    (n,) = _indices((value,))
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 class TrigSeries:
@@ -187,6 +188,7 @@ class CircleGrid:
 
 
 def grid_angles(size: int) -> np.ndarray:
+    size = _size(size, "grid size")
     return 2.0 * np.pi * np.arange(size) / size
 
 
@@ -260,8 +262,7 @@ def from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
     band-limited to the requested degree; the grid must satisfy the Nyquist
     bound size >= 2*degree + 1.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    degree = _size(degree, "degree", 0)
     if grid.size < 2 * degree + 1:
         raise GridTooSmall(
             f"grid size {grid.size} < 2*{degree}+1 required for degree {degree}")

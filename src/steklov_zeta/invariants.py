@@ -25,27 +25,28 @@ are piecewise odd quintic polynomials evaluated after canonicalizing the
 quadruple under permutations and a global sign flip.
 
 Every form is summed from a table that depends only on the support of a,
-not on its values: the zero-sum multisets of support values, as rows of
-positions into the sorted support, each with its weight coefficient times
-orderings (see _form_table).  A table is cached on (support, slots,
-coefficient function, backend), so a series with a new support pays the
-build once and every later series on that support pays one gather per
-pair of slots, a product and a sum.  A build calls the coefficient
-function once per zero-sum multiset, which is most of its cost (the
-coefficient caches never hit there), and does the rest of its bookkeeping
-in numpy; the closed Z_2 table of a degree-60 support, 51,071 multisets,
-takes about 0.2 s, against about 2 ms for a warm float Z_2 of a degree-60
-series (2-vCPU x86_64 VM, Python 3.11).  The exact backend sums on Gaussian
-integers and divides once, so its values are exact; the float backend
-multiplies pair products and sums in numpy, in another order than a
-term-by-term loop, so float values may differ from such a loop in the last
-bits.
+not on its values: the zero-sum multisets of support values, as pair
+indices into the outer product of the coefficient vector, each with its
+weight coefficient times orderings (see _form_table).  A table is cached on
+(support, slots, coefficient function, backend), so a series with a new
+support pays the build once and every later series on that support pays
+one gather per pair of slots, a product and a sum.  A build calls the
+coefficient function once per zero-sum multiset, which is most of its cost
+(the coefficient caches never hit there), and does the rest of its
+bookkeeping in numpy and on ints; the closed Z_2 table of a degree-60
+support, 51,071 multisets, takes about 0.2 s, against about 2 ms for a warm
+float Z_2 of a degree-60 series (2-vCPU x86_64 VM, Python 3.11).  Both
+backends run one evaluator (_form_sum): the exact one on Gaussian integers,
+dividing once, so its values are exact; the float one in numpy floats, in
+another order than a term-by-term loop, so float values may differ from
+such a loop in the last bits.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -54,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonZeroSum
-from .fourier import EXACT, TrigSeries, _indices, _order
+from .fourier import EXACT, TrigSeries, _indices, _size
 from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 
@@ -212,52 +213,56 @@ def zero_sum_multisets(values, slots: int, total: int = 0):
 
 @lru_cache(maxsize=16)
 def _form_table(support: tuple, slots: int, coeff, backend: str):
-    """The zero-sum terms of a form on one support: (rows, weights, den).
+    """The zero-sum terms of a form on one support: (pairs, weights, den).
 
     There is one term per zero-sum multiset of support values whose
     coefficient coeff(*multiset) is nonzero, and its weight is coefficient
-    times orderings.  For the exact backend rows is an (M, slots) array of
-    positions into the sorted support and the weights are ints over one
-    common denominator den.  For the float one the weights are float64, den
-    is 1, and rows is the (slots/2, M) array of pair indices p * S + q into
-    the S x S outer product of the coefficient vector, where (p, q) are the
-    positions in slots (2i, 2i + 1) of a row; slots is even for every form.
+    times orderings.  pairs is the (slots/2, M) array of pair indices
+    p * S + q into the S x S outer product of the coefficient vector, where
+    (p, q) are the positions in the sorted support of slots (2i, 2i + 1) of
+    the multiset; slots is even for every form.  For the float backend the
+    weights are float64 and den is 1; for the exact one they are an object
+    array of ints over one common denominator den.
 
     coeff is called once per multiset that zero_sum_multisets yields; the
     rest is numpy on the kept (M, slots) array of values.  Positions come
-    from a search in the support.  The orderings of a sorted row are the
-    multinomial slots! / prod(run!) over its runs of equal values, and
+    from a search in the support.  The orderings of a sorted multiset are
+    the multinomial slots! / prod(run!) over its runs of equal values, and
     prod(run!) is the product, over the slots, of the run length reached
-    at each slot.
+    at each slot.  Each weight is reduced to n / d on integers, with no
+    Fraction: a coefficient c is in lowest terms, so c * o reduces by
+    gcd(o, c.denominator).
     """
-    flat, coeffs = [], []
+    flat, nums, dens = [], [], []
     for ms in zero_sum_multisets(support, slots):
         c = coeff(*ms)
         if c:
             flat.extend(ms)
-            coeffs.append(c)
+            nums.append(c.numerator)
+            dens.append(c.denominator)
     values = np.asarray(support)
     rows = np.searchsorted(values, np.array(flat, dtype=values.dtype))
-    rows = rows.reshape(len(coeffs), slots)
+    rows = rows.reshape(len(nums), slots)
     del flat  # a Python int list of M * slots entries; keeps the peak low
-    run = np.ones(len(coeffs), dtype=np.int64)
+    run = np.ones(len(nums), dtype=np.int64)
     runs = run.copy()
     for same in (rows[:, 1:] == rows[:, :-1]).T:
         run = np.where(same, run + 1, 1)
         runs *= run
     orderings = (math.factorial(slots) // runs).tolist()
-    if backend == EXACT:
-        weights = [c * o for c, o in zip(coeffs, orderings)]
-        den = math.lcm(*(w.denominator for w in weights))
-        return rows, [w.numerator * (den // w.denominator)
-                      for w in weights], den
-    # float(c * o) without the Fraction: the same correctly rounded
-    # quotient of the same rational
-    weights = np.fromiter((c.numerator * o / c.denominator
-                           for c, o in zip(coeffs, orderings)),
-                          float, len(coeffs))
+    gcds = list(map(math.gcd, orderings, dens))
+    nums = list(map(operator.mul, nums,
+                    map(operator.floordiv, orderings, gcds)))
+    dens = list(map(operator.floordiv, dens, gcds))
     pairs = rows[:, 0::2] * len(support) + rows[:, 1::2]
-    return np.ascontiguousarray(pairs.T), weights, 1
+    pairs = np.ascontiguousarray(pairs.T)
+    if backend == EXACT:
+        den = math.lcm(*dens)
+        return pairs, np.array([n * (den // d) for n, d in zip(nums, dens)],
+                               dtype=object), den
+    # n / d is the correctly rounded quotient of the rational c * o
+    return pairs, np.fromiter(map(operator.truediv, nums, dens), float,
+                              len(nums)), 1
 
 
 def _form_sum(a: TrigSeries, slots: int, coeff):
@@ -270,32 +275,29 @@ def _form_sum(a: TrigSeries, slots: int, coeff):
     functions, so they never share a table; the caller passes the function
     its module binds at call time, so one swapped in for z2_coeff_closed
     (the benchmark tracer's counting wrapper) gets tables of its own and is
-    the one they call.  The exact backend sums the rows on
-    Gaussian integers, with the coefficients of a scaled by the lcm D of
-    their denominators, and divides once by den * D^slots; the float backend
-    forms the outer product of the coefficient vector once, gathers one
-    pair product per two slots of each row (2 gathers for Z_2, 3 for
-    k = 3), multiplies them into the weights and sums in numpy, returning
-    a Python complex.
+    the one they call.
+
+    One evaluation for both rings: the coefficient vector on the support
+    (complex, or the Gaussian integers of a scaled by the lcm D of its
+    coefficient denominators), its outer product, one gather per pair of
+    slots (2 for Z_2, 3 for k = 3), a product into the weights and one sum.
+    Only the last step differs: a float sum becomes a Python complex, an
+    exact one is divided once by den * D^slots.
     """
     exact = a.backend == EXACT
     if not a:
         return RC_ZERO if exact else 0j
-    rows, weights, den = _form_table(a.support, slots, coeff, a.backend)
+    pairs, weights, den = _form_table(a.support, slots, coeff, a.backend)
+    values = [a.coeff(v) for v in a.support]
     if exact:
-        vec, D = clear_denominators(a.coeff(v) for v in a.support)
-        total = GaussianInteger(0, 0)
-        for w, row in zip(weights, rows.tolist()):
-            prod = vec[row[0]]
-            for p in row[1:]:
-                prod = prod * vec[p]
-            total = total + w * prod
-        return total.over(den * D ** slots)
-    vec = np.array([a.coeff(v) for v in a.support], dtype=complex)
+        values, D = clear_denominators(values)
+    vec = np.array(values, dtype=object if exact else complex)
     products = np.multiply.outer(vec, vec).ravel()
-    terms = weights * products.take(rows[0])
-    for pair in rows[1:]:
+    terms = weights * products.take(pairs[0])
+    for pair in pairs[1:]:
         terms *= products.take(pair)
+    if exact:
+        return sum(terms, GaussianInteger(0, 0)).over(den * D ** slots)
     return complex(terms.sum())
 
 
@@ -310,7 +312,7 @@ def zeta_invariant(a: TrigSeries, k: int):
     Returns a backend scalar (RationalComplex or complex); the value is real
     whenever a is conjugate-symmetric.
     """
-    return _form_sum(a, 2 * _order(k), _z_coeff_of)
+    return _form_sum(a, 2 * _size(k, "order k"), _z_coeff_of)
 
 
 def _pair_coeff_closed(i: int, j: int) -> Fraction:

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TruncationTooSmall
-from .fourier import EXACT, FLOAT, TrigSeries, _order
+from .fourier import EXACT, FLOAT, TrigSeries, _size
 from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 KIND_DN = "dn"            # symbol |n|
@@ -90,14 +90,6 @@ class BandedOperator:
                 rows[m] = acc
         return BandedOperator(self.half_width, rows, self.backend)
 
-    def power(self, k: int) -> "BandedOperator":
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out.matmul(self)
-        return out
-
     def trace_of_square(self):
         """Tr(P^2) without forming P^2: sum_{m,n} P[m,n] P[n,m]."""
         total = _ZERO[self.backend]
@@ -129,7 +121,7 @@ def _banded(items, kind: str, N: int, backend: str) -> BandedOperator:
 
 def operator_matrix(a: TrigSeries, kind: str, N: int) -> BandedOperator:
     """Truncated matrix of a*L (kind "dn") or a*D_theta (kind "dtheta")."""
-    return _banded(a.items(), kind, N, a.backend)
+    return _banded(a.items(), kind, _size(N, "half-width", 0), a.backend)
 
 
 def _trace_difference_at(a: TrigSeries, k: int, N: int):
@@ -165,7 +157,7 @@ def _trace_difference_at(a: TrigSeries, k: int, N: int):
 def exact_width(a: TrigSeries, k: int) -> int:
     """The half-width W = max(deg(a), k deg(a) - 1) at which the truncated
     trace difference is the infinite one (module docstring)."""
-    return max(a.degree, _order(k) * a.degree - 1)
+    return max(a.degree, _size(k, "order k") * a.degree - 1)
 
 
 def trace_difference(a: TrigSeries, k: int, N: int):
@@ -178,7 +170,7 @@ def trace_difference(a: TrigSeries, k: int, N: int):
     series and their degree-60 pullbacks (tests/test_trace.py; 1.2e-14 at
     worst, where subtracting two traces loses up to 1.1e-6).
     """
-    k = _order(k)
+    k, N = _size(k, "order k"), _size(N, "half-width", 0)
     W = exact_width(a, k)
     if N < W:
         raise TruncationTooSmall(f"half-width {N} < exact width "

@@ -200,3 +200,6 @@ def test_campaign_validation():
         CampaignConfig(seed=1, count=0, max_degree=5)
     with pytest.raises(ValueError):
         CampaignConfig(seed=1, count=1, max_degree=1)
+    cfg = CampaignConfig(seed=1, count=np.int64(1), max_degree=np.int64(2))
+    assert (type(cfg.count), type(cfg.max_degree)) == (int, int)
+    z2_nonneg_campaign(cfg).to_text("json")

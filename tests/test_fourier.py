@@ -13,8 +13,14 @@ from steklov_zeta import (BackendMismatch, CircleGrid, GridTooSmall,
                           is_real, min_on_circle, normalization_integral,
                           random_real_series, sample_series,
                           series_from_json, series_to_json)
-from steklov_zeta.explorer import rationalize_series
+from steklov_zeta.conformal import (apply_moebius, d_matrix,
+                                    exp_relation_check, group_law_check,
+                                    mu_matrix, pullback_direct,
+                                    rk4_exponential, suggest_out_degree)
+from steklov_zeta.explorer import (CampaignConfig, a_kappa_form,
+                                   rationalize_series)
 from steklov_zeta.fourier import grid_angles
+from steklov_zeta.trace import KIND_DN, operator_matrix, trace_difference
 
 
 def test_stored_zeros_are_dropped():
@@ -312,3 +318,56 @@ def test_rational_complex_basics():
     assert (z - z) == 0
     with pytest.raises(TypeError):
         z * 0.5  # no silent float promotion
+
+
+# one check of every size argument ------------------------------------------
+
+_WEIGHT = TrigSeries.from_complex({0: 2.0, 1: 1.0, -1: 1.0})  # 2 + 2 cos
+SIZE_CALLS = {  # name: (call of the size, least admissible size)
+    "grid_angles": (grid_angles, 1),
+    "min_on_circle": (lambda n: min_on_circle(_WEIGHT, n), 1),
+    "normalization_integral":
+        (lambda n: normalization_integral(_WEIGHT, n), 1),
+    "sample_series": (lambda n: sample_series(_WEIGHT, n), 1),
+    "pullback_direct-grid": (lambda n: pullback_direct(_WEIGHT, 0.5, n, 0), 1),
+    "from_samples": (lambda n: from_samples(sample_series(_WEIGHT, 64), n), 0),
+    "apply_moebius": (lambda n: apply_moebius(_WEIGHT, 0.5, n), 0),
+    "pullback_direct-degree":
+        (lambda n: pullback_direct(_WEIGHT, 0.5, 64, n), 0),
+    "d_matrix": (d_matrix, 1),
+    "mu_matrix": (lambda n: mu_matrix(0.5, n), 1),
+    "operator_matrix": (lambda n: operator_matrix(_WEIGHT, KIND_DN, n), 0),
+    "trace_difference": (lambda n: trace_difference(_WEIGHT, 2, n), 0),
+    "suggest_out_degree": (lambda n: suggest_out_degree(n, 0.5, 1e-9), 0),
+    "group_law_check-N": (lambda n: group_law_check(0.5, 0.5, n), 1),
+    "group_law_check-block":
+        (lambda n: group_law_check(0.5, 0.5, 4, block=n), 0),
+    "rk4_exponential": (lambda n: rk4_exponential(np.eye(3), 0.1, n), 1),
+    "exp_relation_check": (lambda n: exp_relation_check(0.5, 4, n), 1),
+    "random_real_series": (lambda n: random_real_series(
+        n, 1.0, np.random.default_rng(0)), 1),
+    "a_kappa_form": (lambda n: a_kappa_form(0.5, n), 2),
+    "CampaignConfig.count":
+        (lambda n: CampaignConfig(seed=1, count=n, max_degree=5), 1),
+    "CampaignConfig.max_degree":
+        (lambda n: CampaignConfig(seed=1, count=1, max_degree=n), 2),
+}
+
+
+@pytest.mark.parametrize("bad", ["float", "string", "below"])
+@pytest.mark.parametrize("name", sorted(SIZE_CALLS))
+def test_bad_size_is_rejected_everywhere(name, bad):
+    call, least = SIZE_CALLS[name]
+    value, message = {
+        "float": (2.5, "index 2.5 is not an integer"),
+        "string": ("4", "index '4' is not an integer"),
+        "below": (least - 1, f"must be >= {least}, got {least - 1}"),
+    }[bad]
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_CALLS))
+def test_integer_like_sizes_are_accepted(name):
+    call, least = SIZE_CALLS[name]
+    call(np.int64(least + 2))

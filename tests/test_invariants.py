@@ -20,10 +20,11 @@ from steklov_zeta import invariants, lie
 from steklov_zeta.invariants import (_COEFF_CACHE_SIZE, _form_table,
                                      _p1_90, _p2_90, zero_sum_multisets)
 from steklov_zeta.lie import raising_relation_sweep
-from steklov_zeta.scalars import RC_ZERO
+from steklov_zeta.scalars import (RC_ZERO, GaussianInteger,
+                                  clear_denominators)
 from steklov_zeta.trace import exact_width, trace_difference
 
-from util import random_exact_series, random_zero_sum_tuple
+from util import random_exact_series, random_fraction, random_zero_sum_tuple
 
 
 def oracle_n(indices):
@@ -448,15 +449,18 @@ def _unit_coeff(*ms) -> Fraction:
 
 
 def test_orderings_is_the_multinomial_count():
-    # with every coefficient 1 a table weight is the orderings alone
+    # with every coefficient 1 a table weight is the orderings alone; a
+    # table column is one multiset, as pair indices p * S + q
     for support in (tuple(range(-3, 4)), (-5, -2, 0, 1, 4)):
-        for slots in range(1, 7):
-            rows, weights, den = _form_table.__wrapped__(
+        for slots in (2, 4, 6):
+            pairs, weights, den = _form_table.__wrapped__(
                 support, slots, _unit_coeff, "exact")
             assert den == 1
-            assert len(weights) == len(rows) > 0
-            for row, w in zip(rows.tolist(), weights):
-                ms = tuple(support[p] for p in row)
+            assert pairs.shape == (slots // 2, len(weights))
+            assert len(weights) > 0
+            for column, w in zip(pairs.T.tolist(), weights):
+                ms = tuple(support[p] for pair in column
+                           for p in divmod(pair, len(support)))
                 assert w == len(set(itertools.permutations(ms))), ms
 
 
@@ -596,7 +600,7 @@ def test_z_cache_drops_its_oldest_entries(monkeypatch):
 
 def reference_form_table(support, slots, coeff, backend):
     """The term-by-term table build, one multiset at a time, kept as the
-    oracle for the table's rows, weights and den."""
+    oracle for the table's pairs, weights and den."""
     where = {v: i for i, v in enumerate(support)}
     rows, weights = [], []
     for ms in zero_sum_multisets(support, slots):
@@ -610,12 +614,43 @@ def reference_form_table(support, slots, coeff, backend):
         weights.append(c * o if backend == "exact"
                        else c.numerator * o / c.denominator)
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), slots)
+    pairs = np.ascontiguousarray(
+        (rows[:, 0::2] * len(support) + rows[:, 1::2]).T)
     if backend == "exact":
         den = math.lcm(*(w.denominator for w in weights))
-        return rows, [w.numerator * (den // w.denominator)
-                      for w in weights], den
-    pairs = rows[:, 0::2] * len(support) + rows[:, 1::2]
-    return np.ascontiguousarray(pairs.T), np.array(weights, dtype=float), 1
+        return pairs, [w.numerator * (den // w.denominator)
+                       for w in weights], den
+    return pairs, np.array(weights, dtype=float), 1
+
+
+def term_by_term_form_sum(a, slots, coeff):
+    """The exact form sum of the (M, slots) row table, kept as the oracle
+    of _form_sum: per zero-sum multiset, the product of its coefficients
+    on Gaussian integers (a scaled by the lcm D of its denominators) times
+    the Fraction weight coefficient * orderings over their common
+    denominator den, summed row by row and divided once by den * D^slots."""
+    if not a:
+        return RC_ZERO
+    support = a.support
+    where = {v: i for i, v in enumerate(support)}
+    rows, weights = [], []
+    for ms in zero_sum_multisets(support, slots):
+        c = coeff(*ms)
+        if c:
+            rows.append([where[v] for v in ms])
+            o = math.factorial(slots)
+            for run in Counter(ms).values():
+                o //= math.factorial(run)
+            weights.append(c * o)
+    den = math.lcm(*(w.denominator for w in weights))
+    vec, D = clear_denominators(a.coeff(v) for v in support)
+    total = GaussianInteger(0, 0)
+    for w, row in zip(weights, rows):
+        prod = vec[row[0]]
+        for p in row[1:]:
+            prod = prod * vec[p]
+        total = total + w.numerator * (den // w.denominator) * prod
+    return total.over(den * D ** slots)
 
 
 def _six_slot_coeff(*ms) -> Fraction:
@@ -648,11 +683,44 @@ def test_form_table_equals_term_by_term_build(slots, coeff, support,
     assert np.array_equal(rows, ref_rows)
     assert den == ref_den
     if backend == "exact":
+        assert weights.dtype == object
         assert all(type(w) is int for w in weights)
-        assert weights == ref_weights
+        assert weights.tolist() == ref_weights
     else:
         assert weights.dtype == ref_weights.dtype
         assert weights.tobytes() == ref_weights.tobytes()
+
+
+def _sparse_exact_series(rng):
+    return TrigSeries.exact({n: RationalComplex(random_fraction(rng),
+                                                random_fraction(rng))
+                             for n in SPARSE_SUPPORT})
+
+
+ORACLE_FORMS = {
+    "z1": (z1_closed, 2, invariants._pair_coeff_closed),
+    "z2": (z2_closed, 4, z2_coeff_closed),
+    "z3": (lambda a: zeta_invariant(a, 3), 6, invariants._z_coeff_of),
+}
+
+
+@pytest.mark.parametrize("series", ["dense", "sparse", "empty-table"])
+@pytest.mark.parametrize("form", sorted(ORACLE_FORMS))
+def test_form_sum_equals_term_by_term_oracle(form, series):
+    evaluate, slots, coeff = ORACLE_FORMS[form]
+    rng = random.Random(31)
+    if series == "dense":
+        # degree 30 for Z_1 and Z_2; Z_3 at degree 30 would need 787,986
+        # brute six-slot coefficients, so its dense series has degree 3
+        a = random_exact_series(rng, 3 if form == "z3" else 30)
+    elif series == "sparse":
+        a = _sparse_exact_series(rng)
+    else:
+        a = TrigSeries.exact({1: 2, 2: (1, 1)})  # no zero-sum multiset
+    value = evaluate(a)
+    assert isinstance(value, RationalComplex)
+    assert value == term_by_term_form_sum(a, slots, coeff)
+    assert (value == RC_ZERO) == (series == "empty-table")
 
 
 def test_closed_table_calls_the_module_coefficient_once_per_multiset(
@@ -729,9 +797,9 @@ _ORDER_SERIES = TrigSeries.exact({1: 1, -1: 1, 2: (1, 2)})
          "exact_width-zero", "exact_width-float", "mu-n", "mu-k",
          "mu_matrix-float", "mu_matrix-zero"])
 def test_order_and_sizes_raise_value_error(call, message):
-    """k goes through fourier._order, the integer arguments of mu and
-    mu_matrix through fourier._indices: a ValueError, never a TypeError
-    or a silent value."""
+    """k and the size of mu_matrix go through fourier._size, the indices of
+    mu through fourier._indices: a ValueError, never a TypeError or a
+    silent value."""
     with pytest.raises(ValueError, match=message):
         call()
 

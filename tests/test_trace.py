@@ -202,9 +202,13 @@ def test_true_width_is_exact_and_sharp():
 def rational_complex_trace(a, k, N):
     """The trace route before Gaussian integers: the banded kernel run on
     the RationalComplex entries of operator_matrix."""
-    A = operator_matrix(a, KIND_DN, N)
-    B = operator_matrix(a, KIND_DTHETA, N)
-    return A.power(k).trace_of_square() - B.power(k).trace_of_square()
+    traces = []
+    for kind in (KIND_DN, KIND_DTHETA):
+        M = P = operator_matrix(a, kind, N)
+        for _ in range(k - 1):
+            P = P.matmul(M)
+        traces.append(P.trace_of_square())
+    return traces[0] - traces[1]
 
 
 @pytest.mark.parametrize("coeffs", [
