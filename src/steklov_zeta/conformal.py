@@ -26,6 +26,18 @@ The float backend runs the same recurrence with p = rho, q = 1.  There is
 no alternating sum to cancel: |B| = 1 on the circle and the division
 contracts for |rho| < 1, so rounding grows at most linearly in k.
 
+Every column has two norms in closed form.  |B| = 1 on the circle, and the
+derivative of e^{ik phi}/phi' is e^{ik phi}(ik + (1/phi')') with the real
+(1/phi')' = 2 rho sin(theta)/(1 - rho^2), so by Parseval
+
+    sum_n |mu_{nk}|^2     = (1 + 4 rho^2 + rho^4)/(1 - rho^2)^2,
+    sum_n n^2 |mu_{nk}|^2 = k^2 + 2 rho^2/(1 - rho^2)^2.
+
+The second, less the exact rows n <= c, is the weighted tail of column k
+past c; suggest_out_degree cuts the output where those tails bound the l1
+mass dropped from all columns |k| <= K by tol, so that the cut transport
+of a series of degree <= K is off by at most tol max|a_k| in sup norm.
+
 M(rho) M(rho') = M(rho'') for rho'' = (rho + rho')/(1 + rho rho'), and
 M(rho) = exp(t D) for tanh t = rho, with the tridiagonal generator
 d_{nk} = (n - 2) delta_{n-1,k} - (n + 2) delta_{n+1,k}.  Entries decay
@@ -38,9 +50,11 @@ comfortably exceeds the band spread of the block; see group_law_check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -107,21 +121,24 @@ def _pow(base, exponent: int):
     return base ** exponent
 
 
+def _rows(p, q, K: int):
+    """Rows (U^{(0)}_n, ..., U^{(K)}_n) for n = -1, 0, 1, ... (module
+    docstring), each from the row before; endless."""
+    qq = q * q
+    prev = [0] * (K + 1)
+    for u in chain((-p * q, (qq + p * p) * q, -p * qq * q), repeat(0)):
+        row = [u]
+        for k in range(K):
+            row.append(qq * prev[k] - p * row[k] + p * prev[k + 1])
+        yield row
+        prev = row
+
+
 def _columns(r, K: int, N: int):
     """(U, q, d) with U[k][n + 1] = U^{(k)}_n (module docstring) for k <= K,
     -1 <= n <= N; a float r runs it with p = r, q = 1.0."""
     p, q = (r, 1.0) if isinstance(r, float) else (r.numerator, r.denominator)
-    qq = q * q
-    cols = [([-p * q, (qq + p * p) * q, -p * qq * q] + [0] * N)[:N + 2]]
-    for _ in range(K):
-        below = run = 0  # U^{(k)}_{n-1} and U^{(k+1)}_{n-1}
-        new = []
-        for u in cols[-1]:
-            run = qq * below - p * u + p * run
-            new.append(run)
-            below = u
-        cols.append(new)
-    return cols, q, qq - p * p
+    return list(zip(*islice(_rows(p, q, K), N + 2))), q, q * q - p * p
 
 
 _cached_columns = lru_cache(maxsize=32, typed=True)(_columns)
@@ -199,9 +216,11 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
     """Transport a through the boundary map, row by row in Fourier space.
 
     Builds the columns |k| <= deg(a) on rows |n| <= out_degree, the caller's
-    truncation of the (infinite) output (see suggest_out_degree); each kept
-    coefficient is exact.  An exact a is cleared to Gaussian integers over D
-    and row n is one Gaussian-integer sum over d D q^{E_n}, divided once.
+    truncation of the (infinite) output; each kept coefficient is exact, and
+    at out_degree = suggest_out_degree(deg(a), rho, tol) the dropped ones
+    add up to at most tol max|a_k| in sup norm.  An exact a is cleared to
+    Gaussian integers over D and row n is one Gaussian-integer sum over
+    d D q^{E_n}, divided once.
     """
     r = _rho_value(rho)
     out_degree = _size(out_degree, "out degree", 0)
@@ -317,49 +336,28 @@ def exp_relation_check(rho, N: int, steps: int) -> float:
     return float(np.max(np.abs(M[sl, sl] - ref[sl, sl])))
 
 
-def decay_constant(k: int) -> float:
-    """Constant C_k in the tail bound |mu_{nk}| <= C_k n^{|k|} |rho|^{n/2}."""
-    kk = abs(k)
-    return float(sum(Fraction(math.comb(kk + 1, l), math.factorial(l - 3))
-                     for l in range(3, kk + 2))) or 1.0
-
-
 def suggest_out_degree(max_input_freq: int, rho, tol: float) -> int:
-    """Smallest output degree whose dropped-tail bound is below tol.
-
-    Uses the decay bound |mu_{nk}| <= C_k n^{|k|} |rho|^{n/2} (valid for
-    |n| >= 2|k|), summed over both signs of n past the cut.
-    """
-    max_input_freq = _size(max_input_freq, "max input frequency", 0)
-    r = abs(float(_rho_value(rho)))
-    if r == 0.0:
-        return max_input_freq
-    k = max(1, max_input_freq)
-    log_ck = math.log(decay_constant(k))
-    log_r = math.log(r)
-
-    def tail_bound(cut: int) -> float:
-        total = 0.0
-        for n in range(cut + 1, cut + 10001):
-            lt = math.log(2.0) + log_ck + k * math.log(n) + 0.5 * n * log_r
-            if lt > 700.0:
-                return math.inf
-            t = math.exp(lt)
-            total += t
-            if t < tol * 1e-6:
-                break
-        return total
-
-    lo = max(2 * k, max_input_freq)
-    hi = lo
-    while tail_bound(hi) >= tol:
-        hi = 2 * hi + 8
-        if hi > 10**6:
-            raise ValueError("no feasible truncation below 10^6 frequencies")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_bound(mid) < tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """Smallest output degree c >= K = max_input_freq at which the l1 mass
+    dropped from the columns |k| <= K is provably below tol, so that
+    sup|b - b_cut| <= tol max|a_k| for deg(a) <= K (module docstring).
+    Cauchy-Schwarz bounds column k's by sqrt(T_k(c) / c) for its weighted
+    tail T_k(c); each column must reach tol / (2K + 1).  A float rho runs
+    on its exact dyadic value; every comparison is on integers."""
+    K = _size(max_input_freq, "max input frequency", 0)
+    r = Fraction(_rho_value(rho))
+    if not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite real > 0, got {tol!r}")
+    eps = (Fraction(float(tol)) / (2 * K + 1)) ** 2
+    p, q = r.numerator, r.denominator
+    qq, dd = q * q, (q * q - p * p) ** 2
+    rows = _rows(p, q, K)
+    # R[k] = T_k(c) d^2 q^{2(c+k+1)}, G = eps_num d^2 q^{2(c+1)}; c = -1 first
+    R = [(k * k * dd + 2 * p * p * qq) * qq ** k - u * u
+         for k, u in enumerate(next(rows))]
+    G = eps.numerator * dd
+    for c, row in enumerate(rows):
+        R = [qq * x - c * c * u * u for x, u in zip(R, row)]
+        G *= qq
+        if c >= K and all(x * eps.denominator <= c * G * qq ** k
+                          for k, x in enumerate(R)):
+            return c

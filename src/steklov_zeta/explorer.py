@@ -39,6 +39,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         # stored as ints, so a numpy integer still serializes to JSON
+        object.__setattr__(self, "seed", _size(self.seed, "seed", 0))
         object.__setattr__(self, "count", _size(self.count, "count"))
         object.__setattr__(self, "max_degree",
                            _size(self.max_degree, "max degree", 2))

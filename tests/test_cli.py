@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from steklov_zeta import TrigSeries, exact_width, save_series
+from steklov_zeta import (TrigSeries, exact_width, save_series,
+                          suggest_out_degree)
 from steklov_zeta.cli import main
 
 
@@ -129,6 +130,15 @@ def test_check_invariance(capsys, pair_series):
                        "--out-degree", "30")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("rho", ["0.3", "-0.5"])
+def test_check_invariance_default_cut(capsys, pair_series, rho):
+    code, out, _ = run(capsys, "check-invariance", "--series", pair_series,
+                       f"--rho={rho}", "--k", "2")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["out_degree"] == suggest_out_degree(2, float(rho), 1e-9)
 
 
 def test_check_relations(capsys, tmp_path):

@@ -14,7 +14,7 @@ from steklov_zeta import (BackendMismatch, MoebiusParam, TrigSeries,
                           exp_relation_check, group_law_check, mu, mu_matrix,
                           pullback_direct, rotate, suggest_out_degree,
                           z1_closed, z2_closed)
-from steklov_zeta.conformal import decay_constant, rk4_exponential
+from steklov_zeta.conformal import _columns, rk4_exponential
 
 from util import random_exact_series
 
@@ -179,13 +179,23 @@ def test_d_matrix_entries():
     assert D.at(0, 1) == -2 and D.at(0, -1) == -2
 
 
-def test_decay_bound_holds():
-    for rho in (0.3, 0.6):
-        for k in (2, 3, 4, 5):
-            ck = decay_constant(k)
-            for n in range(2 * k, 41):
-                assert abs(mu(n, k, rho)) <= ck * n ** k * rho ** (n / 2) + 1e-14
-                assert abs(mu(-n, -k, rho)) <= ck * n ** k * rho ** (n / 2) + 1e-14
+@pytest.mark.parametrize("rho", [Fraction(1, 10), Fraction(3, 10),
+                                 Fraction(1, 2), Fraction(-2, 7),
+                                 Fraction(0.3)], ids=str)
+def test_column_norms_have_closed_forms(rho):
+    """sum_n |mu_{nk}|^2 and sum_n n^2 |mu_{nk}|^2 (module docstring) against
+    the exact rows n <= 400: each closed form exceeds its finite sum by
+    less than 1e-200, and is never below it."""
+    N = 400
+    cols, q, d = _columns(rho, 5, N)
+    s = rho * rho
+    for k in (0, 1, 3, 5):
+        for power, closed in ((0, (1 + 4 * s + s * s) / (1 - s) ** 2),
+                              (2, k * k + 2 * s / (1 - s) ** 2)):
+            total = sum(n ** power * u * u * q ** (2 * (N - n))
+                        for n, u in enumerate(cols[k], -1))
+            gap = closed - Fraction(total, d * d * q ** (2 * (N + k + 1)))
+            assert 0 <= gap < 1e-200, (k, power)
 
 
 # transport of series -------------------------------------------------------
@@ -366,6 +376,34 @@ def test_suggest_out_degree_controls_tail():
                for n in range(deg + 1, deg + 80))
     assert tail < 1e-9
     assert suggest_out_degree(5, rho, 1e-6) <= deg
+
+
+@pytest.mark.parametrize("rho, cut, heuristic_cut", [
+    (Fraction(1, 10), 17, 35), (Fraction(3, 10), 31, 72),
+    (Fraction(1, 2), 53, 132), (0.3, 31, 72)], ids=str)
+def test_exact_cut_bounds_the_dropped_mass(rho, cut, heuristic_cut):
+    """The cut of a degree-3 input at tol 1e-12 is pinned, at most the one
+    of the former decay heuristic, and the exact l1 mass dropped from the
+    columns |k| <= 3 (rows to cut + 400; column -k mirrors column k) is
+    below tol."""
+    tol = 1e-12
+    assert suggest_out_degree(3, rho, tol) == cut <= heuristic_cut
+    cols, q, d = _columns(Fraction(rho), 3, cut + 400)
+    dropped = sum((1 if k == 0 else 2) * abs(Fraction(u, d * q ** (n + k + 1)))
+                  for k in range(4)
+                  for n, u in enumerate(cols[k][cut + 2:], cut + 1))
+    assert 0 < dropped < tol
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0, -1,
+                                 "1e-9"], ids=repr)
+def test_bad_tol_is_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be a finite real > 0"):
+        suggest_out_degree(3, 0.5, tol)
+
+
+def test_cut_at_rho_zero_is_the_input_degree():
+    assert [suggest_out_degree(K, 0, 1e-12) for K in (0, 1, 4)] == [0, 1, 4]
 
 
 _SERIES = TrigSeries.from_complex({1: 1.0, -1: 1.0})

@@ -200,6 +200,10 @@ def test_campaign_validation():
         CampaignConfig(seed=1, count=0, max_degree=5)
     with pytest.raises(ValueError):
         CampaignConfig(seed=1, count=1, max_degree=1)
-    cfg = CampaignConfig(seed=1, count=np.int64(1), max_degree=np.int64(2))
-    assert (type(cfg.count), type(cfg.max_degree)) == (int, int)
+    for seed in (1.5, -1, "1"):
+        with pytest.raises(ValueError):
+            CampaignConfig(seed=seed, count=1, max_degree=2)
+    cfg = CampaignConfig(seed=np.int64(1), count=np.int64(1),
+                         max_degree=np.int64(2))
+    assert {type(cfg.seed), type(cfg.count), type(cfg.max_degree)} == {int}
     z2_nonneg_campaign(cfg).to_text("json")
