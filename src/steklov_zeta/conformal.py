@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import BackendMismatch
 from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, _indices, _size,
-                      evaluate_at, from_samples, grid_angles)
+                      evaluate_at, from_samples, grid_points)
 from .scalars import GaussianInteger, clear_denominators
 
 
@@ -255,11 +255,12 @@ def pullback_direct(a: TrigSeries, rho, grid_size: int,
     z = e^{i theta}, and dphi/dtheta = (1 - rho^2) / |1 - rho z|^2.  The angle
     phi itself is never formed: a is evaluated at the point w / |w| of the
     circle (w = Phi_rho(z), renormalized against rounding) by
-    fourier.evaluate_at.  Float backend only; the result is the
-    degree-out_degree interpolant from grid_size samples.
+    fourier.evaluate_at; the points z are the shared fourier.grid_points.
+    Float backend only; the result is the degree-out_degree interpolant
+    from grid_size samples.
     """
     r = float(_rho_value(rho))
-    z = np.exp(1j * grid_angles(grid_size))
+    z = grid_points(grid_size)
     den = 1.0 - r * z
     w = (z - r) / den
     dphi = (1.0 - r * r) / np.abs(den) ** 2

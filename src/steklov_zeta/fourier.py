@@ -14,7 +14,8 @@ Mixing backends inside one operation raises
 
 Circle integrals use the trapezoid rule on equispaced grids, which is
 spectrally accurate for smooth periodic integrands; grid sizes are caller
-arguments with a default of 4096.
+arguments with a default of 4096.  The grid points e^{i theta_m} of each
+size are computed once and shared read-only (grid_points).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,13 +185,34 @@ class CircleGrid:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.size < 1 or len(self.samples) != self.size:
+        size = _size(self.size, "grid size")
+        object.__setattr__(self, "size", size)
+        if len(self.samples) != size:
             raise ValueError("sample count must equal grid size")
 
 
 def grid_angles(size: int) -> np.ndarray:
     size = _size(size, "grid size")
     return 2.0 * np.pi * np.arange(size) / size
+
+
+def grid_points(size: int) -> np.ndarray:
+    """The points e^{i theta_m} of the equispaced grid, read-only.
+
+    One array per size is kept (_grid_points), shared by every caller.  The
+    size is checked first, so the cache sees only ints: as lru keys, 8192.0
+    and np.int64(8192) are equal.
+    """
+    return _grid_points(_size(size, "grid size"))
+
+
+# Grids kept by _grid_points; callers use a few sizes (DEFAULT_GRID, the
+# criterion-4 8192), at 16 bytes per point.
+@lru_cache(maxsize=8)
+def _grid_points(size: int) -> np.ndarray:
+    z = np.exp(1j * grid_angles(size))
+    z.flags.writeable = False
+    return z
 
 
 def _power(x: np.ndarray, g: int) -> np.ndarray:
@@ -251,8 +274,9 @@ def evaluate(a: TrigSeries, theta):
 
 
 def sample_series(a: TrigSeries, size: int) -> CircleGrid:
-    """Sample a series on the equispaced grid of the given size."""
-    return CircleGrid(size, evaluate(a, grid_angles(size)))
+    """Sample a series on the equispaced grid of the given size: the one
+    grid sampler, on the shared points of grid_points."""
+    return CircleGrid(size, evaluate_at(a, grid_points(size)))
 
 
 def from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
@@ -266,11 +290,10 @@ def from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
     if grid.size < 2 * degree + 1:
         raise GridTooSmall(
             f"grid size {grid.size} < 2*{degree}+1 required for degree {degree}")
-    spec = np.fft.fft(np.asarray(grid.samples, dtype=complex)) / grid.size
-    coeffs = {}
-    for n in range(-degree, degree + 1):
-        coeffs[n] = spec[n % grid.size]
-    return TrigSeries.from_complex(coeffs)
+    spec = np.fft.fft(np.asarray(grid.samples, dtype=complex))
+    band = range(-degree, degree + 1)  # negative n index from the end
+    return TrigSeries.from_complex(
+        dict(zip(band, (spec[band] / grid.size).tolist())))
 
 
 def is_real(a: TrigSeries) -> bool:
@@ -298,7 +321,7 @@ def _real_samples(a: TrigSeries, grid_size: int) -> np.ndarray:
     """Real parts of a on the equispaced grid; a must be real."""
     if not is_real(a):
         raise NotReal("min_on_circle needs a real (conjugate-symmetric) series")
-    return evaluate(a, grid_angles(grid_size)).real
+    return sample_series(a, grid_size).samples.real
 
 
 def normalization_integral(a: TrigSeries, grid_size: int = DEFAULT_GRID) -> float:

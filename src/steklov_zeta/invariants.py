@@ -27,19 +27,21 @@ quadruple under permutations and a global sign flip.
 Every form is summed from a table that depends only on the support of a,
 not on its values: the zero-sum multisets of support values, as pair
 indices into the outer product of the coefficient vector, each with its
-weight coefficient times orderings (see _form_table).  A table is cached on
-(support, slots, coefficient function, backend), so a series with a new
-support pays the build once and every later series on that support pays
-one gather per pair of slots, a product and a sum.  A build calls the
-coefficient function once per zero-sum multiset, which is most of its cost
-(the coefficient caches never hit there), and does the rest of its
-bookkeeping in numpy and on ints; the closed Z_2 table of a degree-60
-support, 51,071 multisets, takes about 0.2 s, against about 2 ms for a warm
-float Z_2 of a degree-60 series (2-vCPU x86_64 VM, Python 3.11).  Both
-backends run one evaluator (_form_sum): the exact one on Gaussian integers,
-dividing once, so its values are exact; the float one in numpy floats, in
-another order than a term-by-term loop, so float values may differ from
-such a loop in the last bits.
+weight coefficient times orderings, grouped by their first pair (see
+_form_table).  A table is cached on (support, slots, coefficient function,
+backend), so a series with a new support pays the build once and every
+later series on that support pays one gather per pair of slots after the
+first, a product, a sum per group, one gather of the distinct first pairs
+and a sum.  A build calls the coefficient function once per zero-sum
+multiset, which is most of its cost (the coefficient caches never hit
+there), and does the rest of its bookkeeping in numpy and on ints; the
+closed Z_2 table of a degree-60 support, 51,071 multisets, takes about
+0.2 s, against about 0.5 ms for a warm float Z_2 of a degree-60 series
+(2-vCPU x86_64 VM, Python 3.11).  Both backends run one evaluator
+(_form_sum): the exact one on Gaussian integers, dividing once, so its
+values are exact; the float one in numpy floats, in another order than a
+term-by-term loop, so float values may differ from such a loop in the last
+bits.
 """
 
 from __future__ import annotations
@@ -213,7 +215,8 @@ def zero_sum_multisets(values, slots: int, total: int = 0):
 
 @lru_cache(maxsize=16)
 def _form_table(support: tuple, slots: int, coeff, backend: str):
-    """The zero-sum terms of a form on one support: (pairs, weights, den).
+    """The zero-sum terms of a form on one support:
+    (pairs, starts, weights, den).
 
     There is one term per zero-sum multiset of support values whose
     coefficient coeff(*multiset) is nonzero, and its weight is coefficient
@@ -223,6 +226,10 @@ def _form_table(support: tuple, slots: int, coeff, backend: str):
     the multiset; slots is even for every form.  For the float backend the
     weights are float64 and den is 1; for the exact one they are an object
     array of ints over one common denominator den.
+
+    zero_sum_multisets yields in lexicographic order, so the terms come
+    grouped by their first pair: pairs[0] is non-decreasing, and starts
+    holds the index of the first term of each run of equal pairs[0].
 
     coeff is called once per multiset that zero_sum_multisets yields; the
     rest is numpy on the kept (M, slots) array of values.  Positions come
@@ -256,13 +263,14 @@ def _form_table(support: tuple, slots: int, coeff, backend: str):
     dens = list(map(operator.floordiv, dens, gcds))
     pairs = rows[:, 0::2] * len(support) + rows[:, 1::2]
     pairs = np.ascontiguousarray(pairs.T)
+    starts = np.flatnonzero(np.diff(pairs[0], prepend=-1))
     if backend == EXACT:
         den = math.lcm(*dens)
-        return pairs, np.array([n * (den // d) for n, d in zip(nums, dens)],
-                               dtype=object), den
+        return pairs, starts, np.array(
+            [n * (den // d) for n, d in zip(nums, dens)], dtype=object), den
     # n / d is the correctly rounded quotient of the rational c * o
-    return pairs, np.fromiter(map(operator.truediv, nums, dens), float,
-                              len(nums)), 1
+    return pairs, starts, np.fromiter(map(operator.truediv, nums, dens),
+                                      float, len(nums)), 1
 
 
 def _form_sum(a: TrigSeries, slots: int, coeff):
@@ -279,23 +287,28 @@ def _form_sum(a: TrigSeries, slots: int, coeff):
 
     One evaluation for both rings: the coefficient vector on the support
     (complex, or the Gaussian integers of a scaled by the lcm D of its
-    coefficient denominators), its outer product, one gather per pair of
-    slots (2 for Z_2, 3 for k = 3), a product into the weights and one sum.
-    Only the last step differs: a float sum becomes a Python complex, an
-    exact one is divided once by den * D^slots.
+    coefficient denominators) and its outer product.  The terms come
+    grouped by their first pair (see _form_table), which factors out of
+    each group: the weights times one gather per other pair of slots (1 for
+    Z_2, 2 for k = 3; none for Z_1), summed group by group
+    (np.add.reduceat), times one gather of the distinct first pairs, and
+    one sum.  Only the last step differs: a float sum becomes a Python
+    complex, an exact one is divided once by den * D^slots.
     """
     exact = a.backend == EXACT
     if not a:
         return RC_ZERO if exact else 0j
-    pairs, weights, den = _form_table(a.support, slots, coeff, a.backend)
-    values = [a.coeff(v) for v in a.support]
+    support, values = zip(*a.items())
+    pairs, starts, weights, den = _form_table(support, slots, coeff,
+                                              a.backend)
     if exact:
         values, D = clear_denominators(values)
     vec = np.array(values, dtype=object if exact else complex)
     products = np.multiply.outer(vec, vec).ravel()
-    terms = weights * products.take(pairs[0])
+    terms = weights
     for pair in pairs[1:]:
-        terms *= products.take(pair)
+        terms = terms * products.take(pair)
+    terms = np.add.reduceat(terms, starts) * products.take(pairs[0][starts])
     if exact:
         return sum(terms, GaussianInteger(0, 0)).over(den * D ** slots)
     return complex(terms.sum())

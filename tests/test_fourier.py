@@ -18,8 +18,8 @@ from steklov_zeta.conformal import (apply_moebius, d_matrix,
                                     mu_matrix, pullback_direct,
                                     rk4_exponential, suggest_out_degree)
 from steklov_zeta.explorer import (CampaignConfig, a_kappa_form,
-                                   rationalize_series)
-from steklov_zeta.fourier import grid_angles
+                                   random_positive_series, rationalize_series)
+from steklov_zeta.fourier import grid_angles, grid_points
 from steklov_zeta.trace import KIND_DN, operator_matrix, trace_difference
 
 
@@ -192,6 +192,18 @@ def test_from_samples_cosine():
     assert b.coeff(-1) == pytest.approx(0.5)
 
 
+def test_circle_grid_size_is_checked_once():
+    # a float size used to pass the constructor and fail in from_samples
+    # with an IndexError from numpy
+    with pytest.raises(ValueError, match="index 8.0 is not an integer"):
+        from_samples(CircleGrid(8.0, np.ones(8)), 2)
+    grid = CircleGrid(np.int64(8), np.ones(8))
+    assert type(grid.size) is int and grid.size == 8
+    assert type(CircleGrid(True, np.ones(1)).size) is int
+    with pytest.raises(ValueError, match="sample count must equal grid size"):
+        CircleGrid(8, np.ones(7))
+
+
 def test_from_samples_grid_too_small():
     with pytest.raises(GridTooSmall):
         from_samples(CircleGrid(6, np.zeros(6, dtype=complex)), 3)
@@ -257,9 +269,9 @@ def test_normalization_scaling():
 
 def test_normalization_samples_the_grid_once(monkeypatch):
     calls = []
-    real_evaluate = fourier.evaluate
-    monkeypatch.setattr(fourier, "evaluate",
-                        lambda *args: calls.append(1) or real_evaluate(*args))
+    real_sample = fourier.sample_series
+    monkeypatch.setattr(fourier, "sample_series",
+                        lambda *args: calls.append(1) or real_sample(*args))
     a = TrigSeries.exact({0: 2, 1: Fraction(1, 2), -1: Fraction(1, 2)})
     assert normalization_integral(a, 64) == pytest.approx(1 / math.sqrt(3),
                                                           rel=1e-12)
@@ -325,6 +337,8 @@ def test_rational_complex_basics():
 _WEIGHT = TrigSeries.from_complex({0: 2.0, 1: 1.0, -1: 1.0})  # 2 + 2 cos
 SIZE_CALLS = {  # name: (call of the size, least admissible size)
     "grid_angles": (grid_angles, 1),
+    "grid_points": (grid_points, 1),
+    "CircleGrid": (lambda n: CircleGrid(n, np.zeros(3)), 1),
     "min_on_circle": (lambda n: min_on_circle(_WEIGHT, n), 1),
     "normalization_integral":
         (lambda n: normalization_integral(_WEIGHT, n), 1),
@@ -371,3 +385,81 @@ def test_bad_size_is_rejected_everywhere(name, bad):
 def test_integer_like_sizes_are_accepted(name):
     call, least = SIZE_CALLS[name]
     call(np.int64(least + 2))
+
+
+# the shared grid ---------------------------------------------------------------
+
+
+def uncached_points(size: int) -> np.ndarray:
+    """The grid points formed afresh on every call, as before the grid was
+    shared: the oracle of grid_points."""
+    return np.exp(1j * grid_angles(size))
+
+
+def per_n_from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
+    """from_samples as a loop over n: the oracle of its one-slice read."""
+    spec = np.fft.fft(np.asarray(grid.samples, dtype=complex)) / grid.size
+    return TrigSeries.from_complex({n: spec[n % grid.size]
+                                    for n in range(-degree, degree + 1)})
+
+
+def uncached_pullback(a: TrigSeries, rho: float, grid_size: int,
+                      out_degree: int) -> TrigSeries:
+    """pullback_direct on uncached points and per_n_from_samples."""
+    z = uncached_points(grid_size)
+    den = 1.0 - rho * z
+    w = (z - rho) / den
+    dphi = (1.0 - rho * rho) / np.abs(den) ** 2
+    samples = evaluate_at(a.to_float(), w / np.abs(w)) / dphi
+    return per_n_from_samples(CircleGrid(grid_size, samples), out_degree)
+
+
+def series_bits(a: TrigSeries) -> tuple:
+    """The support and the bytes of the coefficients: equal only for the
+    same bits (== would equate 0.0 and -0.0)."""
+    return a.support, np.array([v for _, v in a.items()]).tobytes()
+
+
+def test_grid_points_are_one_read_only_array_per_size():
+    assert 0 < fourier._grid_points.cache_info().maxsize < 100
+    z = grid_points(64)
+    assert grid_points(np.int64(64)) is z
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0] = 0
+    assert z.tobytes() == uncached_points(64).tobytes()
+
+
+def test_float_grid_size_misses_the_cache():
+    # the lru key (8192.0,) equals (np.int64(8192),), so the check has to
+    # come before the lookup
+    grid_points(8192)
+    grid_points(np.int64(8192))
+    for bad in (8192.0, "8192"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            grid_points(bad)
+        with pytest.raises(ValueError, match="is not an integer"):
+            sample_series(_WEIGHT, bad)
+
+
+@pytest.mark.parametrize("size", [64, 2048, 8192])
+def test_grid_samplers_equal_the_uncached_formula(size):
+    a = random_positive_series(5, 0.6, np.random.default_rng(size), floor=0.5)
+    samples = evaluate(a, grid_angles(size))
+    assert sample_series(a, size).samples.tobytes() == samples.tobytes()
+    assert min_on_circle(a, size) == float(np.min(samples.real))
+    assert normalization_integral(a, size) \
+        == float(np.mean(1.0 / samples.real))
+    degree = min(60, (size - 1) // 2)
+    for rho in (0.1, 0.5, -0.3):
+        assert series_bits(pullback_direct(a, rho, size, degree)) \
+            == series_bits(uncached_pullback(a, rho, size, degree))
+
+
+@pytest.mark.parametrize("size, degree", [(1, 0), (7, 3), (64, 31),
+                                          (8192, 60)])
+def test_from_samples_equals_the_per_n_loop(size, degree):
+    rng = np.random.default_rng(size)
+    grid = CircleGrid(size, rng.normal(size=size) + 1j * rng.normal(size=size))
+    assert series_bits(from_samples(grid, degree)) \
+        == series_bits(per_n_from_samples(grid, degree))

@@ -453,7 +453,7 @@ def test_orderings_is_the_multinomial_count():
     # table column is one multiset, as pair indices p * S + q
     for support in (tuple(range(-3, 4)), (-5, -2, 0, 1, 4)):
         for slots in (2, 4, 6):
-            pairs, weights, den = _form_table.__wrapped__(
+            pairs, _, weights, den = _form_table.__wrapped__(
                 support, slots, _unit_coeff, "exact")
             assert den == 1
             assert pairs.shape == (slots // 2, len(weights))
@@ -600,13 +600,16 @@ def test_z_cache_drops_its_oldest_entries(monkeypatch):
 
 def reference_form_table(support, slots, coeff, backend):
     """The term-by-term table build, one multiset at a time, kept as the
-    oracle for the table's pairs, weights and den."""
+    oracle for the table's pairs, group starts, weights and den.  A group
+    starts at each term whose first two slots differ from the last term's."""
     where = {v: i for i, v in enumerate(support)}
-    rows, weights = [], []
+    rows, starts, weights = [], [], []
     for ms in zero_sum_multisets(support, slots):
         c = coeff(*ms)
         if not c:
             continue
+        if not rows or ms[:2] != tuple(support[p] for p in rows[-1][:2]):
+            starts.append(len(rows))
         rows.append([where[v] for v in ms])
         o = math.factorial(slots)
         for run in Counter(ms).values():
@@ -616,11 +619,12 @@ def reference_form_table(support, slots, coeff, backend):
     rows = np.array(rows, dtype=np.intp).reshape(len(rows), slots)
     pairs = np.ascontiguousarray(
         (rows[:, 0::2] * len(support) + rows[:, 1::2]).T)
+    starts = np.array(starts, dtype=np.intp)
     if backend == "exact":
         den = math.lcm(*(w.denominator for w in weights))
-        return pairs, [w.numerator * (den // w.denominator)
-                       for w in weights], den
-    return pairs, np.array(weights, dtype=float), 1
+        return pairs, starts, [w.numerator * (den // w.denominator)
+                               for w in weights], den
+    return pairs, starts, np.array(weights, dtype=float), 1
 
 
 def term_by_term_form_sum(a, slots, coeff):
@@ -662,8 +666,7 @@ def _six_slot_coeff(*ms) -> Fraction:
 SPARSE_SUPPORT = (-29, -17, -11, -6, -2, 0, 1, 2, 6, 7, 11, 18, 25, 29)
 
 
-@pytest.mark.parametrize("backend", ["exact", "float"])
-@pytest.mark.parametrize("slots, coeff, support", [
+TABLE_CASES = pytest.mark.parametrize("slots, coeff, support", [
     (2, invariants._pair_coeff_closed, tuple(range(-30, 31))),
     (4, z2_coeff_closed, tuple(range(-30, 31))),
     # range(-30, 31) holds 787,986 six-slot multisets
@@ -672,15 +675,21 @@ SPARSE_SUPPORT = (-29, -17, -11, -6, -2, 0, 1, 2, 6, 7, 11, 18, 25, 29)
     (4, z2_coeff_closed, SPARSE_SUPPORT),
     (6, _six_slot_coeff, SPARSE_SUPPORT)],
     ids=["2-dense", "4-dense", "6-dense", "2-sparse", "4-sparse", "6-sparse"])
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@TABLE_CASES
 def test_form_table_equals_term_by_term_build(slots, coeff, support,
                                               backend):
-    rows, weights, den = _form_table.__wrapped__(support, slots, coeff,
-                                                 backend)
-    ref_rows, ref_weights, ref_den = reference_form_table(support, slots,
-                                                          coeff, backend)
+    rows, starts, weights, den = _form_table.__wrapped__(support, slots,
+                                                         coeff, backend)
+    ref_rows, ref_starts, ref_weights, ref_den = reference_form_table(
+        support, slots, coeff, backend)
     assert len(ref_weights) > 0
     assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
     assert np.array_equal(rows, ref_rows)
+    assert starts.dtype == ref_starts.dtype
+    assert np.array_equal(starts, ref_starts)
     assert den == ref_den
     if backend == "exact":
         assert weights.dtype == object
@@ -689,6 +698,17 @@ def test_form_table_equals_term_by_term_build(slots, coeff, support,
     else:
         assert weights.dtype == ref_weights.dtype
         assert weights.tobytes() == ref_weights.tobytes()
+
+
+@TABLE_CASES
+def test_first_pairs_are_non_decreasing(slots, coeff, support):
+    # _form_sum sums each run of equal first pairs as one group, so every
+    # run must be one contiguous block; the table is not sorted, it relies
+    # on the lexicographic order of zero_sum_multisets
+    for backend in ("exact", "float"):
+        first = _form_table.__wrapped__(support, slots, coeff, backend)[0][0]
+        assert len(first) > 0
+        assert np.all(first[1:] >= first[:-1])
 
 
 def _sparse_exact_series(rng):
