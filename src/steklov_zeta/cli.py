@@ -27,7 +27,7 @@ from .conformal import (MoebiusParam, mu_matrix, pullback_direct,
                         suggest_out_degree)
 from .errors import SteklovZetaError
 from .explorer import CampaignConfig, z2_nonneg_campaign
-from .fourier import TrigSeries, is_real, load_series
+from .fourier import TrigSeries, _size, is_real, load_series
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
                          z2_coeff_closed, z_coeff, zero_sum_multisets, zeta,
                          zeta_invariant)
@@ -110,16 +110,13 @@ def cmd_brute_n(args) -> int:
         return 0
     if args.k is None or args.radius is None:
         raise ValueError("need either --indices or both --k and --radius")
-    if args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
-    if args.radius < 0:
-        raise ValueError(f"--radius must be >= 0, got {args.radius}")
+    slots = 2 * _size(args.k, "--k")
+    radius = _size(args.radius, "--radius", 0)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    slots = 2 * args.k
     writer.writerow([f"j{i+1}" for i in range(slots)]
                     + ["numerator", "denominator"])
-    for ms in zero_sum_multisets(range(-args.radius, args.radius + 1), slots):
+    for ms in zero_sum_multisets(range(-radius, radius + 1), slots):
         v = Fraction(brute_n(ms)) if args.coeff == "n" else z_coeff(ms)
         writer.writerow(list(ms) + [v.numerator, v.denominator])
     _emit(buf.getvalue(), args.out)

@@ -433,6 +433,7 @@ def zeta(a: TrigSeries, k: int):
 
     The closed forms give the same coefficients as the brute sum, faster.
     """
+    k = _size(k, "order k")
     if k == 1:
         return z1_closed(a)
     if k == 2:

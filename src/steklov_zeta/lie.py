@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import UnknownBracket, WrongSum
-from .fourier import EXACT, TrigSeries, _indices
+from .fourier import EXACT, TrigSeries, _size
 from .invariants import (_validate_index, z_coeff, z_coeff_closed,
                          zero_sum_multisets)
 from .scalars import RationalComplex
@@ -162,11 +162,11 @@ def relation_sweep(k: int, radius: int, variant: str = "reduced",
     2k over [-radius, radius] on the variant's plane, in lexicographic order.
     The value is symmetric in the indices, so each relation is checked once.
     """
-    k, radius, stride = _indices((k, radius, stride))
-    if min(k, radius, stride) < 1 or variant not in RELATION_PLANES:
-        raise ValueError(f"need k, radius, stride >= 1 and a variant in "
-                         f"{tuple(RELATION_PLANES)}, got {k}, {radius}, "
-                         f"{stride}, {variant!r}")
+    k, radius, stride = (_size(k, "k"), _size(radius, "radius"),
+                         _size(stride, "stride"))
+    if variant not in RELATION_PLANES:
+        raise ValueError(f"need a variant in {tuple(RELATION_PLANES)}, "
+                         f"got {variant!r}")
     plane = RELATION_PLANES[variant]
     check = raising_relation_check if plane == -1 else lowering_relation_check
     multisets = zero_sum_multisets(range(-radius, radius + 1), 2 * k, plane)

@@ -5,8 +5,8 @@ sampling/quadrature experiment in double precision.  Floats use Python's
 built-in ``complex``; the exact side uses :class:`RationalComplex`, a pair
 of ``Fraction`` components supporting ring operations and conjugation.
 Mixing the two in arithmetic is an error by design, not a silent promotion.
-:class:`GaussianInteger` (int parts) is the internal ring of the exact
-operator trace and of exact form sums once denominators are cleared.
+:class:`GaussianInteger` (int parts) is the internal ring of exact form
+sums once denominators are cleared.
 """
 
 from __future__ import annotations
@@ -134,12 +134,12 @@ RC_ZERO = RationalComplex(0, 0)
 
 
 class GaussianInteger:
-    """re + i im with int parts: the ring of the exact operator trace and of
-    exact form sums once denominators are cleared (clear_denominators).
+    """re + i im with int parts: the ring of exact form sums once
+    denominators are cleared (clear_denominators).
 
-    Only the ring operations that trace.BandedOperator and
-    invariants._form_sum need; an int factor multiplies from the left
-    (``n * z``).
+    Only the ring operations that invariants._form_sum needs; an int factor
+    multiplies from the left (``n * z``).  The exact operator trace runs
+    its products on int arrays and uses only ``over``.
     """
 
     __slots__ = ("re", "im")

@@ -23,12 +23,9 @@ after k letters leaves an even and an odd half, so
                                        = 4 Tr(E_k O_k)       (truncated),
 
 where E_k, O_k sum the words of length k with an even, resp. odd, number
-of A_- factors.  _trace_difference_at builds them as one chain P = C^k
-over the states (frequency n, parity of the negative frequencies visited
-so far): C maps (m, s) to (n, s xor [n < 0]) with entry A_{mn}, so
-P[(x, 0), (y, q)] is E_k[x, y] for q = 0 and O_k[x, y] for q = 1, and
-P[(y, 0), (x, 1 - q)] is the other of the two at (y, x).  Nothing is
-subtracted, so float values keep their relative accuracy.
+of A_- factors: E_1 = A_+, O_1 = A_-, E_{j+1} = E_j A_+ + O_j A_- and
+O_{j+1} = O_j A_+ + E_j A_-.  No two traces are subtracted, so float
+values keep their relative accuracy (see trace_difference).
 
 The infinite difference truncates *exactly* at the half-width
 W = max(deg(a), k deg(a) - 1).  An odd word is a closed index path
@@ -39,16 +36,13 @@ steps, so 2 (M + m) <= 2k deg(a), i.e. M, m <= k deg(a) - 1.  Hence
 every path that counts lies inside |n| <= k deg(a) - 1, and the truncated
 difference at any N >= W is the infinite one (N >= deg(a) is
 operator_matrix's own precondition).
-
-An exact weight is multiplied by the lcm D of its coefficient
-denominators, so the band-aware products run on Gaussian integers; the
-truncated trace is homogeneous of degree 2k in a, so one division by
-D^{2k} at the end gives the exact rational value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import TruncationTooSmall
 from .fourier import EXACT, FLOAT, TrigSeries, _size
@@ -56,19 +50,18 @@ from .scalars import RC_ZERO, GaussianInteger, clear_denominators
 
 KIND_DN = "dn"            # symbol |n|
 KIND_DTHETA = "dtheta"    # symbol n
-GAUSSIAN = "gaussian"     # entries of an exact weight with cleared denominators
 
-_ZERO = {EXACT: RC_ZERO, FLOAT: 0j, GAUSSIAN: GaussianInteger(0, 0)}
+_ZERO = {EXACT: RC_ZERO, FLOAT: 0j}
 
 
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
-    """Finite section of a banded operator on frequencies [-N, N]; a key
-    is a frequency n or a parity-chain state (n, parity)."""
+    """Finite section of a banded operator on frequencies [-N, N], rows
+    keyed by frequency."""
 
     half_width: int
-    rows: dict          # row key -> {column key: scalar}
-    backend: str        # EXACT, FLOAT or GAUSSIAN
+    rows: dict          # m -> {n: scalar}
+    backend: str        # EXACT or FLOAT
 
     def entry(self, m: int, n: int):
         return self.rows.get(m, {}).get(n, _ZERO[self.backend])
@@ -126,32 +119,39 @@ def operator_matrix(a: TrigSeries, kind: str, N: int) -> BandedOperator:
 
 def _trace_difference_at(a: TrigSeries, k: int, N: int):
     """Tr[(aL)^{2k} - (aD_theta)^{2k}] truncated at half-width N, as is:
-    4 Tr(E_k O_k) from the one parity chain P = C^k (module docstring).
+    4 Tr(E_k O_k) (module docstring), from X = [E; O] = [A_+; A_-].  The
+    rows of X A are E A and O A, and E A is E A_+ on the columns n > 0 and
+    E A_- on n < 0, so swapping its E and O halves on the negative columns
+    gives the next X.  One kernel serves both backends.
 
-    An exact weight runs on Gaussian integers: a is scaled by the lcm D of
-    its coefficient denominators and the trace divided once by D^{2k}.
+    A = aL is held as its real and imaginary parts, shape (2, S, S) with
+    S = 2N + 1: float64 for a float weight.  An exact weight is scaled by
+    the lcm D of its coefficient denominators and held as Python ints in
+    object arrays (a product of 2k entries outgrows int64); the trace is
+    homogeneous of degree 2k in a, so it is divided once by D^{2k}.
     """
-    items, backend = a.items(), a.backend
-    if backend == EXACT:
+    items = a.items()
+    if a.backend == EXACT:
         values, D = clear_denominators(v for _, v in items)
-        items = [(n, g) for (n, _), g in zip(items, values)]
-        backend = GAUSSIAN
-    C = {(m, s): {(n, s ^ (n < 0)): v for n, v in row.items()}
-         for m, row in _banded(items, KIND_DN, N, backend).rows.items()
-         for s in (0, 1)}
-    chain = BandedOperator(N, C, backend)
-    P = BandedOperator(N, {key: row for key, row in C.items() if not key[1]},
-                       backend)
+        parts, dtype = [(g.re, g.im) for g in values], object
+    else:
+        parts, dtype = [(v.real, v.imag) for _, v in items], float
+    S = 2 * N + 1
+    symbol = np.abs(np.arange(-N, N + 1)).astype(dtype)
+    A = np.zeros((2, S, S), dtype)
+    for (off, _), part in zip(items, parts):
+        j = np.arange(max(0, -off), S - max(0, off))     # column positions
+        A[:, j + off, j] = np.multiply.outer(np.array(part, dtype), symbol[j])
+    X = np.concatenate([A, A], axis=1)      # [E; O] = [A_+; A_-]
+    X[:, :S, :N] = X[:, S:, N:] = 0
     for _ in range(k - 1):
-        P = P.matmul(chain)
-    t = _ZERO[backend]
-    for (x, _), row in P.rows.items():
-        for (y, q), v in row.items():
-            w = P.rows.get((y, 0), {}).get((x, 1 - q))
-            if w is not None:
-                t = t + v * w
-    t = 2 * t
-    return t if backend == FLOAT else t.over(D ** (2 * k))
+        X = np.stack([X[0] @ A[0] - X[1] @ A[1], X[0] @ A[1] + X[1] @ A[0]])
+        X[:, :, :N] = np.roll(X[:, :, :N], S, axis=1)
+    E, Ot = X[:, :S], X[:, S:].transpose(0, 2, 1)
+    re = 4 * ((E[0] * Ot[0]).sum() - (E[1] * Ot[1]).sum())
+    im = 4 * ((E[0] * Ot[1]).sum() + (E[1] * Ot[0]).sum())
+    return (complex(re, im) if a.backend == FLOAT
+            else GaussianInteger(re, im).over(D ** (2 * k)))
 
 
 def exact_width(a: TrigSeries, k: int) -> int:
@@ -165,10 +165,11 @@ def trace_difference(a: TrigSeries, k: int, N: int):
 
     Requires N >= exact_width(a, k) (TruncationTooSmall otherwise) and
     evaluates at that width, so every admissible N gives the same value.
-    A float value adds products of entries of aL and subtracts nothing:
-    within 1e-12 relative of z1_closed / z2_closed on the criterion-4
-    series and their degree-60 pullbacks (tests/test_trace.py; 1.2e-14 at
-    worst, where subtracting two traces loses up to 1.1e-6).
+    A float value never subtracts two traces: within 1e-12 relative of
+    z1_closed / z2_closed on the criterion-4 series and their degree-60
+    pullbacks (3.3e-16 at worst, where subtracting two traces loses up to
+    1.1e-6), and within 1e-13 of the exact zeta_invariant at k = 3, 4 on
+    dyadic degree-3 series (2.4e-16 at worst; tests/test_trace.py).
     """
     k, N = _size(k, "order k"), _size(N, "half-width", 0)
     W = exact_width(a, k)

@@ -14,8 +14,8 @@ from steklov_zeta import (NonZeroSum, RationalComplex, TrigSeries, brute_n,
                           z1_closed, z2_closed, z2_coeff_closed, z_coeff,
                           z_coeff_closed, zeta, zeta_invariant)
 from steklov_zeta.conformal import mu, mu_matrix, pullback_direct
-from steklov_zeta.explorer import (random_positive_series, rationalize_series,
-                                   sample_rng)
+from steklov_zeta.explorer import (inequality_ratio, random_positive_series,
+                                   rationalize_series, sample_rng)
 from steklov_zeta import invariants, lie
 from steklov_zeta.invariants import (_COEFF_CACHE_SIZE, _form_table,
                                      _p1_90, _p2_90, zero_sum_multisets)
@@ -804,6 +804,9 @@ _ORDER_SERIES = TrigSeries.exact({1: 1, -1: 1, 2: (1, 2)})
     (lambda: zeta_invariant(_ORDER_SERIES, 1.5), "index 1.5 is not"),
     (lambda: zeta_invariant(_ORDER_SERIES, 0), "order k must be >= 1, got 0"),
     (lambda: zeta(_ORDER_SERIES, "3"), "index '3' is not"),
+    (lambda: zeta(_ORDER_SERIES, 2.0), "index 2.0 is not"),
+    (lambda: inequality_ratio(TrigSeries.exact({2: 1, -2: 1}), 1.0),
+     "index 1.0 is not"),
     (lambda: trace_difference(_ORDER_SERIES, 1.5, 10), "index 1.5 is not"),
     (lambda: trace_difference(_ORDER_SERIES, -1, 10), "got -1"),
     (lambda: exact_width(_ORDER_SERIES, 0), "order k must be >= 1, got 0"),
@@ -813,6 +816,7 @@ _ORDER_SERIES = TrigSeries.exact({1: 1, -1: 1, 2: (1, 2)})
     (lambda: mu_matrix(Fraction(1, 2), 2.5), "index 2.5 is not"),
     (lambda: mu_matrix(0.5, 0), "half-width must be >= 1")],
     ids=["zeta_invariant-float", "zeta_invariant-zero", "zeta-str",
+         "zeta-float", "inequality_ratio-float",
          "trace_difference-float", "trace_difference-negative",
          "exact_width-zero", "exact_width-float", "mu-n", "mu-k",
          "mu_matrix-float", "mu_matrix-zero"])

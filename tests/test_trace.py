@@ -8,7 +8,7 @@ from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
                           operator_matrix, pullback_direct,
                           random_positive_series, trace_difference,
                           z1_closed, z2_closed, zeta_invariant)
-from steklov_zeta.explorer import sample_rng
+from steklov_zeta.explorer import rationalize_series, sample_rng
 from steklov_zeta.trace import _trace_difference_at
 
 from util import random_exact_series
@@ -170,6 +170,38 @@ def test_float_trace_matches_closed_forms():
         if i == 0:
             worst = max(worst, rel(pullbacks[-1], 2, z2_closed))
     assert worst <= 1e-12
+
+
+def test_float_trace_matches_exact_invariant_at_high_order():
+    """At k = 3, 4 the float trace of a dyadic degree-3 series is within
+    1e-13 relative of the exact zeta_invariant of the same series (2.4e-16
+    at worst)."""
+    for i in range(10):
+        exact = rationalize_series(
+            random_positive_series(3, 0.6, sample_rng(20250818, i), floor=0.5))
+        a = exact.to_float()
+        for k in (3, 4):
+            z = complex(zeta_invariant(exact, k))
+            got = trace_difference(a, k, exact_width(a, k))
+            assert isinstance(got, complex)
+            assert abs(got - z) <= 1e-13 * abs(z)
+
+
+def test_exact_trace_with_large_numerators_and_denominators():
+    """Numerators near 1e9 over denominators near 1e6: the cleared entries
+    and their products of 2k factors outgrow int64, and the trace stays
+    exact."""
+    rng = random.Random(20250819)
+
+    def big():
+        return Fraction(rng.randint(10**9 - 10**3, 10**9 + 10**3),
+                        rng.randint(10**6 - 10**3, 10**6 + 10**3))
+
+    for deg in (1, 2, 3):
+        a = TrigSeries.exact({n: (big(), big()) for n in range(-deg, deg + 1)})
+        for k in (1, 2, 3):
+            assert trace_difference(a, k, exact_width(a, k)) == \
+                zeta_invariant(a, k)
 
 
 def true_width(a, k):
