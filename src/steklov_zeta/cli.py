@@ -225,10 +225,10 @@ def cmd_trace_check(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    _header(args, "float", seed=args.seed)
     cfg = CampaignConfig(seed=args.seed, count=args.count,
                          max_degree=args.n0, coeff_scale=args.scale,
                          kappas=tuple(args.kappa or ()))
+    _header(args, "float", seed=args.seed)
     report = z2_nonneg_campaign(cfg)
     _emit(report.to_text(args.format), args.out)
     n_fail = len(report.failures)

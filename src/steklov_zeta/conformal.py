@@ -61,7 +61,7 @@ import numpy as np
 from .errors import BackendMismatch
 from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, _indices, _size,
                       evaluate_at, from_samples, grid_points)
-from .scalars import GaussianInteger, clear_denominators
+from .scalars import join, ring
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,10 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
     Builds the columns |k| <= deg(a) on rows |n| <= out_degree, the caller's
     truncation of the (infinite) output; each kept coefficient is exact, and
     at out_degree = suggest_out_degree(deg(a), rho, tol) the dropped ones
-    add up to at most tol max|a_k| in sup norm.  An exact a is cleared to
-    Gaussian integers over D and row n is one Gaussian-integer sum over
-    d D q^{E_n}, divided once.
+    add up to at most tol max|a_k| in sup norm.  Row n is the numerators
+    U^{(k)}_n q^{E_n - e} over d q^{E_n}, E_n its largest e = n + k + 1,
+    times the coefficient ring of a (scalars.ring, exact over D); join
+    divides it once by d D q^{E_n}.
     """
     r = _rho_value(rho)
     out_degree = _size(out_degree, "out degree", 0)
@@ -228,23 +229,20 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
         raise BackendMismatch("exact series with float rho; pass a Fraction")
     exact = a.backend == EXACT
     r = r if exact else float(r)
-    values = [v for _, v in a.items()]
-    values, D = clear_denominators(values) if exact else (values, 1)
-    # mu_{nk} = mu_{sn,|k|} with s the sign of k
-    terms = [(abs(k), -1 if k < 0 else 1, v)
-             for (k, _), v in zip(a.items(), values)]
+    vec, D, _ = ring([v for _, v in a.items()], exact)
+    k = np.array(a.support, dtype=int)
+    s, k = np.where(k < 0, -1, 1), np.abs(k)
     cols, q, d = _columns(r, a.degree, out_degree)
-    zero = GaussianInteger(0, 0) if exact else 0j
-    coeffs = {}
-    for n in range(-out_degree, out_degree + 1):
-        row = [(cols[k][s * n + 1], s * n + k + 1, v)
-               for k, s, v in terms if s * n >= -1]
-        if row:
-            E = max(e for _, e, _ in row)
-            total = sum((u * _pow(q, E - e) * v for u, e, v in row if u), zero)
-            den = d * D * _pow(q, E)
-            coeffs[n] = total.over(den) if exact else total / den
-    return TrigSeries(coeffs, a.backend)
+    ns = range(-out_degree, out_degree + 1)
+    sn = np.multiply.outer(s, ns)
+    valid = sn >= -1                # mu_{nk} = mu_{sn,|k|}, zero for sn < -1
+    e = np.where(valid, sn + k[:, None] + 1, 0)
+    E = e.max(axis=0, initial=0)
+    powers = [q ** i for i in range(E.max() + 1)]
+    U = np.array(cols, dtype=vec.dtype)[k[:, None], np.where(valid, sn + 1, 0)]
+    totals = vec @ np.where(valid, U * np.array(powers, vec.dtype)[E - e], 0)
+    return TrigSeries({n: join(totals[..., i], d * D * powers[E[i]], exact)
+                       for i, n in enumerate(ns)}, a.backend)
 
 
 def pullback_direct(a: TrigSeries, rho, grid_size: int,

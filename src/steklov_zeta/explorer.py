@@ -29,6 +29,9 @@ from .invariants import z1_closed, z2_closed, zeta
 from .scalars import RationalComplex
 
 
+KAPPA_FORM_SIZE = 10  # the tail size m of each kappa's a_kappa_form
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     seed: int
@@ -43,6 +46,25 @@ class CampaignConfig:
         object.__setattr__(self, "count", _size(self.count, "count"))
         object.__setattr__(self, "max_degree",
                            _size(self.max_degree, "max degree", 2))
+        # a sample's values are below (2 n0 + 1)^4 max|Z| scale^4 in modulus,
+        # max|Z| <= 2 (8 n0)^5 (coeff_bound_check)
+        n0, scale = self.max_degree, self.coeff_scale
+        if not _finite(lambda: (2 * n0 + 1) ** 4 * 2 * (8 * n0) ** 5
+                       * (float(scale) if scale >= 0 else math.nan) ** 4):
+            raise ValueError("coeff_scale must be a real >= 0 whose sample "
+                             f"values stay finite, got {scale!r}")
+        if not all(_finite(lambda: a_kappa_form(kappa, KAPPA_FORM_SIZE))
+                   for kappa in self.kappas):
+            raise ValueError("kappas must give finite a_kappa_forms, got "
+                             f"{self.kappas!r}")
+
+
+def _finite(compute) -> bool:
+    """Whether compute() gives finite values; failing to compute is no."""
+    try:
+        return bool(np.isfinite(compute()).all())
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -207,7 +229,7 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
     ratios = [s.ratio for s in samples if s.ratio is not None]
     kappa_checks = tuple(
         (kappa, bool(positive_definite_check(
-            a_kappa_form(kappa, 10))))
+            a_kappa_form(kappa, KAPPA_FORM_SIZE))))
         for kappa in cfg.kappas)
     return CampaignReport(
         config=cfg,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -40,11 +39,8 @@ FLOAT = "float"
 def _coerce_exact(value) -> RationalComplex:
     if isinstance(value, RationalComplex):
         return value
-    if isinstance(value, (int, Fraction)):
-        return RationalComplex(value, 0)
-    if isinstance(value, tuple) and len(value) == 2:
-        return RationalComplex(value[0], value[1])
-    raise TypeError(f"not an exact scalar: {value!r}")
+    pair = isinstance(value, tuple) and len(value) == 2
+    return RationalComplex(*value) if pair else RationalComplex(value)
 
 
 def _indices(values) -> list:
@@ -98,8 +94,8 @@ class TrigSeries:
 
     @classmethod
     def exact(cls, coeffs: dict) -> "TrigSeries":
-        """Exact-backend series; values may be int, Fraction, (re, im), or
-        RationalComplex."""
+        """Exact-backend series; a value is a RationalComplex, an (re, im)
+        pair or a real part, each part as scalars.to_fraction takes it."""
         return cls(coeffs, EXACT)
 
     @classmethod

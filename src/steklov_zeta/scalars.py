@@ -1,31 +1,37 @@
-"""Exact rational-complex scalars.
+"""Exact rational-complex scalars and the one ring of the numpy kernels.
 
 The library runs every coefficient identity in exact arithmetic and every
 sampling/quadrature experiment in double precision.  Floats use Python's
 built-in ``complex``; the exact side uses :class:`RationalComplex`, a pair
 of ``Fraction`` components supporting ring operations and conjugation.
 Mixing the two in arithmetic is an error by design, not a silent promotion.
-:class:`GaussianInteger` (int parts) is the internal ring of exact form
-sums once denominators are cleared.
+
+The numpy kernels (form sums, operator trace, conformal transport) hold
+coefficients only through ``ring`` and ``join``, on either backend.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+
+import numpy as np
 
 _RATIONAL = (int, Fraction)
 
 
 def to_fraction(x) -> Fraction:
-    """Coerce an int, Fraction, or string ("p/q" or decimal) to a Fraction."""
+    """x as a Fraction: a Fraction, anything operator.index accepts (ints,
+    bools, numpy integers) or a "p/q" or decimal string.  Anything else, a
+    float too, raises a ValueError that names it: the library's one check
+    of an exact value."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    try:
+        return Fraction(x if isinstance(x, str) else operator.index(x))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{x!r} is not an exact rational") from None
 
 
 class RationalComplex:
@@ -133,44 +139,39 @@ def _coerce(x):
 RC_ZERO = RationalComplex(0, 0)
 
 
-class GaussianInteger:
-    """re + i im with int parts: the ring of exact form sums once
-    denominators are cleared (clear_denominators).
-
-    Only the ring operations that invariants._form_sum needs; an int factor
-    multiplies from the left (``n * z``).  The exact operator trace runs
-    its products on int arrays and uses only ``over``.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return GaussianInteger(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        return GaussianInteger(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
-
-    def __rmul__(self, n: int):
-        return GaussianInteger(n * self.re, n * self.im)
-
-    def over(self, d: int) -> RationalComplex:
-        """self / d, exactly."""
-        return RationalComplex(Fraction(self.re, d), Fraction(self.im, d))
+def _product(x, y, op=np.multiply):
+    return op(x, y)
 
 
-def clear_denominators(values) -> tuple[list, int]:
-    """([g_1, ...], D) with D the lcm of the denominators of every part of
-    the RationalComplex values v_i, and g_i = D v_i as a GaussianInteger."""
-    values = list(values)
+def cmul(x, y, op=np.multiply):
+    """[xr; xi] [yr; yi], op the product of parts (np.multiply, np.matmul,
+    np.multiply.outer); a real x, one axis short of y, scales y."""
+    if x.ndim < y.ndim:
+        return op(x, y)
+    (xr, xi), (yr, yi) = x, y
+    return np.array([op(xr, yr) - op(xi, yi), op(xr, yi) + op(xi, yr)])
+
+
+def ring(values, exact: bool):
+    """(vec, D, mul): the complex values as one ring vector over D.  Float:
+    vec is complex128, D = 1, mul(x, y, op=np.multiply) is op.  Exact: D is
+    the lcm of every part's denominator, vec the (2, n) stack [re; im] of
+    D v as Python ints in an object array (products of a few outgrow
+    int64), mul is cmul.  A real array scales either shape with *."""
+    if not exact:
+        return np.array(values, dtype=complex), 1, _product
     D = math.lcm(*(c.denominator for v in values for c in (v.re, v.im)))
-    return [GaussianInteger(v.re.numerator * (D // v.re.denominator),
-                            v.im.numerator * (D // v.im.denominator))
-            for v in values], D
+    parts = [v.re for v in values], [v.im for v in values]
+    return np.array([[c.numerator * (D // c.denominator) for c in part]
+                     for part in parts], dtype=object), D, cmul
+
+
+def join(z, den, exact: bool):
+    """The ring element z over den: a RationalComplex (exact) or a complex."""
+    if exact:
+        return RationalComplex(Fraction(z[0], den), Fraction(z[1], den))
+    z = complex(z)
+    return z if den == 1 else z / den
 
 
 def format_scalar(value) -> tuple[str, str]:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import TruncationTooSmall
 from .fourier import EXACT, FLOAT, TrigSeries, _size
-from .scalars import RC_ZERO, GaussianInteger, clear_denominators
+from .scalars import RC_ZERO, join, ring
 
 KIND_DN = "dn"            # symbol |n|
 KIND_DTHETA = "dtheta"    # symbol n
@@ -124,34 +124,25 @@ def _trace_difference_at(a: TrigSeries, k: int, N: int):
     E A_- on n < 0, so swapping its E and O halves on the negative columns
     gives the next X.  One kernel serves both backends.
 
-    A = aL is held as its real and imaginary parts, shape (2, S, S) with
-    S = 2N + 1: float64 for a float weight.  An exact weight is scaled by
-    the lcm D of its coefficient denominators and held as Python ints in
-    object arrays (a product of 2k entries outgrows int64); the trace is
-    homogeneous of degree 2k in a, so it is divided once by D^{2k}.
+    A = aL, S x S with S = 2N + 1, is built on the coefficient ring of a
+    (scalars.ring), exact ones scaled by D; the trace is homogeneous of
+    degree 2k in a, so scalars.join divides it once by D^{2k}.
     """
-    items = a.items()
-    if a.backend == EXACT:
-        values, D = clear_denominators(v for _, v in items)
-        parts, dtype = [(g.re, g.im) for g in values], object
-    else:
-        parts, dtype = [(v.real, v.imag) for _, v in items], float
+    exact = a.backend == EXACT
+    vec, D, mul = ring([v for _, v in a.items()], exact)
     S = 2 * N + 1
-    symbol = np.abs(np.arange(-N, N + 1)).astype(dtype)
-    A = np.zeros((2, S, S), dtype)
-    for (off, _), part in zip(items, parts):
+    symbol = np.abs(np.arange(-N, N + 1)).astype(vec.dtype)
+    A = np.zeros(vec.shape[:-1] + (S, S), vec.dtype)
+    for i, off in enumerate(a.support):
         j = np.arange(max(0, -off), S - max(0, off))     # column positions
-        A[:, j + off, j] = np.multiply.outer(np.array(part, dtype), symbol[j])
-    X = np.concatenate([A, A], axis=1)      # [E; O] = [A_+; A_-]
-    X[:, :S, :N] = X[:, S:, N:] = 0
+        A[..., j + off, j] = np.multiply.outer(vec[..., i], symbol[j])
+    X = np.concatenate([A, A], axis=-2)     # [E; O] = [A_+; A_-]
+    X[..., :S, :N] = X[..., S:, N:] = 0
     for _ in range(k - 1):
-        X = np.stack([X[0] @ A[0] - X[1] @ A[1], X[0] @ A[1] + X[1] @ A[0]])
-        X[:, :, :N] = np.roll(X[:, :, :N], S, axis=1)
-    E, Ot = X[:, :S], X[:, S:].transpose(0, 2, 1)
-    re = 4 * ((E[0] * Ot[0]).sum() - (E[1] * Ot[1]).sum())
-    im = 4 * ((E[0] * Ot[1]).sum() + (E[1] * Ot[0]).sum())
-    return (complex(re, im) if a.backend == FLOAT
-            else GaussianInteger(re, im).over(D ** (2 * k)))
+        X = mul(X, A, np.matmul)
+        X[..., :N] = np.roll(X[..., :N], S, axis=-2)
+    trace = mul(X[..., :S, :], X[..., S:, :].mT).sum(axis=(-2, -1))
+    return join(4 * trace, D ** (2 * k), exact)
 
 
 def exact_width(a: TrigSeries, k: int) -> int:
@@ -167,9 +158,9 @@ def trace_difference(a: TrigSeries, k: int, N: int):
     evaluates at that width, so every admissible N gives the same value.
     A float value never subtracts two traces: within 1e-12 relative of
     z1_closed / z2_closed on the criterion-4 series and their degree-60
-    pullbacks (3.3e-16 at worst, where subtracting two traces loses up to
+    pullbacks (3.2e-16 at worst, where subtracting two traces loses up to
     1.1e-6), and within 1e-13 of the exact zeta_invariant at k = 3, 4 on
-    dyadic degree-3 series (2.4e-16 at worst; tests/test_trace.py).
+    dyadic degree-3 series (3.1e-16 at worst; tests/test_trace.py).
     """
     k, N = _size(k, "order k"), _size(N, "half-width", 0)
     W = exact_width(a, k)

@@ -278,6 +278,19 @@ def test_explore_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--scale", "nan", "coeff_scale"), ("--scale", "inf", "coeff_scale"),
+    ("--scale", "-2", "coeff_scale"), ("--scale", "1e308", "coeff_scale"),
+    ("--scale", "1e100", "coeff_scale"),
+    ("--kappa", "nan", "kappas"), ("--kappa", "inf", "kappas"),
+    ("--kappa", "1e308", "kappas")])
+def test_explore_rejects_non_finite_floats(capsys, flag, value, field):
+    code, out, err = run(capsys, "explore", "--seed", "1", "--count", "2",
+                         "--n0", "3", flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} must ") and err.count("\n") == 1
+
+
 def test_bracket_check_cli(capsys):
     code, out, _ = run(capsys, "bracket-check", "--g", "C", "--h", "D")
     assert code == 0 and out.strip() == "0"

@@ -15,8 +15,9 @@ from steklov_zeta import (BackendMismatch, MoebiusParam, TrigSeries,
                           pullback_direct, rotate, suggest_out_degree,
                           z1_closed, z2_closed)
 from steklov_zeta.conformal import _columns, rk4_exponential
+from steklov_zeta.scalars import RC_ZERO
 
-from util import random_exact_series
+from util import large_rational_series, random_exact_series
 
 
 def mu_contour(n, k, rho, nodes=4096):
@@ -251,6 +252,16 @@ def test_pullback_eigenfunction():
     lam = 0.7 / 1.3
     for n in range(-10, 11):
         assert abs(b.coeff(n) - lam * a.coeff(n)) <= 1e-10
+
+
+def test_exact_transport_with_large_numerators_and_denominators():
+    rho = Fraction(1, 3)
+    for a in large_rational_series():
+        b = apply_moebius(a, rho, 12)
+        for n in range(-12, 13):
+            want = sum((mu(n, k, rho) * v for k, v in a.items()),
+                       RC_ZERO)
+            assert b.coeff(n) == want
 
 
 def test_apply_moebius_agrees_with_pullback():

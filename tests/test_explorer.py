@@ -207,3 +207,22 @@ def test_campaign_validation():
                          max_degree=np.int64(2))
     assert {type(cfg.seed), type(cfg.count), type(cfg.max_degree)} == {int}
     z2_nonneg_campaign(cfg).to_text("json")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coeff_scale", math.nan), ("coeff_scale", math.inf),
+    ("coeff_scale", -2.0), ("coeff_scale", "1"), ("coeff_scale", 1e100),
+    ("kappas", (math.nan,)), ("kappas", (-math.inf,)), ("kappas", (1e308,)),
+    ("kappas", (1j,))])
+def test_campaign_rejects_unusable_floats(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        CampaignConfig(seed=1, count=1, max_degree=15, **{field: value})
+
+
+def test_largest_admitted_scale_keeps_every_value_finite():
+    # the bound admits 1e72 at n0 = 15, where Z_2 reaches about 1e295
+    report = z2_nonneg_campaign(CampaignConfig(
+        seed=1, count=3, max_degree=15, coeff_scale=1e72, kappas=(1e100,)))
+    values = [v for s in report.samples for v in (s.z1, s.z2, s.ratio)]
+    assert all(math.isfinite(v) for v in values)
+    assert max(s.z2 for s in report.samples) > 1e290

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +331,33 @@ def test_rational_complex_basics():
     assert (z - z) == 0
     with pytest.raises(TypeError):
         z * 0.5  # no silent float promotion
+
+
+# one check of every exact value ---------------------------------------------
+
+EXACT_SPELLINGS = [(1, 1), (True, 1), (np.int64(-2), -2), (np.uint8(3), 3),
+                   (Fraction(1, 2), Fraction(1, 2)), ("1/2", Fraction(1, 2)),
+                   ("-3", -3), ("0.25", Fraction(1, 4))]
+NOT_EXACT = [0.5, np.float64(1.0), 1j, None, "abc", "1/0", [1]]
+
+
+@pytest.mark.parametrize("value, want", EXACT_SPELLINGS, ids=repr)
+def test_exact_values_accept_one_set_of_spellings(value, want):
+    # a bare value and either part of an (re, im) pair take the same values
+    assert TrigSeries.exact({0: value}).coeff(0) == RationalComplex(want, 0)
+    assert TrigSeries.exact({0: (value, 0)}).coeff(0) == want
+    assert TrigSeries.exact({0: (0, value)}).coeff(0) == RationalComplex(0, want)
+    assert RationalComplex(value, value) == RationalComplex(want, want)
+
+
+@pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+def test_other_exact_values_raise_value_error_naming_them(value):
+    for make in (lambda: TrigSeries.exact({0: value}),
+                 lambda: TrigSeries.exact({0: (1, value)}),
+                 lambda: RationalComplex(value),
+                 lambda: RationalComplex(1, value)):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} "):
+            make()
 
 
 # one check of every size argument ------------------------------------------

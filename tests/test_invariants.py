@@ -20,11 +20,11 @@ from steklov_zeta import invariants, lie
 from steklov_zeta.invariants import (_COEFF_CACHE_SIZE, _form_table,
                                      _p1_90, _p2_90, zero_sum_multisets)
 from steklov_zeta.lie import raising_relation_sweep
-from steklov_zeta.scalars import (RC_ZERO, GaussianInteger,
-                                  clear_denominators)
+from steklov_zeta.scalars import RC_ZERO
 from steklov_zeta.trace import exact_width, trace_difference
 
-from util import random_exact_series, random_fraction, random_zero_sum_tuple
+from util import (large_rational_series, random_exact_series,
+                  random_fraction, random_zero_sum_tuple)
 
 
 def oracle_n(indices):
@@ -628,33 +628,22 @@ def reference_form_table(support, slots, coeff, backend):
 
 
 def term_by_term_form_sum(a, slots, coeff):
-    """The exact form sum of the (M, slots) row table, kept as the oracle
-    of _form_sum: per zero-sum multiset, the product of its coefficients
-    on Gaussian integers (a scaled by the lcm D of its denominators) times
-    the Fraction weight coefficient * orderings over their common
-    denominator den, summed row by row and divided once by den * D^slots."""
-    if not a:
-        return RC_ZERO
-    support = a.support
-    where = {v: i for i, v in enumerate(support)}
-    rows, weights = [], []
-    for ms in zero_sum_multisets(support, slots):
+    """The exact form sum, kept as the oracle of _form_sum: per zero-sum
+    multiset, the Fraction weight coefficient * orderings times the product
+    of its coefficients in RationalComplex arithmetic, summed row by row.
+    It shares no denominator clearing with the code it checks."""
+    total = RC_ZERO
+    for ms in zero_sum_multisets(a.support, slots):
         c = coeff(*ms)
         if c:
-            rows.append([where[v] for v in ms])
             o = math.factorial(slots)
             for run in Counter(ms).values():
                 o //= math.factorial(run)
-            weights.append(c * o)
-    den = math.lcm(*(w.denominator for w in weights))
-    vec, D = clear_denominators(a.coeff(v) for v in support)
-    total = GaussianInteger(0, 0)
-    for w, row in zip(weights, rows):
-        prod = vec[row[0]]
-        for p in row[1:]:
-            prod = prod * vec[p]
-        total = total + w.numerator * (den // w.denominator) * prod
-    return total.over(den * D ** slots)
+            prod = RationalComplex(c * o)
+            for v in ms:
+                prod = prod * a.coeff(v)
+            total = total + prod
+    return total
 
 
 def _six_slot_coeff(*ms) -> Fraction:
@@ -741,6 +730,16 @@ def test_form_sum_equals_term_by_term_oracle(form, series):
     assert isinstance(value, RationalComplex)
     assert value == term_by_term_form_sum(a, slots, coeff)
     assert (value == RC_ZERO) == (series == "empty-table")
+
+
+def test_exact_forms_with_large_numerators_and_denominators():
+    for a in large_rational_series():
+        for k in (1, 2, 3):
+            assert zeta_invariant(a, k) == term_by_term_form_sum(
+                a, 2 * k, invariants._z_coeff_of)
+        assert z1_closed(a) == term_by_term_form_sum(
+            a, 2, invariants._pair_coeff_closed)
+        assert z2_closed(a) == term_by_term_form_sum(a, 4, z2_coeff_closed)
 
 
 def test_closed_table_calls_the_module_coefficient_once_per_multiset(

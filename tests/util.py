@@ -31,6 +31,21 @@ def random_exact_series(rng: random.Random, degree: int,
     return TrigSeries.exact(coeffs)
 
 
+def large_rational_series():
+    """Degree 1, 2, 3 series with every part a numerator near 1e9 over a
+    denominator near 1e6: cleared to integers, their parts outgrow int64
+    (the inputs of test_exact_trace_with_large_numerators_and_denominators)."""
+    rng = random.Random(20250819)
+
+    def big():
+        return Fraction(rng.randint(10**9 - 10**3, 10**9 + 10**3),
+                        rng.randint(10**6 - 10**3, 10**6 + 10**3))
+
+    for deg in (1, 2, 3):
+        yield TrigSeries.exact({n: (big(), big())
+                                for n in range(-deg, deg + 1)})
+
+
 def random_zero_sum_tuple(rng: random.Random, k: int, bound: int) -> tuple:
     """Zero-sum multi-index of length 2k with entries in [-bound, bound]."""
     while True:
