@@ -10,6 +10,13 @@ failure would be a genuine finding, not roundoff.
 Reproducibility contract: sample i of a campaign with seed s draws from
 numpy's ``default_rng([s, i])``, so reports are byte-identical across runs
 and the campaign can be partitioned arbitrarily without changing results.
+
+A campaign draws each sample as one complex row of coefficients on the
+support -n0..n0 (_draw, shared with random_real_series) and evaluates
+Z_1 and Z_2 of CAMPAIGN_BLOCK rows at a time with one call of the form
+evaluator, invariants._form_sum, per form.  Each row's sums run in the
+order of that row alone, so every value is the double z1_closed and
+z2_closed give for the sample's series.
 """
 
 from __future__ import annotations
@@ -18,15 +25,16 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateDenominator, NotHermitian, NotReal
-from .fourier import EXACT, TrigSeries, _size, is_real, min_on_circle
-from .invariants import z1_closed, z2_closed, zeta
-from .scalars import RationalComplex
+from . import invariants
+from .fourier import EXACT, FLOAT, TrigSeries, _size, is_real, min_on_circle
+from .invariants import z2_closed, zeta
+from .scalars import RationalComplex, ring
 
 
 KAPPA_FORM_SIZE = 10  # the tail size m of each kappa's a_kappa_form
@@ -49,22 +57,20 @@ class CampaignConfig:
         # a sample's values are below (2 n0 + 1)^4 max|Z| scale^4 in modulus,
         # max|Z| <= 2 (8 n0)^5 (coeff_bound_check)
         n0, scale = self.max_degree, self.coeff_scale
-        if not _finite(lambda: (2 * n0 + 1) ** 4 * 2 * (8 * n0) ** 5
-                       * (float(scale) if scale >= 0 else math.nan) ** 4):
+        try:
+            finite = scale >= 0 and math.isfinite(
+                (2 * n0 + 1) ** 4 * 2 * (8 * n0) ** 5 * float(scale) ** 4)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
             raise ValueError("coeff_scale must be a real >= 0 whose sample "
                              f"values stay finite, got {scale!r}")
-        if not all(_finite(lambda: a_kappa_form(kappa, KAPPA_FORM_SIZE))
-                   for kappa in self.kappas):
-            raise ValueError("kappas must give finite a_kappa_forms, got "
-                             f"{self.kappas!r}")
-
-
-def _finite(compute) -> bool:
-    """Whether compute() gives finite values; failing to compute is no."""
-    try:
-        return bool(np.isfinite(compute()).all())
-    except (TypeError, ValueError, OverflowError):
-        return False
+        for kappa in self.kappas:
+            try:
+                a_kappa_form(kappa, KAPPA_FORM_SIZE)
+            except ValueError as exc:
+                raise ValueError(f"kappas must give finite a_kappa_forms: "
+                                 f"{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -88,12 +94,12 @@ class CampaignReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": asdict(self.config),
-            "samples": [asdict(s) for s in self.samples],
+            "config": dict(vars(self.config)),
+            "samples": [dict(vars(s)) for s in self.samples],
             "summary": {
                 "min_z2": self.min_z2,
                 "min_ratio": self.min_ratio,
-                "failures": [asdict(s) for s in self.failures],
+                "failures": [dict(vars(s)) for s in self.failures],
                 "kappa_checks": [list(kc) for kc in self.kappa_checks],
             },
         }
@@ -127,22 +133,51 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def _draw(n0: int, scale, rng: np.random.Generator) -> np.ndarray:
+    """One random real series as the complex row a_{-n0}, ..., a_{n0}.
+
+    a_0 is one uniform draw in [-scale, scale]; then one call draws the
+    pairs (Re a_n, Im a_n), n = 1..n0, in that order, uniform in
+    [-scale/sqrt(2), scale/sqrt(2)]: the same doubles as one scalar call
+    per part.  a_{-n} is the conjugate of a_n.
+    """
+    try:
+        usable = scale >= 0 and math.isfinite(2.0 * scale)
+    except TypeError:
+        usable = False
+    if not usable:
+        raise ValueError(f"scale must be a real >= 0 with 2 * scale finite, "
+                         f"got {scale!r}")
+    s = scale / math.sqrt(2.0)
+    row = np.empty(2 * n0 + 1, complex)
+    row[n0] = rng.uniform(-scale, scale)
+    pairs = rng.uniform(-s, s, 2 * n0).view(complex)
+    row[n0 + 1:] = pairs
+    row[:n0] = pairs[::-1].conj()
+    return row
+
+
+def _series(n0: int, values: list) -> TrigSeries:
+    """The series of a drawn row's values, entered in the order a_0, a_1,
+    a_{-1}, a_2, ... (TrigSeries.sum_abs adds them in that order)."""
+    coeffs = {0: values[n0]}
+    for n in range(1, n0 + 1):
+        coeffs[n] = values[n0 + n]
+        coeffs[-n] = values[n0 - n]
+    return TrigSeries.from_complex(coeffs)
+
+
 def random_real_series(n0: int, scale: float,
                        rng: np.random.Generator) -> TrigSeries:
     """Random conjugate-symmetric series with |a_n| <= scale, support <= n0.
 
     a_0 is uniform real in [-scale, scale]; for 1 <= n <= n0 the real and
     imaginary parts of a_n are uniform in [-scale/sqrt(2), scale/sqrt(2)]
-    and a_{-n} is the conjugate.
+    and a_{-n} is the conjugate.  A NaN, infinite or negative scale raises
+    a ValueError.
     """
     n0 = _size(n0, "n0")
-    coeffs = {0: complex(rng.uniform(-scale, scale), 0.0)}
-    s = scale / math.sqrt(2.0)
-    for n in range(1, n0 + 1):
-        v = complex(rng.uniform(-s, s), rng.uniform(-s, s))
-        coeffs[n] = v
-        coeffs[-n] = v.conjugate()
-    return TrigSeries.from_complex(coeffs)
+    return _series(n0, _draw(n0, scale, rng).tolist())
 
 
 def random_positive_series(n0: int, scale: float, rng: np.random.Generator,
@@ -175,13 +210,12 @@ def rationalize_series(a: TrigSeries) -> TrigSeries:
     return TrigSeries.exact(coeffs)
 
 
-def _ratio_denominator(a: TrigSeries, k: int, two_sided: bool = False) -> float:
-    """sum_{n>=2} n^{2k+1} |a_n|^{2k} of a real series (also n <= -2 when
-    two_sided), the denominator of inequality_ratio."""
-    if not is_real(a):
-        raise NotReal("the ratio is defined for real series")
+def _ratio_denominator(items, k: int, two_sided: bool = False) -> float:
+    """sum_{n>=2} n^{2k+1} |a_n|^{2k} over the (n, a_n) pairs of a real
+    series in increasing n (also n <= -2 when two_sided), the denominator
+    of inequality_ratio.  A zero a_n adds exactly 0."""
     denom = 0.0
-    for n, v in a.items():
+    for n, v in items:
         if n >= 2 or (two_sided and n <= -2):
             denom += abs(n) ** (2 * k + 1) * abs(complex(v)) ** (2 * k)
     if denom == 0.0:
@@ -196,36 +230,73 @@ def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
     convention used throughout the reports); two_sided=True also adds the
     n <= -2 terms, which doubles the denominator of a real series.
     """
-    denom = _ratio_denominator(a, k, two_sided)
+    if not is_real(a):
+        raise NotReal("the ratio is defined for real series")
+    denom = _ratio_denominator(a.items(), k, two_sided)
     return float(complex(zeta(a, k)).real) / denom
+
+
+# Rows of one form evaluation in z2_nonneg_campaign.  Its largest arrays
+# hold a complex value per row and Z_2 term (949 terms at n0 = 15, so about
+# 0.5 MB for a full block) and do not grow with the campaign's count.
+CAMPAIGN_BLOCK = 32
+
+
+def _closed_forms(support: tuple, rows: np.ndarray) -> list:
+    """[Z_1, Z_2] of each float row of coefficients on support, as real
+    parts: one _form_sum per form over all the rows."""
+    vec, _, mul = ring(rows, False)
+    return [invariants._form_sum(support, vec, mul, slots, coeff,
+                                 FLOAT)[0].real
+            for slots, coeff in ((2, invariants._pair_coeff_closed),
+                                 (4, invariants.z2_coeff_closed))]
 
 
 def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Evaluate Z_2 on random real series; flag (after exact re-check) any
-    negative value.  Deterministic given the config."""
+    negative value.  Deterministic given the config.
+
+    Samples are drawn as complex rows over the support -n0..n0 and
+    evaluated CAMPAIGN_BLOCK rows at a time, one _form_sum per form and
+    block.  A row's sums run along its own axis, so each value is the one
+    z1_closed and z2_closed give its series; a row with a zero coefficient
+    (its series has a smaller support, so its sum another order) is
+    evaluated on its own support.  Only a sample whose Z_2 is negative
+    becomes a TrigSeries, for the threshold 1e-9 (1 + sum|a_n|)^4 and the
+    exact re-check of a value below minus it.
+    """
+    n0 = cfg.max_degree
+    support = tuple(range(-n0, n0 + 1))
+    above_1 = support[n0 + 2:]  # the frequencies of the ratio denominator
     samples = []
     failures = []
-    for i in range(cfg.count):
-        rng = sample_rng(cfg.seed, i)
-        a = random_real_series(cfg.max_degree, cfg.coeff_scale, rng)
-        z1 = complex(z1_closed(a)).real
-        z2 = complex(z2_closed(a)).real
-        tol = 1e-9 * (1.0 + a.sum_abs()) ** 4
-        flagged = False
-        z2_exact = None
-        if z2 < -tol:
-            exact_val = z2_closed(rationalize_series(a))
-            z2_exact = str(exact_val.re)
-            if exact_val.re < 0:
-                flagged = True
-        try:
-            ratio = z2 / _ratio_denominator(a, 2)
-        except DegenerateDenominator:
-            ratio = None
-        rec = SampleRecord(i, z1, z2, ratio, flagged, z2_exact)
-        samples.append(rec)
-        if flagged:
-            failures.append(rec)
+    for start in range(0, cfg.count, CAMPAIGN_BLOCK):
+        block = range(start, min(start + CAMPAIGN_BLOCK, cfg.count))
+        rows = np.array([_draw(n0, cfg.coeff_scale, sample_rng(cfg.seed, i))
+                         for i in block])
+        z1s, z2s = _closed_forms(support, rows)
+        for j in np.flatnonzero(~rows.all(-1)):
+            kept = tuple(n for n, v in zip(support, rows[j]) if v)
+            z1s[j], z2s[j] = _closed_forms(kept, rows[j][rows[j] != 0])
+        for i, values, z1, z2 in zip(block, rows.tolist(), z1s.tolist(),
+                                     z2s.tolist()):
+            flagged = False
+            z2_exact = None
+            if z2 < 0:  # the threshold is positive
+                a = _series(n0, values)
+                if z2 < -1e-9 * (1.0 + a.sum_abs()) ** 4:
+                    exact_val = z2_closed(rationalize_series(a))
+                    z2_exact = str(exact_val.re)
+                    flagged = exact_val.re < 0
+            try:
+                ratio = z2 / _ratio_denominator(
+                    zip(above_1, values[n0 + 2:]), 2)
+            except DegenerateDenominator:
+                ratio = None
+            rec = SampleRecord(i, z1, z2, ratio, flagged, z2_exact)
+            samples.append(rec)
+            if flagged:
+                failures.append(rec)
     ratios = [s.ratio for s in samples if s.ratio is not None]
     kappa_checks = tuple(
         (kappa, bool(positive_definite_check(
@@ -252,20 +323,30 @@ def a_kappa_form(kappa: float, m: int) -> np.ndarray:
     diagonal (1 + 2 kappa^2) n (n^2-1)(n^2 - 2/3), first off-diagonal
     2 kappa n (n^2-1)(n+2)(n+1/2), second off-diagonal
     kappa^2 n (n^2-1)(n+2)(n+3), all scaled by 4/5.
+
+    The library's one check of kappa: a kappa that is not a finite real,
+    or whose form would hold an infinite entry, raises a ValueError.
     """
     m = _size(m, "m", 2)
-    kappa = float(kappa)
-    size = m - 1
-    H = np.zeros((size, size))
+    try:
+        k = float(kappa)
+        kappa2 = k ** 2
+    except (TypeError, ValueError, OverflowError):
+        k = kappa2 = math.nan
+    H = np.zeros((m - 1, m - 1))
     for n in range(2, m + 1):
-        H[n - 2, n - 2] = (1.0 + 2.0 * kappa**2) * n * (n * n - 1) * (n * n - 2.0 / 3.0)
+        H[n - 2, n - 2] = (1.0 + 2.0 * kappa2) * n * (n * n - 1) * (n * n - 2.0 / 3.0)
     for n in range(2, m):
         H[n - 2, n - 1] = H[n - 1, n - 2] = \
-            2.0 * kappa * n * (n * n - 1) * (n + 2) * (n + 0.5)
+            2.0 * k * n * (n * n - 1) * (n + 2) * (n + 0.5)
     for n in range(2, m - 1):
         H[n - 2, n] = H[n, n - 2] = \
-            kappa**2 * n * (n * n - 1) * (n + 2) * (n + 3)
-    return 0.8 * H
+            kappa2 * n * (n * n - 1) * (n + 2) * (n + 3)
+    H = 0.8 * H
+    if not np.isfinite(H).all():
+        raise ValueError(f"kappa must be a finite real whose a_kappa_form "
+                         f"is finite, got {kappa!r}")
+    return H
 
 
 def trinomial_extract(tail: TrigSeries, kappa):
@@ -274,10 +355,13 @@ def trinomial_extract(tail: TrigSeries, kappa):
 
     Determined by evaluating Z_2 at a_0 in {0, 1, -1} and solving the
     three-point interpolation; exact when the tail and kappa are exact.
+    A float kappa must pass a_kappa_form's check.
     """
     if any(abs(n) <= 1 for n in tail.support):
         raise ValueError("tail series must vanish on frequencies |n| <= 1")
     exact = tail.backend == EXACT and isinstance(kappa, (int, Fraction))
+    if not exact:
+        a_kappa_form(kappa, max(tail.degree, 2))
     base = tail if exact else tail.to_float()
     kappa = Fraction(kappa) if exact else float(kappa)
 

@@ -38,8 +38,11 @@ there), and does the rest of its bookkeeping in numpy and on ints; the
 closed Z_2 table of a degree-60 support, 51,071 multisets, takes about
 0.2 s, against about 0.5 ms for a warm float Z_2 of a degree-60 series
 (2-vCPU x86_64 VM, Python 3.11).  Both backends run one evaluator
-(_form_sum) on scalars.ring: exact values are exact; float values may
-differ from a term-by-term loop in the last bits (another order).
+(_form_sum) on rows of coefficients on the ring of scalars.ring; a series
+is one row, and the campaign of explorer passes a block of rows on one
+support.  Exact values are exact; float values may differ from a
+term-by-term loop in the last bits (another order), but not between a row
+alone and the same row in a block.
 """
 
 from __future__ import annotations
@@ -271,38 +274,57 @@ def _form_table(support: tuple, slots: int, coeff, backend: str):
                                       float, len(nums)), 1
 
 
-def _form_sum(a: TrigSeries, slots: int, coeff):
-    """sum over zero-sum index tuples of coeff * a_{j_1} * ... * a_{j_slots}.
+def _form_sum(support: tuple, vec, mul, slots: int, coeff, backend: str):
+    """Rows of sums over zero-sum index tuples of
+    coeff * a_{j_1} * ... * a_{j_slots}: (sums, den).
+
+    vec holds the coefficients on the given sorted support as rows (..., S)
+    on the ring of scalars.ring, mul its product: complex128 rows for the
+    float backend, the [re; im] stack (2, ..., S) of ints over the ring's D
+    for the exact one.  A TrigSeries is one row (_series_form); a campaign
+    passes a block of rows on one support and pays the table lookup once.
+    sums has one ring element per row, over den * D^slots.
 
     coeff is the coefficient function of one route, called with the indices
     of a sorted multiset: _z_coeff_of (brute), _pair_coeff_closed or
     z2_coeff_closed (closed).  The terms come from _form_table, cached on
-    (a.support, slots, coeff, a.backend).  The routes pass different
-    functions, so they never share a table; the caller passes the function
-    its module binds at call time, so one swapped in for z2_coeff_closed
-    (the benchmark tracer's counting wrapper) gets tables of its own and is
-    the one they call.
+    (support, slots, coeff, backend).  The routes pass different functions,
+    so they never share a table; the caller passes the function its module
+    binds at call time, so one swapped in for z2_coeff_closed (the benchmark
+    tracer's counting wrapper) gets tables of its own and is the one they
+    call.
 
-    One evaluation for both backends on the coefficient ring of a
-    (scalars.ring, exact over D): its outer product; the weights times one
-    gather per other pair of slots (1 for Z_2, 2 for k = 3; none for Z_1),
-    summed per first pair (see _form_table) with np.add.reduceat; times one
-    gather of the distinct first pairs; one sum, divided by den * D^slots.
+    One evaluation for both backends: the outer product of each row with
+    itself by broadcasting; the weights times one gather per other pair of
+    slots (1 for Z_2, 2 for k = 3; none for Z_1), summed per first pair
+    (see _form_table) with np.add.reduceat; times one gather of the
+    distinct first pairs; one sum per row.  Every reduction runs along the
+    last axis, so a row's sum is the same in a block as on its own.
     """
-    exact = a.backend == EXACT
-    support, values = zip(*a.items()) if a else ((), ())
-    pairs, starts, weights, den = _form_table(support, slots, coeff,
-                                              a.backend)
-    vec, D, mul = ring(values, exact)
-    products = mul(vec, vec, np.multiply.outer).reshape(*vec.shape[:-1], -1)
+    pairs, starts, weights, den = _form_table(support, slots, coeff, backend)
+    products = mul(vec[..., :, None], vec[..., None, :])
+    products = products.reshape(*products.shape[:-2], -1)
     terms = weights  # Z_1: one pair, so every group is a single term
-    if len(pairs) > 1:  # inline *, so numpy reuses the gathered temporary
-        terms = weights * products.take(pairs[1], -1)
+    if len(pairs) > 1:
+        # in place: a new block-sized broadcast product takes several times
+        # longer (20 rows at n0 = 15, 2-vCPU x86_64 VM: 0.3 ms against 0.05)
+        terms = products.take(pairs[1], -1)
+        terms *= weights
         for i in range(2, len(pairs)):  # cheaper than iterating the rows
             terms = mul(terms, products.take(pairs[i], -1))
         terms = np.add.reduceat(terms, starts, -1)
     terms = mul(terms, products.take(pairs[0][starts], -1))
-    return join(np.add.reduce(terms, -1), den * D ** slots, exact)
+    return np.add.reduce(terms, -1), den
+
+
+def _series_form(a: TrigSeries, slots: int, coeff):
+    """The form of one series: its items as one row of _form_sum, the sum
+    joined to a backend scalar."""
+    exact = a.backend == EXACT
+    support, values = zip(*a.items()) if a else ((), ())
+    vec, D, mul = ring(values, exact)
+    z, den = _form_sum(support, vec, mul, slots, coeff, a.backend)
+    return join(z, den * D ** slots, exact)
 
 
 def _z_coeff_of(*indices) -> Fraction:
@@ -316,7 +338,7 @@ def zeta_invariant(a: TrigSeries, k: int):
     Returns a backend scalar (RationalComplex or complex); the value is real
     whenever a is conjugate-symmetric.
     """
-    return _form_sum(a, 2 * _size(k, "order k"), _z_coeff_of)
+    return _series_form(a, 2 * _size(k, "order k"), _z_coeff_of)
 
 
 def _pair_coeff_closed(i: int, j: int) -> Fraction:
@@ -326,7 +348,7 @@ def _pair_coeff_closed(i: int, j: int) -> Fraction:
 
 def z1_closed(a: TrigSeries):
     """First invariant in closed form: (1/3) sum_j |j^3 - j| a_j a_{-j}."""
-    return _form_sum(a, 2, _pair_coeff_closed)
+    return _series_form(a, 2, _pair_coeff_closed)
 
 
 # closed form for quadruple coefficients -------------------------------------
@@ -402,7 +424,7 @@ def z2_coeff_closed(i: int, j: int, k: int, l: int) -> Fraction:
 
 def z2_closed(a: TrigSeries):
     """Second invariant via the closed-form quadruple coefficients."""
-    return _form_sum(a, 4, z2_coeff_closed)
+    return _series_form(a, 4, z2_coeff_closed)
 
 
 def z_coeff_closed(indices) -> Fraction:

@@ -278,6 +278,28 @@ def test_explore_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--seed", "7", "--count", "40", "--n0", "5"),
+     "b38e3b41e4117ee1b3c459a06f5b40bcb72dabd3b77986479ecb2dd55dab469b"),
+    (("--seed", "7", "--count", "40", "--n0", "5", "--format", "csv"),
+     "d6bacb326fb90c7dded9822589b95920141161cd61f22fa1c57d90ee97cec05b"),
+    (("--seed", "3", "--count", "6", "--n0", "15", "--kappa", "0.5",
+      "--kappa", "-1"),
+     "e499803a315cc165f8935b67182ca0c7b9ef207b7b1e3c86e0b93ef4e6285887"),
+    (("--seed", "2", "--count", "4", "--n0", "3", "--scale", "0"),
+     "1df1933d84e37d3947ca70ffc7910a8f2c1f0581f302c7db45a2b026ef57d933"),
+    (("--seed", "2", "--count", "4", "--n0", "3", "--scale", "0",
+      "--format", "csv"),
+     "67e419579dabbac4b72ca908c1b460379867bb4b77e9032e31082af1c8181815"),
+])
+def test_explore_output_is_pinned(capsys, argv, digest):
+    # digests of the output of the campaign that drew and evaluated one
+    # sample at a time, before it evaluated blocks of rows
+    code, out, _ = run(capsys, "explore", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--scale", "nan", "coeff_scale"), ("--scale", "inf", "coeff_scale"),
     ("--scale", "-2", "coeff_scale"), ("--scale", "1e308", "coeff_scale"),

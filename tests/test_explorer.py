@@ -1,15 +1,18 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from steklov_zeta import (CampaignConfig, DegenerateDenominator, NotHermitian,
-                          TrigSeries, a_kappa_form, inequality_ratio, is_real,
+                          RationalComplex, TrigSeries, a_kappa_form,
+                          explorer, inequality_ratio, invariants, is_real,
                           positive_definite_check, random_positive_series,
                           random_real_series, min_on_circle, trinomial_extract,
                           z1_closed, z2_closed, z2_nonneg_campaign)
-from steklov_zeta.explorer import rationalize_series, sample_rng
+from steklov_zeta.explorer import (CAMPAIGN_BLOCK, _ratio_denominator,
+                                   rationalize_series, sample_rng)
 
 
 def test_random_series_deterministic():
@@ -29,6 +32,14 @@ def test_random_series_is_real_and_bounded():
 
 def test_random_series_zero_scale():
     assert not random_real_series(3, 0.0, sample_rng(2, 0))
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, -1.0,
+                                   1e308, "1"])
+def test_random_series_rejects_an_unusable_scale(scale):
+    # 1e308 is finite, but the draw range 2 * scale is not
+    with pytest.raises(ValueError, match="^scale must "):
+        random_real_series(3, scale, sample_rng(1, 0))
 
 
 def test_random_positive_series_screened():
@@ -53,6 +64,94 @@ def test_campaign_single_sample_matches_direct_value():
     rep = z2_nonneg_campaign(cfg)
     a = random_real_series(3, 1.0, sample_rng(5150, 0))
     assert rep.samples[0].z2 == pytest.approx(complex(z2_closed(a)).real)
+
+
+@pytest.mark.parametrize("n0", [2, 5, 15])
+def test_campaign_values_are_the_single_series_values(n0):
+    # bit for bit, over more than one block of rows
+    count = CAMPAIGN_BLOCK + 3
+    rep = z2_nonneg_campaign(CampaignConfig(seed=606, count=count,
+                                            max_degree=n0))
+    assert len(rep.samples) == count
+    for s in rep.samples:
+        a = random_real_series(n0, 1.0, sample_rng(606, s.index))
+        assert s.z1 == complex(z1_closed(a)).real
+        assert s.z2 == complex(z2_closed(a)).real
+        assert s.ratio == s.z2 / _ratio_denominator(a.items(), 2)
+
+
+def test_campaign_row_with_a_zero_coefficient_keeps_its_series_values(
+        monkeypatch):
+    # its series drops a_3 and a_{-3}: another support, whose form sums
+    # add the same terms in another order
+    draw = explorer._draw
+
+    def draw_without_a_3(n0, scale, rng):
+        row = draw(n0, scale, rng)
+        row[n0 + 3] = row[n0 - 3] = 0
+        return row
+
+    monkeypatch.setattr(explorer, "_draw", draw_without_a_3)
+    rep = z2_nonneg_campaign(CampaignConfig(seed=11, count=40,
+                                            max_degree=15))
+    for s in rep.samples:
+        a = random_real_series(15, 1.0, sample_rng(11, s.index))
+        assert 3 not in a.support
+        assert (s.z1, s.z2) == (complex(z1_closed(a)).real,
+                                complex(z2_closed(a)).real)
+
+
+def test_campaign_evaluates_at_most_one_block_of_rows(monkeypatch):
+    rows = []
+    form_sum = invariants._form_sum
+
+    def spy(support, vec, *args):
+        rows.append(vec.shape[:-1])
+        return form_sum(support, vec, *args)
+
+    monkeypatch.setattr(invariants, "_form_sum", spy)
+    z2_nonneg_campaign(CampaignConfig(seed=5, count=2 * CAMPAIGN_BLOCK + 1,
+                                      max_degree=3))
+    # Z_1 and Z_2 of each block
+    assert rows == [(CAMPAIGN_BLOCK,)] * 4 + [(1,)] * 2
+
+
+def _lower_z2_of_sample_0(monkeypatch):
+    """Make the float Z_2 of sample 0 of a one-block campaign -1."""
+    closed_forms = explorer._closed_forms
+
+    def lowered(support, rows):
+        z1s, z2s = closed_forms(support, rows)
+        z2s[0] = -1.0
+        return z1s, z2s
+
+    monkeypatch.setattr(explorer, "_closed_forms", lowered)
+
+
+def test_campaign_rechecks_a_negative_float_value_exactly(monkeypatch):
+    _lower_z2_of_sample_0(monkeypatch)
+    rep = z2_nonneg_campaign(CampaignConfig(seed=31, count=3, max_degree=4))
+    a = random_real_series(4, 1.0, sample_rng(31, 0))
+    exact = z2_closed(rationalize_series(a))
+    assert exact.re > 0
+    first = rep.samples[0]
+    assert (first.z2, first.z2_exact, first.flagged) == (
+        -1.0, str(exact.re), False)
+    assert rep.failures == () and rep.min_z2 == -1.0
+    assert all(s.z2_exact is None for s in rep.samples[1:])
+
+
+def test_campaign_flags_an_exactly_negative_value(monkeypatch):
+    _lower_z2_of_sample_0(monkeypatch)
+    monkeypatch.setattr(explorer, "z2_closed",
+                        lambda a: RationalComplex(Fraction(-1, 3), 0))
+    rep = z2_nonneg_campaign(CampaignConfig(seed=31, count=3, max_degree=4))
+    first = rep.samples[0]
+    assert (first.z2_exact, first.flagged) == ("-1/3", True)
+    assert rep.failures == (first,)
+    assert json.loads(rep.to_text("json"))["summary"]["failures"] == [
+        {"index": 0, "z1": first.z1, "z2": -1.0, "ratio": first.ratio,
+         "flagged": True, "z2_exact": "-1/3"}]
 
 
 def test_campaign_report_serialization(tmp_path):
@@ -133,6 +232,28 @@ def test_a_kappa_form_positive_definite_sample():
     for kappa in (0.0, 0.5, -0.5, 1.0, -1.0):
         H = a_kappa_form(kappa, 10)
         assert positive_definite_check(H)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf, 1e155,
+                                   -3e152, 1j, "half"])
+def test_a_kappa_form_rejects_an_unusable_kappa(kappa):
+    # above about 1.3e154 kappa^2 overflows; from about 3e151 the largest
+    # entry of the m = 10 form does
+    with pytest.raises(ValueError, match="^kappa must "):
+        a_kappa_form(kappa, 10)
+    with pytest.raises(ValueError, match="^kappas must "):
+        CampaignConfig(seed=1, count=1, max_degree=2, kappas=(0.5, kappa))
+
+
+def test_a_kappa_form_admits_a_large_finite_kappa():
+    assert np.isfinite(a_kappa_form(1e151, 10)).all()
+
+
+def test_trinomial_rejects_an_unusable_float_kappa():
+    tail = TrigSeries.from_complex({2: 0.5, -2: 0.5})
+    for kappa in (math.nan, 1e155):
+        with pytest.raises(ValueError, match="^kappa must "):
+            trinomial_extract(tail, kappa)
 
 
 def test_trinomial_zero_tail():
