@@ -8,19 +8,27 @@ or to --out.  Exit codes: 0 success / all checks pass, 1 check failure,
 
 An optional config file (--config PATH or --config=PATH, "key = value"
 lines) supplies defaults for any long flag of the chosen command; explicit
-flags win.
-Switches take true / false.
+flags win.  Each value is read as its flag would be, with the same type and
+choice checks.  Switches take true / false.
+
+The parsers are built once per process, on the first main() call, and no
+call writes into them, so main() can be called many times in one process
+with nothing carried over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
+import platform
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .conformal import (MoebiusParam, mu_matrix, pullback_direct,
@@ -35,7 +43,8 @@ from .lie import GENERATORS, RELATION_PLANES, bracket_check, relation_sweep
 from .scalars import RationalComplex
 from .trace import exact_width, trace_difference
 
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
+_VERSIONS = (f"steklov-zeta {__version__}",
+             f"python={platform.python_version()}", f"numpy={np.__version__}")
 
 
 def _digest(args: argparse.Namespace) -> str:
@@ -46,7 +55,7 @@ def _digest(args: argparse.Namespace) -> str:
 
 
 def _header(args, backend: str, seed=None) -> None:
-    bits = [f"steklov-zeta {__version__}", f"backend={backend}"]
+    bits = [*_VERSIONS, f"backend={backend}"]
     if seed is not None:
         bits.append(f"seed={seed}")
     bits.append(f"config={_digest(args)}")
@@ -260,12 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def register(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _SUBPARSERS[name] = p
-        return p
-
-    p = register("compute-z", help="evaluate Z_k of a series file")
+    p = sub.add_parser("compute-z", help="evaluate Z_k of a series file")
     p.add_argument("--series", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--backend", choices=["exact", "float"], default="exact")
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_compute_z)
 
-    p = register("brute-n", help="N/Z coefficients, single or CSV table")
+    p = sub.add_parser("brute-n", help="N/Z coefficients, single or CSV table")
     p.add_argument("--indices",
                    help="comma separated; use --indices=-3,2,2,-1 when the "
                         "first index is negative")
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_brute_n)
 
-    p = register("z2-coeff", help="closed-form quadruple coefficient")
+    p = sub.add_parser("z2-coeff", help="closed-form quadruple coefficient")
     p.add_argument("--indices", required=True,
                    help="comma separated; use --indices=-3,2,2,-1 when the "
                         "first index is negative")
@@ -293,15 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_z2_coeff)
 
-    p = register("mu-matrix", help="export the truncated action matrix")
+    p = sub.add_parser("mu-matrix", help="export the truncated action matrix")
     p.add_argument("--rho", required=True, help='"p/q" exact or decimal float')
     p.add_argument("--half-width", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_mu_matrix)
 
-    p = register("check-invariance",
-                 help="compare Z_k before/after boundary pullback")
+    p = sub.add_parser("check-invariance",
+                       help="compare Z_k before/after boundary pullback")
     p.add_argument("--series", required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -311,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_invariance)
 
-    p = register("check-relations",
-                 help="exact sweep of the invariance relations")
+    p = sub.add_parser("check-relations",
+                       help="exact sweep of the invariance relations")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--variant", choices=list(RELATION_PLANES),
@@ -322,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_relations)
 
-    p = register("trace-check",
-                 help="operator-trace oracle vs the combinatorial sum")
+    p = sub.add_parser("trace-check",
+                       help="operator-trace oracle vs the combinatorial sum")
     p.add_argument("--series", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_trace_check)
 
-    p = register("explore", help="random Z_2 nonnegativity campaign")
+    p = sub.add_parser("explore", help="random Z_2 nonnegativity campaign")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--n0", type=int, default=5)
@@ -339,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_explore)
 
-    p = register("bracket-check", help="generator bracket identities")
+    p = sub.add_parser("bracket-check", help="generator bracket identities")
     p.add_argument("--g", choices=list(GENERATORS), required=True)
     p.add_argument("--h", choices=list(GENERATORS), required=True)
     p.add_argument("--series")
@@ -361,35 +365,53 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _config_value(action: argparse.Action, text: str):
-    """A config-file string as the default the flag's action would store."""
-    if action.nargs == 0:  # a switch such as --verify
-        value = {"true": True, "false": False}.get(text.lower())
-        if value is None:
-            raise ValueError(f"config {action.dest} = {text!r}: "
-                             "expected true or false")
-        return value
-    value = text if action.type is None else action.type(text)
-    return [value] if isinstance(action, argparse._AppendAction) else value
+def _config_tokens(subparser: argparse.ArgumentParser, raw: dict) -> list:
+    """Config values as flag tokens, so the subparser checks each one as it
+    checks the command line: type, choices and required."""
+    tokens = []
+    for action in subparser._actions:
+        if action.dest not in raw or not action.option_strings:
+            continue
+        flag, text = action.option_strings[0], raw[action.dest]
+        if action.nargs == 0:  # a switch such as --verify
+            value = {"true": True, "false": False}.get(text.lower())
+            if value is None:
+                raise ValueError(f"config {action.dest} = {text!r}: "
+                                 "expected true or false")
+            if value == action.const:
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={text}")
+    return tokens
+
+
+@functools.cache
+def _parsers() -> tuple:
+    """The command parser and the --config pre-parser, built on the first
+    main() call and only read after that."""
+    parser = build_parser()
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")  # as argparse reads it: PATH or =PATH
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    return parser, pre
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, pre = _parsers()
     try:
-        pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-        pre.add_argument("--config")  # as argparse reads it: PATH or =PATH
-        pre.add_argument("command", nargs="?")
         known = pre.parse_known_args(argv)[0]
         if known.config is not None:
             raw = _load_config(known.config)
-            subparser = _SUBPARSERS.get(known.command)
+            commands = next(a for a in parser._actions
+                            if isinstance(a, argparse._SubParsersAction))
+            subparser = commands.choices.get(known.command)
             if subparser is not None:
-                for action in subparser._actions:
-                    if action.dest in raw:
-                        value = _config_value(action, raw[action.dest])
-                        subparser.set_defaults(**{action.dest: value})
-                        action.required = False
+                # right after the command name: explicit flags come later
+                # and win, and an append flag gets [config, explicit...]
+                cut = len(argv) - len(known.rest)
+                argv[cut:cut] = _config_tokens(subparser, raw)
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

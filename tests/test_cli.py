@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
+import platform
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from steklov_zeta import (TrigSeries, exact_width, save_series,
+from steklov_zeta import (TrigSeries, __version__, exact_width, save_series,
                           suggest_out_degree)
 from steklov_zeta.cli import main
 
@@ -457,6 +460,65 @@ def test_config_file_supplies_defaults(capsys, tmp_path, pair_series):
     code, out, err = run(capsys, "--config", str(cfg), "z2-coeff",
                          "--indices=-3,2,2,-1")
     assert code == 2 and out == "" and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("text, flag", [("method = bogus\nk = 2\n", "--method"),
+                                        ("k = abc\n", "--k")])
+def test_bad_config_value_is_a_usage_error(capsys, tmp_path, pair_series,
+                                           text, flag):
+    # checked like the flag on the command line: type and choices
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "--config", str(cfg), "compute-z",
+                         "--series", pair_series)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and f"argument {flag}:" in err
+
+
+def test_config_values_do_not_carry_over_to_the_next_call(capsys, tmp_path,
+                                                         pair_series):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("k = 2\nkappa = 0.5\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "compute-z",
+                       "--series", pair_series)
+    assert code == 0 and out.strip() == "48"
+    # --k is required again once no config supplies it
+    code, out, err = run(capsys, "compute-z", "--series", pair_series)
+    assert (code, out) == (2, "") and "--k" in err
+    code, out, _ = run(capsys, "--config", str(cfg), "explore", "--seed", "4",
+                       "--count", "1", "--n0", "2", "--kappa", "-1")
+    assert code == 0 and json.loads(out)["config"]["kappas"] == [0.5, -1.0]
+    code, out, _ = run(capsys, "explore", "--seed", "4", "--count", "1",
+                       "--n0", "2")
+    assert code == 0 and json.loads(out)["config"]["kappas"] == []
+
+
+def test_later_calls_build_no_parser(capsys, tmp_path, pair_series,
+                                     monkeypatch):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("k = 1\n")
+    assert run(capsys, "--version")[0] == 0  # the first call builds them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, "--config", str(cfg), "compute-z",
+                       "--series", pair_series)
+    assert (code, out.strip()) == (0, "4")
+    assert built == []
+
+
+def test_header_names_the_python_and_numpy_versions(capsys, pair_series):
+    _, _, err = run(capsys, "compute-z", "--series", pair_series, "--k", "1")
+    header = err.splitlines()[0].split(" | ")
+    assert header[:3] == [f"steklov-zeta {__version__}",
+                          f"python={platform.python_version()}",
+                          f"numpy={np.__version__}"]
+    assert header[3] == "backend=exact" and header[4].startswith("config=")
 
 
 @pytest.mark.parametrize("spelling", ["separate", "equals"])
