@@ -9,7 +9,9 @@ or to --out.  Exit codes: 0 success / all checks pass, 1 check failure,
 An optional config file (--config PATH or --config=PATH, "key = value"
 lines) supplies defaults for any long flag of the chosen command; explicit
 flags win.  Each value is read as its flag would be, with the same type and
-choice checks.  Switches take true / false.
+choice checks.  Switches take true / false.  A key of another command is
+skipped, so one file can serve several commands; a key that names no flag
+of any command is a usage error.
 
 The parsers are built once per process, on the first main() call, and no
 call writes into them, so main() can be called many times in one process
@@ -387,26 +389,34 @@ def _config_tokens(subparser: argparse.ArgumentParser, raw: dict) -> list:
 
 @functools.cache
 def _parsers() -> tuple:
-    """The command parser and the --config pre-parser, built on the first
+    """The command parser, the --config pre-parser, the subparsers by
+    command name and the config keys any of them takes, built on the first
     main() call and only read after that."""
     parser = build_parser()
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")  # as argparse reads it: PATH or =PATH
     pre.add_argument("command", nargs="?")
     pre.add_argument("rest", nargs=argparse.REMAINDER)
-    return parser, pre
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    keys = frozenset(a.dest for sub in commands.values()
+                     for a in sub._actions if a.option_strings)
+    return parser, pre, commands, keys
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, pre = _parsers()
+    parser, pre, commands, keys = _parsers()
     try:
         known = pre.parse_known_args(argv)[0]
         if known.config is not None:
             raw = _load_config(known.config)
-            commands = next(a for a in parser._actions
-                            if isinstance(a, argparse._SubParsersAction))
-            subparser = commands.choices.get(known.command)
+            # a key of another command is fine: one file serves several
+            unknown = ", ".join(repr(key) for key in raw if key not in keys)
+            if unknown:
+                raise ValueError("config keys naming no flag of any "
+                                 f"command: {unknown}")
+            subparser = commands.get(known.command)
             if subparser is not None:
                 # right after the command name: explicit flags come later
                 # and win, and an append flag gets [config, explicit...]

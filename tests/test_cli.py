@@ -475,6 +475,30 @@ def test_bad_config_value_is_a_usage_error(capsys, tmp_path, pair_series,
     assert err.count("error:") == 1 and f"argument {flag}:" in err
 
 
+def test_config_key_of_no_command_is_a_usage_error(capsys, tmp_path,
+                                                   pair_series):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("kk = 2\nmethd = closed\n")
+    code, out, err = run(capsys, "--config", str(cfg), "compute-z",
+                         "--series", pair_series, "--k", "2")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "'kk', 'methd'" in err
+
+
+def test_config_key_of_another_command_is_skipped(capsys, tmp_path,
+                                                  pair_series):
+    # count and kappa are explore's, k and method compute-z's: one file
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("k = 2\nmethod = closed\ncount = 3\nkappa = 0.5\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "compute-z",
+                       "--series", pair_series)
+    assert (code, out.strip()) == (0, "48")
+    code, out, _ = run(capsys, "--config", str(cfg), "explore", "--seed", "4",
+                       "--n0", "2")
+    assert code == 0
+    assert len(json.loads(out)["samples"]) == 3
+
+
 def test_config_values_do_not_carry_over_to_the_next_call(capsys, tmp_path,
                                                          pair_series):
     cfg = tmp_path / "conf.txt"

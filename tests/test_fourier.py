@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -331,6 +333,104 @@ def test_rational_complex_basics():
     assert (z - z) == 0
     with pytest.raises(TypeError):
         z * 0.5  # no silent float promotion
+
+
+# RationalComplex against a pair of Fractions --------------------------------
+
+_BIG = 10 ** 40
+_PARTS = st.one_of(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+                   st.builds(Fraction, st.integers(-_BIG, _BIG),
+                             st.integers(1, _BIG)))
+_PAIRS = st.tuples(_PARTS, _PARTS)
+_RATIONALS = st.one_of(st.integers(-_BIG, _BIG), _PARTS)
+
+
+def assert_rational_complex(z, re, im):
+    """z is the value re + i im, stored as its canonical triple."""
+    assert isinstance(z, RationalComplex)
+    assert (z.re, z.im) == (re, im)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z._d > 0 and math.gcd(z._x, z._y, z._d) == 1
+    assert z == RationalComplex(re, im)
+    assert hash(z) == hash(RationalComplex(re, im))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS, _PAIRS)
+def test_rational_complex_ring_matches_a_pair_of_fractions(p, q):
+    (a, b), (c, d) = p, q
+    z, w = RationalComplex(a, b), RationalComplex(c, d)
+    assert_rational_complex(z, a, b)
+    assert_rational_complex(z + w, a + c, b + d)
+    assert_rational_complex(z - w, a - c, b - d)
+    assert_rational_complex(z * w, a * c - b * d, a * d + b * c)
+    assert_rational_complex(-z, -a, -b)
+    assert_rational_complex(+z, a, b)
+    assert_rational_complex(z.conjugate(), a, -b)
+    assert_rational_complex(z - z, 0, 0)
+    assert (z == w) == ((a, b) == (c, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS, _RATIONALS)
+def test_rational_complex_takes_int_and_fraction_operands(p, r):
+    a, b = p
+    z = RationalComplex(a, b)
+    assert_rational_complex(z + r, a + r, b)
+    assert_rational_complex(r + z, a + r, b)
+    assert_rational_complex(z - r, a - r, b)
+    assert_rational_complex(r - z, r - a, -b)
+    assert_rational_complex(z * r, a * r, b * r)
+    assert_rational_complex(r * z, a * r, b * r)
+    if r:
+        assert_rational_complex(z / r, a / Fraction(r), b / Fraction(r))
+    assert (z == r) == (r == z) == (b == 0 and a == r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS)
+def test_rational_complex_predicates_and_conversions(p):
+    a, b = p
+    z = RationalComplex(a, b)
+    assert z.sup_abs() == max(abs(a), abs(b)) and type(z.sup_abs()) is Fraction
+    assert bool(z) == (a != 0 or b != 0)
+    # bit-identical to rounding each Fraction part
+    assert repr(complex(z)) == repr(complex(float(a), float(b)))
+    assert abs(z) == abs(complex(float(a), float(b)))
+    assert repr(z) == f"RationalComplex({a}, {b})"
+    # equal values built different ways hash alike, also beside a Fraction
+    built = (z + RationalComplex(1, 1)) - RationalComplex(1, 1)
+    assert built == z and hash(built) == hash(z)
+    if b == 0:
+        assert z == a and hash(z) == hash(a) and len({z, a}) == 1
+
+
+def test_equal_values_collapse_in_a_set_with_ints_and_fractions():
+    values = {RationalComplex(Fraction(1, 2), 0), Fraction(1, 2),
+              RationalComplex(3), 3, Fraction(6, 2), True, RationalComplex(1),
+              RationalComplex(0, 0), 0, RationalComplex(1, 1),
+              RationalComplex(Fraction(2, 2), Fraction(3, 3))}
+    assert len(values) == 5  # 1/2, 3, 1, 0 and 1 + i
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda z: pickle.loads(pickle.dumps(z))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_rational_complex_copies_and_pickles(copy_of):
+    for z in (RationalComplex(1, 2), RationalComplex(Fraction(-1, 6), "3/4"),
+              RationalComplex()):
+        c = copy_of(z)
+        assert type(c) is RationalComplex
+        assert c == z and hash(c) == hash(z) and repr(c) == repr(z)
+        assert (c._x, c._y, c._d) == (z._x, z._y, z._d)
+
+
+def test_rational_complex_is_immutable():
+    z = RationalComplex(1, 2)
+    for name in ("re", "im", "_x", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 0)
+    assert z == RationalComplex(1, 2)
 
 
 # one check of every exact value ---------------------------------------------
