@@ -26,6 +26,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import platform
 import sys
 from fractions import Fraction
@@ -178,6 +179,9 @@ def cmd_mu_matrix(args) -> int:
 
 
 def cmd_check_invariance(args) -> int:
+    if not 0.0 <= args.tol < math.inf:  # NaN fails too
+        raise ValueError(f"--tol must be a finite number >= 0, "
+                         f"got {args.tol}")
     param = MoebiusParam.parse(args.rho)
     _header(args, "float")
     a = load_series(args.series, "float")
@@ -356,12 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict:
+    """The "key = value" lines of a config file; blank and "#" lines are
+    skipped, and any other line without "=" raises a ValueError naming the
+    file and the line number."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"{path} line {number}: expected "
+                                 f"key = value, got {line!r}")
             key, _, val = line.partition("=")
             values[key.strip().replace("-", "_")] = val.strip()
     return values

@@ -12,6 +12,11 @@ backends exist behind the same interface:
 Mixing backends inside one operation raises
 :class:`~steklov_zeta.errors.BackendMismatch`.
 
+Float point values come from one kernel, evaluate_at: the coefficients as
+one dense vector over -deg..deg and plain Horner's rule in z and in
+conj(z) = 1/z, deg + 1 steps per side whether the series is dense or
+sparse; there is no gap stepping.
+
 Circle integrals use the trapezoid rule on equispaced grids, which is
 spectrally accurate for smooth periodic integrands; grid sizes are caller
 arguments with a default of 4096.  The grid points e^{i theta_m} of each
@@ -211,36 +216,14 @@ def _grid_points(size: int) -> np.ndarray:
     return z
 
 
-def _power(x: np.ndarray, g: int) -> np.ndarray:
-    """x**g for an integer g >= 1 by repeated squaring."""
-    out = None
-    while True:
-        if g & 1:
-            out = x if out is None else out * x
-        g >>= 1
-        if not g:
-            return out
-        x = x * x
-
-
-def _horner(terms: list, x: np.ndarray) -> np.ndarray:
-    """sum c x^p over terms [(p, c), ...] with strictly decreasing p >= 0.
-
-    Horner's rule: between two stored frequencies the partial sum is
-    multiplied by x**gap, which is x itself on a dense run.
-    """
-    if not terms:
-        return np.zeros(x.shape, dtype=complex)
-    if terms[-1][0]:
-        terms = terms + [(0, 0j)]
-    steps = {}
-    acc = np.full(x.shape, terms[0][1], dtype=complex)
-    for (p, _), (q, c) in zip(terms, terms[1:]):
-        gap = p - q
-        if gap not in steps:
-            steps[gap] = _power(x, gap)
-        acc *= steps[gap]
-        acc += c
+def _horner(c: list, x: np.ndarray) -> np.ndarray:
+    """c[0] x^m + c[1] x^(m-1) + ... + c[m] for a dense list of complex
+    coefficients, by Horner's rule: m steps after the first coefficient,
+    each one complex product and one sum."""
+    acc = np.full(x.shape, c[0])
+    for cj in c[1:]:
+        acc *= x
+        acc += cj
     return acc
 
 
@@ -248,20 +231,22 @@ def evaluate_at(a: TrigSeries, z):
     """Evaluate sum_n a_n z^n at points z on the unit circle.
 
     z may be a scalar (a Python complex comes back) or an array.  The
-    frequencies n >= 0 run through Horner's rule in z and the negative ones
-    in conj(z), which equals 1/z on the circle, so no exponential is taken.
-    With u the unit roundoff and every |z| = 1, each Horner step (one
-    complex product, one sum) adds at most about 3.3u * sum|a_n| and there
-    are at most deg + 1 steps per side; a point that is off the circle by a
-    relative d moves the term a_n z^n by about |n| d |a_n|.
+    coefficients go into one dense vector c[n + deg] = a_n over -deg..deg,
+    zeros where a stores none, and Horner's rule runs over a_deg ... a_0 in
+    z and over a_-deg ... a_-1, 0 in conj(z), which equals 1/z on the
+    circle, so no exponential is taken.  With u the unit roundoff and every
+    |z| = 1, each of the deg + 1 steps per side (one complex product, one
+    sum) adds at most about 3.3u * sum|a_n|; a point that is off the circle
+    by a relative d moves the term a_n z^n by about |n| d |a_n|.
     """
+    deg = a.degree
+    c = [0j] * (2 * deg + 1)
+    for n, v in a.items():
+        c[n + deg] = complex(v)
     w = np.asarray(z, dtype=complex)
-    items = [(n, complex(v)) for n, v in a.items()]
-    out = _horner([t for t in reversed(items) if t[0] >= 0], w)
-    out += _horner([(-n, v) for n, v in items if n < 0], np.conj(w))
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
+    out = _horner(c[deg:][::-1], w)
+    out += _horner(c[:deg] + [0j], np.conj(w))
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 def evaluate(a: TrigSeries, theta):
@@ -376,9 +361,10 @@ def _row_entry(i: int, row: dict, backend: str):
 
 def series_from_json(obj: dict, backend: str = EXACT) -> TrigSeries:
     """The series of {"coeffs": [{"n": ..., "re": ..., "im": ...}, ...]};
-    any other shape raises a ValueError that names this one, and a row
-    entry of the wrong type one that names the row (see _row_entry)."""
-    coeffs = {}
+    any other shape raises a ValueError that names this one, a row entry
+    of the wrong type one that names the row (see _row_entry), and two rows
+    of the same frequency (2 and "2" are the same) one that names both."""
+    coeffs, row_of = {}, {}
     try:
         rows = obj["coeffs"] if isinstance(obj, dict) else None
         if not (isinstance(rows, list)
@@ -387,7 +373,10 @@ def series_from_json(obj: dict, backend: str = EXACT) -> TrigSeries:
                              '"coeffs" list of objects')
         for i, row in enumerate(rows):
             n, value = _row_entry(i, row, backend)
-            coeffs[n] = value
+            if n in coeffs:
+                raise ValueError(f"series JSON rows {row_of[n]} and {i} "
+                                 f"both give the frequency n = {n}")
+            coeffs[n], row_of[n] = value, i
     except KeyError as exc:
         raise ValueError(f"series JSON lacks the key {exc}") from None
     return TrigSeries(coeffs, backend)

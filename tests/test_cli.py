@@ -144,6 +144,24 @@ def test_check_invariance_default_cut(capsys, pair_series, rho):
     assert report["out_degree"] == suggest_out_degree(2, float(rho), 1e-9)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_invariance_tolerance_must_be_finite_and_nonnegative(
+        capsys, pair_series, tol):
+    code, out, err = run(capsys, "check-invariance", "--series", pair_series,
+                         "--rho", "0.3", "--k", "1", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "--tol must be a finite" in err
+
+
+def test_check_invariance_zero_tolerance_is_accepted(capsys, pair_series):
+    code, out, _ = run(capsys, "check-invariance", "--series", pair_series,
+                       "--rho", "0.3", "--k", "1", "--grid", "2048",
+                       "--out-degree", "30", "--tol", "0")
+    report = json.loads(out)  # valid JSON: the tolerance is a number
+    assert report["tolerance"] == 0.0
+    assert code == (0 if report["deviation"] == 0 else 1)
+
+
 def test_check_relations(capsys, tmp_path):
     out_path = tmp_path / "rel.csv"
     code, _, err = run(capsys, "check-relations", "--k", "1", "--radius", "5",
@@ -473,6 +491,34 @@ def test_bad_config_value_is_a_usage_error(capsys, tmp_path, pair_series,
                          "--series", pair_series)
     assert (code, out) == (2, "")
     assert err.count("error:") == 1 and f"argument {flag}:" in err
+
+
+def test_config_line_without_equals_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("# campaign\n\nn0 4\n")
+    code, out, err = run(capsys, "--config", str(cfg), "explore", "--seed",
+                         "1", "--count", "2")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+    assert f"{cfg} line 3:" in err and "'n0 4'" in err
+
+
+def test_config_blank_and_comment_lines_are_skipped(capsys, tmp_path):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("\n# n0 4\n   \n  # no equals here either\nn0 = 4\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "explore", "--seed", "1",
+                       "--count", "2")
+    assert code == 0 and json.loads(out)["config"]["max_degree"] == 4
+
+
+def test_series_with_a_repeated_frequency_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"coeffs": [{"n": 2, "re": "1"}, {"n": -2, "re": "1"}, '
+                    '{"n": "2", "re": "5"}]}\n')
+    code, out, err = run(capsys, "compute-z", "--series", str(path),
+                         "--k", "1")
+    assert (code, out) == (2, "")
+    assert "error: series JSON rows 0 and 2" in err
 
 
 def test_config_key_of_no_command_is_a_usage_error(capsys, tmp_path,

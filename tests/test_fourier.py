@@ -175,6 +175,67 @@ def test_evaluate_at_degenerate_series():
     assert evaluate_at(TrigSeries.exact({0: 3}), 1j) == 3
 
 
+KERNEL_DEGREE = 64
+
+
+def exact_powers(z: RationalComplex) -> list:
+    """z^0, z^1, ..., z^KERNEL_DEGREE in exact arithmetic."""
+    out = [RationalComplex(1, 0)]
+    for _ in range(KERNEL_DEGREE):
+        out.append(out[-1] * z)
+    return out
+
+
+CIRCLE_POWERS = [exact_powers(z) for z in CIRCLE_POINTS]
+
+_DYADIC = st.builds(lambda m, e: m / 2.0 ** e,
+                    st.integers(-2 ** 30, 2 ** 30), st.integers(0, 40))
+
+
+@st.composite
+def kernel_series(draw):
+    """A float series with dyadic parts, degree <= 64, in one of four
+    patterns: dense, sparse, negative frequencies only, no constant term."""
+    deg = draw(st.integers(0, KERNEL_DEGREE))
+    pattern = draw(st.sampled_from(["dense", "sparse", "negative",
+                                    "no-constant"]))
+    if pattern == "sparse":
+        freqs = {draw(st.sampled_from([deg, -deg]))}
+        freqs |= draw(st.sets(st.integers(-deg, deg), max_size=3))
+    else:
+        low, high = -deg, -1 if pattern == "negative" else deg
+        freqs = {n for n in range(low, high + 1)
+                 if n or pattern == "dense"}
+    return TrigSeries.from_complex({n: complex(draw(_DYADIC), draw(_DYADIC))
+                                    for n in sorted(freqs)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_series())
+def test_evaluate_at_property_within_its_bound(f):
+    a = TrigSeries.exact({n: RationalComplex(Fraction(v.real),
+                                             Fraction(v.imag))
+                          for n, v in f.items()})
+    assert a.to_float() == f  # dyadic parts: the oracle sees the same series
+    points = np.array([complex(z) for z in CIRCLE_POINTS])
+    bound = horner_bound(a)
+    values = evaluate_at(f, points)
+    for powers, zf, value in zip(CIRCLE_POWERS, points, values):
+        ref = RationalComplex(0, 0)
+        for n, v in a.items():
+            ref = ref + v * (powers[n] if n >= 0 else powers[-n].conjugate())
+        # numpy's vector loops may fuse the multiply-adds of a complex
+        # product (AVX-512 ones do), and a 0-d or 1-element product may not,
+        # so an array element and the scalar call can differ in the last
+        # bits: each is held to the bound, so they agree within twice it
+        scalar = evaluate_at(f, zf)
+        assert type(scalar) is complex
+        for got in (value, scalar):
+            err = abs(complex(float(Fraction(got.real) - ref.re),
+                              float(Fraction(got.imag) - ref.im)))
+            assert err <= bound, (zf, err, bound)
+
+
 def test_from_samples_round_trip_single_mode():
     a = TrigSeries.exact({3: 1})
     b = from_samples(sample_series(a, 16), 3)
@@ -318,6 +379,15 @@ def test_json_reads_rational_strings_into_floats():
 def test_json_missing_key_is_a_value_error(obj, key):
     with pytest.raises(ValueError, match=f"lacks the key {key}"):
         series_from_json(obj)
+
+
+def test_json_repeated_frequency_is_a_value_error():
+    # "2" and 2 are the same frequency; the error names both rows
+    obj = {"coeffs": [{"n": 2, "re": "1"}, {"n": -2, "re": "1"},
+                      {"n": "2", "re": "5"}]}
+    for backend in ("exact", "float"):
+        with pytest.raises(ValueError, match="rows 0 and 2 .* n = 2$"):
+            series_from_json(obj, backend)
 
 
 def test_series_is_immutable():
