@@ -260,6 +260,16 @@ def sample_series(a: TrigSeries, size: int) -> CircleGrid:
     return CircleGrid(size, evaluate_at(a, grid_points(size)))
 
 
+def _nyquist_degree(size: int, degree: int) -> int:
+    """degree as an int >= 0 that a grid of size points resolves, size >=
+    2*degree + 1, else GridTooSmall: the one Nyquist check."""
+    degree = _size(degree, "degree", 0)
+    if size < 2 * degree + 1:
+        raise GridTooSmall(
+            f"grid size {size} < 2*{degree}+1 required for degree {degree}")
+    return degree
+
+
 def from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
     """Recover the band-limited series of the given degree from grid samples.
 
@@ -267,10 +277,7 @@ def from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
     band-limited to the requested degree; the grid must satisfy the Nyquist
     bound size >= 2*degree + 1.
     """
-    degree = _size(degree, "degree", 0)
-    if grid.size < 2 * degree + 1:
-        raise GridTooSmall(
-            f"grid size {grid.size} < 2*{degree}+1 required for degree {degree}")
+    degree = _nyquist_degree(grid.size, degree)
     spec = np.fft.fft(np.asarray(grid.samples, dtype=complex))
     band = range(-degree, degree + 1)  # negative n index from the end
     return TrigSeries.from_complex(

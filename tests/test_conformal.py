@@ -9,12 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steklov_zeta import (BackendMismatch, MoebiusParam, TrigSeries,
-                          apply_moebius, conjugate, d_matrix,
-                          exp_relation_check, group_law_check, mu, mu_matrix,
-                          pullback_direct, rotate, suggest_out_degree,
-                          z1_closed, z2_closed)
+from steklov_zeta import (BackendMismatch, GridTooSmall, MoebiusParam,
+                          TrigSeries, apply_moebius, conformal, conjugate,
+                          d_matrix, exp_relation_check, group_law_check, mu,
+                          mu_matrix, pullback_direct, rotate,
+                          suggest_out_degree, z1_closed, z2_closed)
 from steklov_zeta.conformal import _columns, rk4_exponential
+from steklov_zeta.explorer import random_positive_series
+from steklov_zeta.fourier import (CircleGrid, evaluate_at, from_samples,
+                                  grid_points)
 from steklov_zeta.scalars import RC_ZERO
 
 from util import large_rational_series, random_exact_series
@@ -468,3 +471,111 @@ def test_moebius_param_parse():
                                    f"decimal, got {text!r}")
     with pytest.raises(ValueError, match="must lie in"):
         MoebiusParam.parse("3/2")
+
+
+def test_truncated_matrix_at_rejects_indices_past_the_half_width():
+    """A negative index must not wrap around to the far end of a row, and
+    a wrong index raises a ValueError, never IndexError or TypeError."""
+    M = mu_matrix(Fraction(1, 2), 3)
+    assert M.at(0, -3) == mu(0, -3, Fraction(1, 2))
+    assert M.at(np.int64(3), 0) == mu(3, 0, Fraction(1, 2))
+    for n, k in ((0, -4), (4, 0), (-4, 0), (0, 4)):
+        with pytest.raises(ValueError, match="half-width 3"):
+            M.at(n, k)
+    with pytest.raises(ValueError, match="not an integer"):
+        M.at(0.0, 0)
+
+
+@pytest.mark.parametrize("order",
+                         [(Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))],
+                         ids=["exact_first", "float_first"])
+def test_mu_matrix_cache_keeps_exact_and_float_apart(order):
+    """Fraction(1, 2) == 0.5 and both hash alike; the typed cache still
+    gives each its own matrix, whichever comes first."""
+    conformal._mu_matrix.cache_clear()
+    for rho in order:
+        M = mu_matrix(rho, 4)
+        exact = isinstance(rho, Fraction)
+        assert M.exact is exact
+        assert {type(v) for row in M.entries for v in row} \
+            == {Fraction if exact else float}
+    assert conformal._mu_matrix.cache_info().currsize == 2
+    assert mu_matrix(MoebiusParam(Fraction(1, 2)), 4) \
+        is mu_matrix(Fraction(1, 2), 4)
+    assert conformal._mu_matrix.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=str)
+def test_rho_caches_keep_the_sign_of_a_zero_rho(order):
+    """0.0 == -0.0, but the float recurrence keeps the sign of a zero rho:
+    each call returns what an uncached call would, in either order."""
+    for cache in (conformal._mu_matrix, conformal._cached_columns):
+        cache.cache_clear()
+    for rho in order:
+        fresh = conformal._mu_matrix.__wrapped__(rho, 3, math.copysign(1, rho))
+        assert repr(mu_matrix(rho, 3).entries) == repr(fresh.entries)
+        cols, q, d = conformal._columns(rho, 2, 4)
+        assert [repr(mu(n, k, rho)) for k in range(3) for n in range(-1, 5)] \
+            == [repr(conformal._entry(u, n + k + 1, q, d))
+                for k, col in enumerate(cols) for n, u in enumerate(col, -1)]
+
+
+def test_repeated_calls_return_the_cached_values():
+    for rho in (Fraction(3, 10), 0.3, -0.7):
+        assert mu_matrix(rho, 6) is mu_matrix(rho, 6)
+    for rho, K in ((Fraction(1, 10), 3), (0.3, 3), (Fraction(1, 2), 5)):
+        got = suggest_out_degree(K, rho, 1e-12)
+        assert suggest_out_degree(K, rho, 1e-12) == got \
+            == conformal._cut.__wrapped__(K, Fraction(rho), 1e-12)
+    assert suggest_out_degree(3, MoebiusParam(Fraction(1, 2)), 1e-12) \
+        == suggest_out_degree(3, 0.5, 1e-12)
+
+
+def pullback_inline(a, rho, grid_size, out_degree):
+    """pullback_direct's formula with the circle map computed in place."""
+    z = grid_points(grid_size)
+    den = 1.0 - rho * z
+    w = (z - rho) / den
+    dphi = (1.0 - rho * rho) / np.abs(den) ** 2
+    samples = evaluate_at(a.to_float(), w / np.abs(w)) / dphi
+    return from_samples(CircleGrid(grid_size, samples), out_degree)
+
+
+def test_cached_circle_map_is_bit_identical_to_the_inline_formula():
+    conformal._circle_map.cache_clear()
+    a = random_positive_series(5, 0.6, np.random.default_rng(24), floor=0.5)
+    for grid_size in (4096, 8192):
+        for rho in (0.1, 0.3, 0.5, -0.7):
+            ref = repr(pullback_inline(a, rho, grid_size, 60).items())
+            for hits in (0, 1):
+                assert repr(pullback_direct(a, rho, grid_size, 60).items()) \
+                    == ref
+                assert conformal._circle_map.cache_info().hits == hits
+            conformal._circle_map.cache_clear()
+    u, dphi = conformal._circle_map(0.3, 4096)
+    for arr in (u, dphi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_too_small_grid_fails_before_any_sampling(monkeypatch):
+    """GridTooSmall comes before the grid is sampled, and a failed call
+    leaves no circle map in the cache."""
+    def no_sampling(*args):
+        raise AssertionError("sampled a grid too small for the degree")
+
+    monkeypatch.setattr(conformal, "evaluate_at", no_sampling)
+    before = conformal._circle_map.cache_info()
+    with pytest.raises(GridTooSmall, match="grid size 64 < 2"):
+        pullback_direct(_SERIES, 0.37, 64, 32)
+    after = conformal._circle_map.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_rho_caches_are_bounded():
+    for cache, bound in ((conformal._mu_matrix, conformal.MU_MATRIX_CACHE),
+                         (conformal._cut, conformal.CUT_CACHE),
+                         (conformal._circle_map, conformal.CIRCLE_MAP_CACHE),
+                         (conformal._cached_columns, 32),
+                         (conformal._pow, 1024)):
+        assert cache.cache_info().maxsize == bound < math.inf

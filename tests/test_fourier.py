@@ -105,11 +105,10 @@ def horner_bound(a: TrigSeries) -> float:
     """Derived error bound of evaluate_at at a rounded point of the circle.
 
     u = eps/2.  Each Horner step is one complex product (error <= sqrt(5) u)
-    and one sum (<= u) of terms bounded by sum|a_n|, <= 3.3u sum|a_n|; a
-    gap power x^g by repeated squaring costs fewer products than the g
-    steps it replaces.  There are at most deg + 1 steps on each side, one
-    final sum, and the rounding of the coefficients, so 4 (deg + 1) eps
-    sum|a_n| covers the arithmetic.  The rounded point is off by at most
+    and one sum (<= u) of terms bounded by sum|a_n|, <= 3.3u sum|a_n|.
+    There are at most deg + 1 steps on each side, one final sum, and the
+    rounding of the coefficients, so 4 (deg + 1) eps sum|a_n| covers the
+    arithmetic.  The rounded point is off by at most
     u |z| per component, which moves z^n by about |n| eps: eps sum|n a_n|.
     """
     s = sum(abs(complex(v)) for _, v in a.items())
