@@ -46,6 +46,13 @@ from .lie import GENERATORS, RELATION_PLANES, bracket_check, relation_sweep
 from .scalars import RationalComplex
 from .trace import exact_width, trace_difference
 
+# The largest output degree check-invariance evaluates Z_k of a pullback
+# at.  The cold Z_2 form table grows like the cube of the degree: z2_closed
+# of a dense pullback took 0.44 s at degree 60, 1.2 s at 90 and 2.9 s
+# (101 MB peak) at 120 on a 2-vCPU x86_64 VM, so about 16,000 s at the
+# degree-2020 default cut of rho = 0.99.  A larger cut is a usage error.
+MAX_OUT_DEGREE = 120
+
 _VERSIONS = (f"steklov-zeta {__version__}",
              f"python={platform.python_version()}", f"numpy={np.__version__}")
 
@@ -188,6 +195,10 @@ def cmd_check_invariance(args) -> int:
     out_degree = args.out_degree
     if out_degree is None:
         out_degree = suggest_out_degree(a.degree, param, 1e-9)
+    if out_degree > MAX_OUT_DEGREE:
+        raise ValueError(f"output degree {out_degree} is past the "
+                         f"check-invariance cap {MAX_OUT_DEGREE}; pass a "
+                         f"smaller --out-degree or a rho nearer 0")
     b = pullback_direct(a, param, args.grid, out_degree)
     za = complex(zeta(a, args.k)).real
     zb = complex(zeta(b, args.k)).real

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -407,7 +408,10 @@ def suggest_out_degree(max_input_freq: int, rho, tol: float) -> int:
     CUT_CACHE ints (_cut)."""
     K = _size(max_input_freq, "max input frequency", 0)
     r = Fraction(_rho_value(rho))
-    if not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+    # the cut runs on float(tol): a huge int or Fraction would overflow it,
+    # a tiny one round it to 0.0, where the walk never ends
+    if not (isinstance(tol, numbers.Real) and 0 < tol <= sys.float_info.max
+            and float(tol) > 0):
         raise ValueError(f"tol must be a finite real > 0, got {tol!r}")
     return _cut(K, r, float(tol))
 

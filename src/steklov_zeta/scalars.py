@@ -12,6 +12,9 @@ each of its operations is integer arithmetic and one gcd.  The numpy
 kernels (form sums, operator trace, conformal transport) hold coefficients
 only through ``ring`` and ``join``, on either backend; an exact ``ring``
 vector is the [x; y] integers of a whole vector over the lcm of its d.
+``residue_ring`` carries such a vector to int64 residues modulo split
+Gaussian primes, and its ``join`` lifts a result back by CRT: the
+operator trace computes on it in machine words.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,6 +228,116 @@ def join(z, den, exact: bool):
         return _make(int(z[0]), int(z[1]), den)
     z = complex(z)
     return z if den == 1 else z / den
+
+
+WORD = 2 ** 63   # int64 holds every |value| < WORD
+# prime lists kept by split_primes: one per (width, count), counts doubling
+SPLIT_PRIMES_CACHE = 32
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5, 7: exact for n < 3,215,031,751,
+    the least strong pseudoprime to all four (every candidate of
+    split_primes is at most 1 + isqrt(2^63 - 1) = 3,037,000,500)."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=SPLIT_PRIMES_CACHE)
+def split_primes(width: int, count: int) -> tuple:
+    """The count largest primes p = 1 (mod 4) with width (p - 1)^2 < 2^63,
+    largest first, as pairs (p, s) with s^2 = -1 (mod p): a sum of width
+    products of residues below p fits an int64.  s is c^((p - 1)/4) for
+    the least quadratic non-residue c."""
+    p = 1 + math.isqrt((WORD - 1) // width)
+    p -= (p - 1) % 4
+    primes = []
+    while len(primes) < count:
+        if _is_prime(p):
+            c = 2
+            while pow(c, (p - 1) // 2, p) != p - 1:
+                c += 1
+            primes.append((p, pow(c, (p - 1) // 4, p)))
+        p -= 4
+    return tuple(primes)
+
+
+def residue_primes(width: int, bound: int) -> tuple:
+    """The fewest leading primes of split_primes(width, .) whose product M
+    exceeds 2 bound, so that an integer of magnitude <= bound is its
+    residue mod M in the symmetric range (-M/2, M/2)."""
+    count = 1
+    while math.prod(p for p, _ in split_primes(width, count)) <= 2 * bound:
+        count *= 2
+    primes, M = [], 1
+    for p, s in split_primes(width, count):
+        if M > 2 * bound:
+            break
+        primes.append((p, s))
+        M *= p
+    return tuple(primes)
+
+
+def residue_ring(vec, width: int, bound: int):
+    """(vec, mul, join): the exact ring vector vec (ring's [x; y] stack of
+    Python ints) on word-size residues, for a kernel whose products sum at
+    most width terms and whose result z has |re z|, |im z| <= bound.
+
+    For a prime p = 1 (mod 4) with s^2 = -1, Z[i]/p splits into two copies
+    of Z/p by x + iy -> (x + s y, x - s y).  Each prime of
+    residue_primes(width, bound) gives two such channels on the leading
+    axis of the int64 vec, and mul(x, y, op=np.multiply) is op per channel
+    followed by % p: operands below p and width (p - 1)^2 < 2^63 keep a
+    matmul inside int64.  join(z, den) takes z's channels back to x and y
+    mod p, lifts each once by CRT and returns the RationalComplex
+    (x + iy) / den.
+    """
+    primes = residue_primes(width, bound)
+    P = np.repeat(np.array([p for p, _ in primes], dtype=np.int64), 2)
+    x, y = vec.tolist()
+    channels = np.array([[(u + t * v) % p for u, v in zip(x, y)]
+                         for p, s in primes for t in (s, -s)],
+                        dtype=np.int64).reshape(P.shape + vec.shape[1:])
+
+    def mul(a, b, op=np.multiply):
+        z = op(a, b)
+        return z % P.reshape(P.shape + (1,) * (z.ndim - 1))
+
+    def join(z, den):
+        z, xs, ys = z.tolist(), [], []
+        for (p, s), u, v in zip(primes, z[0::2], z[1::2]):
+            h = (p + 1) // 2                    # 1/2 mod p
+            xs.append((u + v) * h % p)
+            ys.append((v - u) * s * h % p)      # 1/s = -s mod p
+        return _make(*_crt((xs, ys), primes), den)
+
+    return channels, mul, join
+
+
+def _crt(rows, primes) -> list:
+    """For each row of residues mod the primes, the integer with those
+    residues in (-M/2, M/2), M the product of the primes."""
+    M = math.prod(p for p, _ in primes)
+    basis = [M // p * pow(M // p, -1, p) for p, _ in primes]
+    lifts = [sum(map(operator.mul, row, basis)) % M for row in rows]
+    return [z - M if 2 * z > M else z for z in lifts]
 
 
 def format_scalar(value) -> tuple[str, str]:

@@ -36,17 +36,33 @@ steps, so 2 (M + m) <= 2k deg(a), i.e. M, m <= k deg(a) - 1.  Hence
 every path that counts lies inside |n| <= k deg(a) - 1, and the truncated
 difference at any N >= W is the infinite one (N >= deg(a) is
 operator_matrix's own precondition).
+
+An exact weight runs on word-size residues.  Scaled by the lcm D of its
+denominators, A has Gaussian-integer entries |n| D a_{m-n}; let amax be
+the largest |x| + |y| over the coefficients x + iy of D a and w the size
+of its support.  |x| + |y| is submultiplicative and a column of A has at
+most w entries, so every entry of E_j and O_j is at most B_j in that
+norm, with B_1 = N amax and B_{j+1} = B_j w N amax, and |re|, |im| of
+4 Tr(E_k O_k), a sum of S^2 products (S = 2N + 1), are at most
+4 S^2 B_k^2.  The recurrence runs modulo primes p = 1 (mod 4), each
+split into two channels of Z/p (scalars.residue_ring), whose product
+exceeds twice that bound, and the one trace is lifted back by CRT.
+Overflow rule: every p has S (p - 1)^2 < 2^63, so an int64 matmul of
+reduced S x S operands cannot overflow; each product is reduced mod p
+before the next, and the final sum of S^2 reduced terms, times 4, stays
+below 4 S^2 p < 2^63 for every S < 2^19.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import TruncationTooSmall
 from .fourier import EXACT, FLOAT, TrigSeries, _size
-from .scalars import RC_ZERO, join, ring
+from .scalars import RC_ZERO, join, residue_ring, ring
 
 KIND_DN = "dn"            # symbol |n|
 KIND_DTHETA = "dtheta"    # symbol n
@@ -124,25 +140,39 @@ def _trace_difference_at(a: TrigSeries, k: int, N: int):
     E A_- on n < 0, so swapping its E and O halves on the negative columns
     gives the next X.  One kernel serves both backends.
 
-    A = aL, S x S with S = 2N + 1, is built on the coefficient ring of a
-    (scalars.ring), exact ones scaled by D; the trace is homogeneous of
-    degree 2k in a, so scalars.join divides it once by D^{2k}.
+    A = aL, S x S with S = 2N + 1, is built on the coefficient ring of a:
+    complex128 for a float weight (scalars.ring); for an exact one the
+    integers of D a (D the lcm of the denominators) on the int64 residues
+    of scalars.residue_ring, sized by _trace_bound.  The trace is
+    homogeneous of degree 2k in a, so join divides it once by D^{2k}.
     """
     exact = a.backend == EXACT
     vec, D, mul = ring([v for _, v in a.items()], exact)
     S = 2 * N + 1
+    lift = partial(join, exact=False)
+    if exact:
+        vec, mul, lift = residue_ring(vec, S, _trace_bound(vec, k, N))
     symbol = np.abs(np.arange(-N, N + 1)).astype(vec.dtype)
+    rows = np.add.outer(np.array(a.support, int), np.arange(S))  # of a_off |n|
+    i, j = np.nonzero((rows >= 0) & (rows < S))
     A = np.zeros(vec.shape[:-1] + (S, S), vec.dtype)
-    for i, off in enumerate(a.support):
-        j = np.arange(max(0, -off), S - max(0, off))     # column positions
-        A[..., j + off, j] = np.multiply.outer(vec[..., i], symbol[j])
+    A[..., rows[i, j], j] = mul(vec, symbol, np.multiply.outer)[..., i, j]
     X = np.concatenate([A, A], axis=-2)     # [E; O] = [A_+; A_-]
     X[..., :S, :N] = X[..., S:, N:] = 0
     for _ in range(k - 1):
         X = mul(X, A, np.matmul)
         X[..., :N] = np.roll(X[..., :N], S, axis=-2)
     trace = mul(X[..., :S, :], X[..., S:, :].mT).sum(axis=(-2, -1))
-    return join(4 * trace, D ** (2 * k), exact)
+    return lift(4 * trace, D ** (2 * k))
+
+
+def _trace_bound(vec, k: int, N: int) -> int:
+    """4 S^2 B_k^2, a bound on |re|, |im| of 4 Tr(E_k O_k) at half-width N
+    for the exact ring vector vec ([x; y] integers, one column per
+    coefficient; module docstring)."""
+    amax = max(np.abs(vec).sum(axis=0), default=0)
+    B = N * amax * (vec.shape[-1] * N * amax) ** (k - 1)      # B_k
+    return 4 * (2 * N + 1) ** 2 * B * B
 
 
 def exact_width(a: TrigSeries, k: int) -> int:

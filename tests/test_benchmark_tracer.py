@@ -5,22 +5,9 @@ and signature.  This pins both contracts inside the test suite, so that
 renaming or deleting a traced name, a cache or a called function fails
 here and not only under ``perfbench/run.py``."""
 
-import importlib.util
-import pathlib
-import sys
-
 from steklov_zeta import TrigSeries, cli, invariants, lie, trace
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+from util import load_perfbench
 
 
 def load_layers():

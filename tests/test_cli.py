@@ -9,7 +9,8 @@ import pytest
 
 from steklov_zeta import (TrigSeries, __version__, exact_width, save_series,
                           suggest_out_degree)
-from steklov_zeta.cli import main
+from steklov_zeta import cli
+from steklov_zeta.cli import MAX_OUT_DEGREE, main
 
 
 @pytest.fixture()
@@ -151,6 +152,27 @@ def test_check_invariance_tolerance_must_be_finite_and_nonnegative(
                          "--rho", "0.3", "--k", "1", f"--tol={tol}")
     assert (code, out) == (2, "")
     assert err.count("error:") == 1 and "--tol must be a finite" in err
+
+
+def test_check_invariance_output_degree_is_capped(capsys, pair_series,
+                                                  monkeypatch):
+    """An output degree past cli.MAX_OUT_DEGREE is a usage error before any
+    pullback (rho = 0.99's default cut, 2020, would run for hours); the
+    cap itself is accepted."""
+    base = ("check-invariance", "--series", pair_series, "--rho", "0.3",
+            "--k", "1", "--grid", "2048")
+    code, out, _ = run(capsys, *base, "--out-degree", str(MAX_OUT_DEGREE))
+    assert code == 0 and json.loads(out)["out_degree"] == MAX_OUT_DEGREE
+
+    def no_pullback(*args):
+        raise AssertionError("pullback past the cap")
+
+    monkeypatch.setattr(cli, "pullback_direct", no_pullback)
+    code, out, err = run(capsys, *base,
+                         "--out-degree", str(MAX_OUT_DEGREE + 1))
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+    assert f"output degree {MAX_OUT_DEGREE + 1} is past" in err
 
 
 def test_check_invariance_zero_tolerance_is_accepted(capsys, pair_series):

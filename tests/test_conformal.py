@@ -416,6 +416,15 @@ def test_bad_tol_is_rejected(tol):
         suggest_out_degree(3, 0.5, tol)
 
 
+@pytest.mark.parametrize("tol", [10 ** 400, Fraction(1, 10 ** 400)],
+                         ids=["past_float_max", "rounds_to_zero"])
+def test_tol_outside_the_float_range_is_rejected(tol):
+    """The cut runs on float(tol): a huge tol would overflow it and a tiny
+    one round it to 0.0, where the walk never ends."""
+    with pytest.raises(ValueError, match="tol must be a finite real > 0"):
+        suggest_out_degree(3, 0.5, tol)
+
+
 def test_cut_at_rho_zero_is_the_input_degree():
     assert [suggest_out_degree(K, 0, 1e-12) for K in (0, 1, 4)] == [0, 1, 4]
 

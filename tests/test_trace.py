@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
                           TrigSeries, TruncationTooSmall, exact_width,
@@ -9,9 +13,10 @@ from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
                           random_positive_series, trace_difference,
                           z1_closed, z2_closed, zeta_invariant)
 from steklov_zeta.explorer import rationalize_series, sample_rng
-from steklov_zeta.trace import _trace_difference_at
+from steklov_zeta.scalars import WORD, join, residue_primes, ring, split_primes
+from steklov_zeta.trace import _trace_bound, _trace_difference_at
 
-from util import random_exact_series
+from util import large_rational_series, load_perfbench, random_exact_series
 
 
 def test_constant_weight_gives_diagonal_dn():
@@ -260,3 +265,133 @@ def test_gaussian_integer_trace_matches_rational_kernel(coeffs):
             assert isinstance(got, RationalComplex) and got == want
         assert trace_difference(a, k, 4 * k * a.degree) == \
             rational_complex_trace(a, k, 4 * k * a.degree)
+
+
+def ring_trace(a, k, N):
+    """The kernel on scalars.ring alone, the oracle of the residue kernel:
+    for an exact weight the same recurrence on ring's object stack [x; y]
+    of Python ints, products under cmul, one join; for a float weight the
+    complex128 path, which the kernel keeps bit for bit."""
+    exact = a.backend == "exact"
+    vec, D, mul = ring([v for _, v in a.items()], exact)
+    S = 2 * N + 1
+    symbol = np.abs(np.arange(-N, N + 1)).astype(vec.dtype)
+    A = np.zeros(vec.shape[:-1] + (S, S), vec.dtype)
+    for i, off in enumerate(a.support):
+        j = np.arange(max(0, -off), S - max(0, off))
+        A[..., j + off, j] = np.multiply.outer(vec[..., i], symbol[j])
+    X = np.concatenate([A, A], axis=-2)
+    X[..., :S, :N] = X[..., S:, N:] = 0
+    for _ in range(k - 1):
+        X = mul(X, A, np.matmul)
+        X[..., :N] = np.roll(X[..., :N], S, axis=-2)
+    trace = mul(X[..., :S, :], X[..., S:, :].mT).sum(axis=(-2, -1))
+    return join(4 * trace, D ** (2 * k), exact)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_residue_trace_matches_object_oracle_on_benchmark_pool(k):
+    """Every input of the exact-routes pool (seed 1) at its exact width."""
+    for a, _ in load_perfbench("workloads").ExactRoutes(1).inputs:
+        N = exact_width(a, k)
+        got = _trace_difference_at(a, k, N)
+        assert isinstance(got, RationalComplex)
+        assert got == ring_trace(a, k, N)
+
+
+def test_float_trace_is_the_complex128_recurrence_bit_for_bit():
+    """On the criterion-4 series, a degree-60 pullback and a random
+    complex series, at k = 1..3 and two widths."""
+    a = random_positive_series(5, 0.6, sample_rng(20250804, 0), floor=0.5)
+    series = [a, pullback_direct(a, 0.5, 8192, 60),
+              random_exact_series(random.Random(5), 3).to_float()]
+    for b in series:
+        for k in (1, 2, 3):
+            for N in (exact_width(b, k), exact_width(b, k) + 2):
+                got = _trace_difference_at(b, k, N)
+                assert repr(got) == repr(ring_trace(b, k, N))
+
+
+@pytest.mark.parametrize("coeffs", [
+    {},                                                     # empty
+    {0: Fraction(-5, 7)},                                   # single modes
+    {3: (2, -5)},
+    {-2: (Fraction(7, 3), Fraction(1, 9))},
+] + list(large_rational_series()),                          # ~1e9 / ~1e6
+    ids=["empty", "mode0", "mode3", "mode-2", "big1", "big2", "big3"])
+def test_residue_trace_matches_object_oracle(coeffs):
+    a = coeffs if isinstance(coeffs, TrigSeries) else TrigSeries.exact(coeffs)
+    for k in (1, 2, 3):
+        W = exact_width(a, k)
+        for N in (W, W + 3):
+            assert _trace_difference_at(a, k, N) == ring_trace(a, k, N)
+
+
+def test_residue_trace_at_a_wide_truncation():
+    """At S = 129 the primes of S = 1 would overflow an int64 matmul, so
+    the prime size shrinks; the trace stays exact."""
+    S = 129
+    p1 = split_primes(1, 1)[0][0]
+    assert S * (p1 - 1) ** 2 >= WORD
+    assert split_primes(S, 1)[0][0] < p1
+    a = random_exact_series(random.Random(3), 2)
+    for k in (2, 3):
+        got = _trace_difference_at(a, k, 64)
+        assert got == ring_trace(a, k, 64) == zeta_invariant(a, k)
+
+
+def test_lift_needs_every_prime_the_bound_asks_for():
+    """a = c (e^{2i theta} + e^{-2i theta}) with c as large as the first
+    three primes of width S = 7 allow: the bound asks for all three, and
+    Z_2 = 48 c^4 lies past the symmetric range of the first two, so a lift
+    on one prime fewer than the bound asks for is wrong."""
+    k, N = 2, 3
+    primes = split_primes(2 * N + 1, 3)
+    M = math.prod(p for p, _ in primes)
+
+    def bound(a):
+        return _trace_bound(ring([v for _, v in a.items()], True)[0], k, N)
+
+    unit = bound(TrigSeries.exact({2: 1, -2: 1}))   # the bound is 4-homogeneous
+    c = math.isqrt(math.isqrt((M - 1) // (2 * unit)))
+    a = TrigSeries.exact({2: c, -2: c})
+    assert residue_primes(2 * N + 1, bound(a)) == primes
+    z = trace_difference(a, k, N)
+    assert z == ring_trace(a, k, N) == 48 * c ** 4
+    assert 2 * abs(z.re) > M // primes[-1][0]
+
+
+def sieve(n):
+    """The primes below n."""
+    prime = np.ones(n, bool)
+    prime[:2] = False
+    for d in range(2, math.isqrt(n) + 1):
+        if prime[d]:
+            prime[d * d::d] = False
+    return np.flatnonzero(prime)
+
+
+_SMALL_PRIMES = sieve(55110)  # up to the root of every candidate (3.04e9)
+
+
+def by_trial_division(n):
+    """Primality of n < 55110^2 by trial division."""
+    divisors = _SMALL_PRIMES[_SMALL_PRIMES <= math.isqrt(n)]
+    return n > 1 and not (n % divisors == 0).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2 ** 20))
+def test_split_primes_keep_a_width_of_products_inside_int64(S):
+    """Each prime p of width S has S (p - 1)^2 < 2^63, is prime,
+    p = 1 (mod 4) and s^2 = -1 (mod p); the first is the largest such."""
+    primes = split_primes(S, 3)
+    for p, s in primes:
+        assert S * (p - 1) ** 2 < WORD
+        assert p % 4 == 1 and by_trial_division(p) and (s * s + 1) % p == 0
+    assert [p for p, _ in primes] == sorted({p for p, _ in primes},
+                                            reverse=True)
+    limit = 1 + math.isqrt((WORD - 1) // S)       # the largest p allowed
+    assert S * limit ** 2 >= WORD
+    first = primes[0][0]
+    assert not any(by_trial_division(q) for q in range(first + 4, limit + 1, 4))

@@ -1,9 +1,25 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 from steklov_zeta import RationalComplex, TrigSeries
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_fraction(rng: random.Random, num: int = 9, den: int = 9) -> Fraction:
