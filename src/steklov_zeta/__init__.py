@@ -27,9 +27,8 @@ from .fourier import (CircleGrid, TrigSeries, evaluate, evaluate_at,
                       normalization_integral, sample_series, save_series,
                       series_from_json, series_to_json)
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
-                         symmetrize_z_full, z1_closed, z2_closed,
-                         z2_coeff_closed, z_coeff, z_coeff_closed, zeta,
-                         zeta_invariant)
+                         z1_closed, z2_closed, z2_coeff_closed, z_coeff,
+                         z_coeff_closed, zeta, zeta_invariant)
 from .lie import (GENERATORS, RELATION_PLANES, apply_generator,
                   bracket_check, lowering_relation_check,
                   raising_relation_check, raising_relation_sweep,

@@ -194,11 +194,15 @@ def cmd_check_invariance(args) -> int:
     a = load_series(args.series, "float")
     out_degree = args.out_degree
     if out_degree is None:
-        out_degree = suggest_out_degree(a.degree, param, 1e-9)
+        # the exact cut's walk stops at the cap: past it, its end is unused
+        out_degree = suggest_out_degree(a.degree, param, 1e-9,
+                                        limit=MAX_OUT_DEGREE)
     if out_degree > MAX_OUT_DEGREE:
-        raise ValueError(f"output degree {out_degree} is past the "
-                         f"check-invariance cap {MAX_OUT_DEGREE}; pass a "
-                         f"smaller --out-degree or a rho nearer 0")
+        what = (f"output degree {out_degree}" if args.out_degree is not None
+                else f"the default output degree at rho {param.rho}")
+        raise ValueError(f"{what} is past the check-invariance cap "
+                         f"{MAX_OUT_DEGREE}; pass a smaller --out-degree or "
+                         f"a rho nearer 0")
     b = pullback_direct(a, param, args.grid, out_degree)
     za = complex(zeta(a, args.k)).real
     zb = complex(zeta(b, args.k)).real

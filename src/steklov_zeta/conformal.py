@@ -397,15 +397,19 @@ def exp_relation_check(rho, N: int, steps: int) -> float:
     return float(np.max(np.abs(M[sl, sl] - ref[sl, sl])))
 
 
-def suggest_out_degree(max_input_freq: int, rho, tol: float) -> int:
+def suggest_out_degree(max_input_freq: int, rho, tol: float, *,
+                       limit: int | None = None) -> int:
     """Smallest output degree c >= K = max_input_freq at which the l1 mass
     dropped from the columns |k| <= K is provably below tol, so that
     sup|b - b_cut| <= tol max|a_k| for deg(a) <= K (module docstring).
     Cauchy-Schwarz bounds column k's by sqrt(T_k(c) / c) for its weighted
     tail T_k(c); each column must reach tol / (2K + 1).  A float rho runs
-    on its exact dyadic value; every comparison is on integers.  The cut
-    depends only on (K, Fraction(rho), float(tol)), the key of a cache of
-    CUT_CACHE ints (_cut)."""
+    on its exact dyadic value; every comparison is on integers.  The walk
+    reads one row per degree and its integers grow with it, so a caller
+    that cannot use a cut past some degree passes it as limit: the walk
+    then stops there and returns limit + 1 for any cut past it.  The cut
+    depends only on (K, Fraction(rho), float(tol), limit), the key of a
+    cache of CUT_CACHE ints (_cut)."""
     K = _size(max_input_freq, "max input frequency", 0)
     r = Fraction(_rho_value(rho))
     # the cut runs on float(tol): a huge int or Fraction would overflow it,
@@ -413,11 +417,13 @@ def suggest_out_degree(max_input_freq: int, rho, tol: float) -> int:
     if not (isinstance(tol, numbers.Real) and 0 < tol <= sys.float_info.max
             and float(tol) > 0):
         raise ValueError(f"tol must be a finite real > 0, got {tol!r}")
-    return _cut(K, r, float(tol))
+    if limit is not None:
+        limit = _size(limit, "limit", 0)
+    return _cut(K, r, float(tol), limit)
 
 
 @lru_cache(maxsize=CUT_CACHE)
-def _cut(K: int, r: Fraction, tol: float) -> int:
+def _cut(K: int, r: Fraction, tol: float, limit: int | None = None) -> int:
     eps = (Fraction(tol) / (2 * K + 1)) ** 2
     p, q = r.numerator, r.denominator
     qq, dd = q * q, (q * q - p * p) ** 2
@@ -432,3 +438,5 @@ def _cut(K: int, r: Fraction, tol: float) -> int:
         if c >= K and all(x * eps.denominator <= c * G * qq ** k
                           for k, x in enumerate(R)):
             return c
+        if c == limit:
+            return c + 1

@@ -237,7 +237,14 @@ def evaluate_at(a: TrigSeries, z):
     circle, so no exponential is taken.  With u the unit roundoff and every
     |z| = 1, each of the deg + 1 steps per side (one complex product, one
     sum) adds at most about 3.3u * sum|a_n|; a point that is off the circle
-    by a relative d moves the term a_n z^n by about |n| d |a_n|.
+    by a relative d moves the term a_n z^n by about |n| d |a_n|.  A scalar
+    z and the same point inside an array can differ in the last bit: numpy's
+    SIMD loops (AVX-512 on x86_64) fuse the multiply-adds of a complex
+    product over an array but not for a single point ({2: 1j} at
+    (3 + 4i)/5: -0.96-0.28000000000000014j alone, -0.96-0.2800000000000001j
+    in a 12-point array).  Both lie within the bound above, so a certified
+    minimum on the circle must take its margin from the bound, not from
+    equality across array lengths.
     """
     deg = a.degree
     c = [0j] * (2 * deg + 1)

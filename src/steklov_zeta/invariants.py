@@ -19,6 +19,41 @@ indices, but not fully symmetric; the symmetrized coefficients
 are fully symmetric and define the same form.  Everything here is exact:
 coefficients are big integers or Fractions, never floats.
 
+symmetrize_z visits no ordering.  The last slot never enters f, and an
+ordering of the first m = 2k - 1 slots (the head) is a chain
+{} = T_0 < T_1 < ... < T_m of sub-multisets of the head, one slot added
+at a time, with f(n) = prod_i (n + sum T_i).  For a sub-multiset U and
+each n, let E_U(n) and O_U(n) sum |prod_{i <= |U|} (n + sum T_i)| over
+the chains from {} to U (counted once per distinct value sequence) with
+an even, resp. odd, number of negative factors; a zero factor ends a
+chain.  Then E_{} = max(n, 0), O_{} = max(-n, 0), and with
+g = n + sum U, p = max(g, 0), q = max(-g, 0), summing over the U' that U
+covers,
+
+    E_U = p sum E_U' + q sum O_U',     O_U = p sum O_U' + q sum E_U'.
+
+f(n) < 0 exactly on the chains with an odd number of negative factors,
+where |f| - f = 2|f|, so the sum of N over the m! orderings is
+2 prod_v c_v! sum_n O_head(n), c_v the multiplicity of value v in the head
+(each value sequence is that many orderings).  The walk carries
+A = E - O and B = E + O, the sums of the signed and of the absolute
+products, whose recurrences do not couple:
+
+    A_U = g sum A_U',     B_U = |g| sum B_U',     2 O = B - A,
+
+so one gather, one grouped sum and one product per level serve a block of
+n at once.  Let P and Q be the sums of the positive and of the negated
+negative head entries and h = P + Q the head's l1 norm.  Every sum T lies
+in [-Q, P], so outside n in [-P, Q] all 2k factors share a sign and
+f > 0: n runs over those h + 1 values.  On them every factor has
+|n + sum T| <= h.  Overflow bound: a chain to U has |U| + 1 factors and U
+has at most |U|! value sequences, so |A_U(n)| <= B_U(n) <= m! h^(m + 1)
+= (2k-1)! h^(2k); a grouped sum or product is bounded by the B entry it
+builds (the B terms are >= 0 and bound the A terms), and each sum over n
+is at most (h + 1) (2k-1)! h^(2k).  Below 2^63 the walk runs on int64 and
+past it on Python ints; the last products are taken on Python ints.  The
+int64 rule holds up to h = 4338, 258, 49 and 16 at k = 2, 3, 4 and 5.
+
 Closed forms are implemented for the two lowest orders: the pair
 coefficient Z_{j,-j} = |j^3 - j| / 3, and the quadruple coefficients, which
 are piecewise odd quintic polynomials evaluated after canonicalizing the
@@ -47,7 +82,6 @@ alone and the same row in a block.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -105,30 +139,86 @@ def brute_n(indices) -> int:
     return total
 
 
+def _int64_fits(h: int, m: int) -> bool:
+    """Whether symmetrize_z's recurrence for m = 2k - 1 head slots of l1
+    norm h stays in int64: (h + 1) m! h^(m + 1) < 2^63 (module docstring)."""
+    return (h + 1) * math.factorial(m) * h ** (m + 1) < 2 ** 63
+
+
+# Lattices kept by _lattice, one per multiplicity pattern of the head; the
+# partitions of 2k - 1 number 7, 15 and 30 at k = 3, 4, 5.
+_LATTICE_CACHE_SIZE = 64
+
+# Entries of one block of the recurrence (sub-multisets x 2 x columns n):
+# a head of large l1 norm walks its n in blocks of at most this many.
+_BLOCK = 1 << 20
+
+
+@lru_cache(maxsize=_LATTICE_CACHE_SIZE)
+def _lattice(counts: tuple):
+    """The sub-multisets of a head with these multiplicities, as rows of
+    multiplicities ordered by size, and for each size i >= 1 the slice
+    (lo, hi) of its rows, the rows of size i - 1 each one covers (as row
+    indices, grouped by covering row) and the group offsets.  The arrays
+    are shared by every call with this pattern and only read."""
+    counts = np.array(counts)
+    radix = counts + 1
+    strides = np.cumprod(np.r_[1, radix[:-1]])
+    grid = np.arange(strides[-1] * radix[-1])[:, None] // strides % radix
+    size = grid.sum(1)
+    order = np.argsort(size, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # one edge per (row, value it can still take): row -> row + that value
+    rows, vals = np.nonzero(grid < counts)
+    tgt = rank[rows + strides[vals]]
+    by_tgt = np.argsort(tgt, kind="stable")
+    tgt, src = tgt[by_tgt], rank[rows][by_tgt]
+    first = np.searchsorted(tgt, np.arange(len(order) + 1))
+    bounds = np.searchsorted(size[order], np.arange(counts.sum() + 2))
+    levels = tuple((lo, hi, src[first[lo]:first[hi]],
+                    first[lo:hi] - first[lo])
+                   for lo, hi in zip(bounds[1:-1], bounds[2:]))
+    return grid[order], levels
+
+
 def symmetrize_z(indices) -> Fraction:
     """Symmetrized coefficient Z for a zero-sum multi-index.
 
-    Averages brute_n over the (2k-1)! permutations that fix the last slot;
-    cyclic invariance of N makes this equal to the average over all (2k)!
-    permutations (see symmetrize_z_full, kept as a cross-check).
+    The average of N over the (2k-1)! orderings of the first 2k - 1 slots
+    with the last slot fixed; cyclic invariance of N makes this the
+    average over all (2k)! orderings.  No ordering is visited: the sum
+    runs by the parity recurrence over the sub-multisets of those slots
+    (module docstring), which carries per sub-multiset the sums over its
+    chains of the signed and of the absolute products, on int64 while
+    (h + 1) (2k-1)! h^(2k) < 2^63 for the l1 norm h of the slots (the
+    bound proved there) and on Python ints past it.
     """
     idx = _validate_index(indices)
     if sum(idx) != 0:
         raise NonZeroSum(f"indices must sum to zero, got {idx}")
-    last = idx[-1]
-    perms = Counter(itertools.permutations(idx[:-1]))
-    total = sum(cnt * brute_n(p + (last,)) for p, cnt in perms.items())
-    return Fraction(total, math.factorial(len(idx) - 1))
-
-
-def symmetrize_z_full(indices) -> Fraction:
-    """Slow full symmetrization over all (2k)! permutations; validation only."""
-    idx = _validate_index(indices)
-    if sum(idx) != 0:
-        raise NonZeroSum(f"indices must sum to zero, got {idx}")
-    perms = Counter(itertools.permutations(idx))
-    total = sum(cnt * brute_n(p) for p, cnt in perms.items())
-    return Fraction(total, math.factorial(len(idx)))
+    head = idx[:-1]
+    tally = sorted(Counter(head).items(), key=lambda vc: -vc[1])
+    grid, levels = _lattice(tuple(c for _, c in tally))
+    low = -sum(j for j in head if j > 0)
+    high = -sum(j for j in head if j < 0)
+    dtype = np.int64 if _int64_fits(high - low, len(head)) else object
+    sums = grid.astype(dtype, copy=False) @ np.array([v for v, _ in tally],
+                                                     dtype=dtype)
+    width = max(1, _BLOCK // (2 * len(grid)))
+    total = 0
+    for start in range(low, high + 1, width):
+        n = np.arange(start, min(start + width, high + 1)).astype(
+            dtype, copy=False)
+        g = n + sums[:, None]
+        # walk[U] = (A_U, B_U) over this block of n, in place of the factors
+        walk = np.stack([g, np.abs(g)], axis=1)
+        for lo, hi, src, offsets in levels:
+            walk[lo:hi] *= np.add.reduceat(walk[src], offsets, axis=0)
+        signed, absolute = walk[-1].sum(axis=1)
+        total += int(absolute) - int(signed)
+    repeats = math.prod(math.factorial(c) for _, c in tally)
+    return Fraction(repeats * total, math.factorial(len(head)))
 
 
 # Entries kept by each coefficient cache (_Z_CACHE, z2_coeff_closed).  They

@@ -9,7 +9,7 @@ import pytest
 
 from steklov_zeta import (TrigSeries, __version__, exact_width, save_series,
                           suggest_out_degree)
-from steklov_zeta import cli
+from steklov_zeta import cli, conformal
 from steklov_zeta.cli import MAX_OUT_DEGREE, main
 
 
@@ -173,6 +173,32 @@ def test_check_invariance_output_degree_is_capped(capsys, pair_series,
     assert (code, out) == (2, "")
     assert err.count("error:") == 1
     assert f"output degree {MAX_OUT_DEGREE + 1} is past" in err
+
+
+def test_check_invariance_default_cut_stops_at_the_cap(capsys, tmp_path,
+                                                       monkeypatch):
+    """Without --out-degree the exact cut's walk stops at the cap: at
+    rho = 0.99 a degree-3 series' cut is 2444, and the walk reads the rows
+    up to MAX_OUT_DEGREE only before the usage error."""
+    path = tmp_path / "a.json"
+    save_series(TrigSeries.exact({n: 1 for n in (-3, -2, -1, 1, 2, 3)}),
+                path)
+    rows, walk = [], conformal._rows
+
+    def counted(*args):
+        for row in walk(*args):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(conformal, "_rows", counted)
+    conformal._cut.cache_clear()
+    code, out, err = run(capsys, "check-invariance", "--series", str(path),
+                         "--rho", "0.99", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1
+    assert f"at rho 0.99 is past the check-invariance cap {MAX_OUT_DEGREE}" \
+        in err
+    assert len(rows) == MAX_OUT_DEGREE + 2   # rows n = -1, 0, ..., cap
 
 
 def test_check_invariance_zero_tolerance_is_accepted(capsys, pair_series):

@@ -14,7 +14,7 @@ from steklov_zeta import (BackendMismatch, GridTooSmall, MoebiusParam,
                           d_matrix, exp_relation_check, group_law_check, mu,
                           mu_matrix, pullback_direct, rotate,
                           suggest_out_degree, z1_closed, z2_closed)
-from steklov_zeta.conformal import _columns, rk4_exponential
+from steklov_zeta.conformal import _columns, _rows, rk4_exponential
 from steklov_zeta.explorer import random_positive_series
 from steklov_zeta.fourier import (CircleGrid, evaluate_at, from_samples,
                                   grid_points)
@@ -427,6 +427,37 @@ def test_tol_outside_the_float_range_is_rejected(tol):
 
 def test_cut_at_rho_zero_is_the_input_degree():
     assert [suggest_out_degree(K, 0, 1e-12) for K in (0, 1, 4)] == [0, 1, 4]
+
+
+@pytest.mark.parametrize("limit", [0, 2, 30, 31, 52, 53, 200])
+def test_limited_walk_returns_the_cut_or_one_past_the_limit(limit):
+    """With a limit the walk stops there: the cut when it is at most limit
+    (degree 3, rho 1/2, tol 1e-12: 53), limit + 1 otherwise."""
+    assert suggest_out_degree(3, Fraction(1, 2), 1e-12, limit=limit) \
+        == min(53, limit + 1)
+
+
+def test_limited_walk_reads_rows_up_to_the_limit(monkeypatch):
+    rows = []
+
+    def counted(*args):
+        for row in _rows(*args):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(conformal, "_rows", counted)
+    conformal._cut.cache_clear()
+    # rho = 0.99's cut of a degree-3 input at tol 1e-9 is 2444
+    assert suggest_out_degree(3, 0.99, 1e-9, limit=120) == 121
+    assert len(rows) == 122          # row n = -1 and rows c = 0..120
+
+
+@pytest.mark.parametrize("limit, message", [
+    (-1, "limit must be >= 0"), (2.5, "2.5 is not an integer"),
+    ("3", "'3' is not an integer")], ids=repr)
+def test_bad_limit_is_rejected(limit, message):
+    with pytest.raises(ValueError, match=message):
+        suggest_out_degree(3, 0.5, 1e-9, limit=limit)
 
 
 _SERIES = TrigSeries.from_complex({1: 1.0, -1: 1.0})

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov_zeta import (NonZeroSum, RationalComplex, TrigSeries, brute_n,
-                          coeff_bound_check, symmetrize_z, symmetrize_z_full,
-                          z1_closed, z2_closed, z2_coeff_closed, z_coeff,
+                          coeff_bound_check, symmetrize_z, z1_closed,
+                          z2_closed, z2_coeff_closed, z_coeff,
                           z_coeff_closed, zeta, zeta_invariant)
 from steklov_zeta.conformal import mu, mu_matrix, pullback_direct
 from steklov_zeta.explorer import (inequality_ratio, random_positive_series,
@@ -24,7 +24,8 @@ from steklov_zeta.scalars import RC_ZERO
 from steklov_zeta.trace import exact_width, trace_difference
 
 from util import (large_rational_series, random_exact_series,
-                  random_fraction, random_zero_sum_tuple)
+                  random_fraction, random_zero_sum_tuple, symmetrize_z_full,
+                  symmetrize_z_orderings)
 
 
 def oracle_n(indices):
@@ -120,6 +121,53 @@ def test_reduced_equals_full_symmetrization():
     for _ in range(4):
         idx = random_zero_sum_tuple(rng, 3, 2)
         assert symmetrize_z(idx) == symmetrize_z_full(idx)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_recurrence_equals_the_ordering_sum_on_every_small_multiset(k):
+    """Every zero-sum 2k-multiset over [-3, 3] (4, 18, 58 and 151 of them),
+    each in a shuffled order so that the fixed last slot varies."""
+    rng = random.Random(k)
+    for ms in zero_sum_multisets(range(-3, 4), 2 * k):
+        idx = tuple(rng.sample(ms, len(ms)))
+        assert symmetrize_z(idx) == symmetrize_z_orderings(idx), idx
+
+
+@pytest.mark.parametrize("idx", [
+    (-2, -2, -2, -2, 1, 1, 1, 1, 2, 2),     # head l1 norm 14: int64
+    (2, 2, 2, 1, -1, -1, -2, -2, -1, 0),    # 14: int64
+    (2, 2, 2, 2, 2, -2, -2, -2, -2, -2),    # 18: Python ints
+])
+def test_recurrence_equals_the_ordering_sum_at_k5(idx):
+    assert symmetrize_z(idx) == symmetrize_z_orderings(idx)
+
+
+@pytest.mark.parametrize("idx, fits", [
+    ((60, 60, -50, -50, 38, -58), True),    # h = 258, the last on int64
+    ((60, 60, -50, -50, 39, -59), False),   # h = 259, the first past it
+])
+def test_recurrence_on_either_side_of_the_int64_bound(idx, fits):
+    head = idx[:-1]
+    assert invariants._int64_fits(sum(map(abs, head)), len(head)) is fits
+    assert symmetrize_z(idx) == symmetrize_z_orderings(idx)
+
+
+def test_recurrence_walks_a_wide_range_of_n_in_blocks():
+    """(j, -j) with j = 2^20 + 3 walks j + 1 values of n, several blocks of
+    at most invariants._BLOCK entries, and equals |j^3 - j| / 3."""
+    j = 2 ** 20 + 3
+    assert (j + 1) * 2 * 2 > invariants._BLOCK
+    assert symmetrize_z((j, -j)) == symmetrize_z((-j, j)) \
+        == Fraction(j ** 3 - j, 3)
+
+
+def test_recurrence_past_the_int64_range():
+    """A head whose sum over n, sum_n O_head(n), is itself past 2^63: an
+    int64 walk would wrap."""
+    idx = (1000, 1000, -900, -900, -900, 700)
+    z = symmetrize_z(idx)
+    assert z * math.factorial(5) / (2 * 2 * 6) > 2 ** 63
+    assert z == symmetrize_z_orderings(idx)
 
 
 def test_z_coeff_full_symmetry_and_evenness():

@@ -1,12 +1,15 @@
 """Shared helpers for the test suite."""
 
 import importlib.util
+import itertools
+import math
 import pathlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
-from steklov_zeta import RationalComplex, TrigSeries
+from steklov_zeta import RationalComplex, TrigSeries, brute_n
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -69,3 +72,23 @@ def random_zero_sum_tuple(rng: random.Random, k: int, bound: int) -> tuple:
         last = -sum(head)
         if abs(last) <= bound:
             return head + (last,)
+
+
+def symmetrize_z_orderings(indices) -> Fraction:
+    """Z as the paper defines it: brute_n averaged over the (2k-1)!
+    orderings of the first 2k - 1 slots, the last slot fixed (the oracle of
+    symmetrize_z's parity recurrence)."""
+    idx = tuple(indices)
+    last = idx[-1]
+    perms = Counter(itertools.permutations(idx[:-1]))
+    total = sum(cnt * brute_n(p + (last,)) for p, cnt in perms.items())
+    return Fraction(total, math.factorial(len(idx) - 1))
+
+
+def symmetrize_z_full(indices) -> Fraction:
+    """brute_n averaged over all (2k)! orderings; equal to the average with
+    the last slot fixed by the cyclic invariance of N."""
+    idx = tuple(indices)
+    perms = Counter(itertools.permutations(idx))
+    total = sum(cnt * brute_n(p) for p, cnt in perms.items())
+    return Fraction(total, math.factorial(len(idx)))
