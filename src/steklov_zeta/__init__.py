@@ -9,10 +9,9 @@ on Fourier coefficients, and an exact operator-trace identity.
 
 __version__ = "0.1.0"
 
-from .conformal import (MoebiusParam, TruncatedMatrix, apply_moebius,
-                        conjugate, d_matrix, exp_relation_check,
-                        group_law_check, mu, mu_matrix, pullback_direct,
-                        rotate, suggest_out_degree)
+from .conformal import (TruncatedMatrix, apply_moebius, conjugate, d_matrix,
+                        exp_relation_check, group_law_check, mu, mu_matrix,
+                        pullback_direct, rotate, suggest_out_degree)
 from .errors import (BackendMismatch, DegenerateDenominator, GridTooSmall,
                      NonZeroSum, NotHermitian, NotPositive, NotReal,
                      SteklovZetaError, TruncationTooSmall, UnknownBracket,
@@ -22,8 +21,8 @@ from .explorer import (CampaignConfig, CampaignReport, SampleRecord,
                        positive_definite_check, random_positive_series,
                        random_real_series, trinomial_extract,
                        z2_nonneg_campaign)
-from .fourier import (CircleGrid, TrigSeries, evaluate, evaluate_at,
-                      from_samples, is_real, load_series, min_on_circle,
+from .fourier import (TrigSeries, evaluate, evaluate_at, from_samples,
+                      is_real, load_series, min_on_circle,
                       normalization_integral, sample_series, save_series,
                       series_from_json, series_to_json)
 from .invariants import (brute_n, coeff_bound_check, symmetrize_z,

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .conformal import (MoebiusParam, mu_matrix, pullback_direct,
+from .conformal import (_rho_value, mu_matrix, pullback_direct,
                         suggest_out_degree)
 from .errors import SteklovZetaError
 from .explorer import CampaignConfig, z2_nonneg_campaign
@@ -162,10 +162,28 @@ def cmd_z2_coeff(args) -> int:
     return code
 
 
+def _parse_rho(text: str):
+    """--rho: "p/q" or an integer as an exact rational, a decimal as a
+    float, checked by conformal._rho_value; any other text raises a
+    ValueError that names these forms."""
+    text = text.strip()
+    try:
+        if "/" in text:
+            rho = Fraction(text)
+        elif "." in text or "e" in text.lower():
+            rho = float(text)
+        else:
+            rho = Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError('rho must be "p/q", an integer or a decimal, '
+                         f"got {text!r}") from None
+    return _rho_value(rho)
+
+
 def cmd_mu_matrix(args) -> int:
-    param = MoebiusParam.parse(args.rho)
-    _header(args, "exact" if param.exact else "float")
-    M = mu_matrix(param, args.half_width)
+    rho = _parse_rho(args.rho)
+    _header(args, "float" if isinstance(rho, float) else "exact")
+    M = mu_matrix(rho, args.half_width)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -176,7 +194,7 @@ def cmd_mu_matrix(args) -> int:
     else:
         obj = {
             "half_width": M.half_width,
-            "rho": str(param.rho),
+            "rho": str(rho),
             "exact": M.exact,
             "entries": [[str(v) if M.exact else float(v) for v in row]
                         for row in M.entries],
@@ -189,28 +207,28 @@ def cmd_check_invariance(args) -> int:
     if not 0.0 <= args.tol < math.inf:  # NaN fails too
         raise ValueError(f"--tol must be a finite number >= 0, "
                          f"got {args.tol}")
-    param = MoebiusParam.parse(args.rho)
+    rho = _parse_rho(args.rho)
     _header(args, "float")
     a = load_series(args.series, "float")
     out_degree = args.out_degree
     if out_degree is None:
         # the exact cut's walk stops at the cap: past it, its end is unused
-        out_degree = suggest_out_degree(a.degree, param, 1e-9,
+        out_degree = suggest_out_degree(a.degree, rho, 1e-9,
                                         limit=MAX_OUT_DEGREE)
     if out_degree > MAX_OUT_DEGREE:
         what = (f"output degree {out_degree}" if args.out_degree is not None
-                else f"the default output degree at rho {param.rho}")
+                else f"the default output degree at rho {rho}")
         raise ValueError(f"{what} is past the check-invariance cap "
                          f"{MAX_OUT_DEGREE}; pass a smaller --out-degree or "
                          f"a rho nearer 0")
-    b = pullback_direct(a, param, args.grid, out_degree)
+    b = pullback_direct(a, rho, args.grid, out_degree)
     za = complex(zeta(a, args.k)).real
     zb = complex(zeta(b, args.k)).real
     dev = abs(za - zb)
     limit = args.tol * (1.0 + abs(za))
     ok = dev <= limit
     report = {
-        "k": args.k, "rho": str(param.rho), "grid": args.grid,
+        "k": args.k, "rho": str(rho), "grid": args.grid,
         "out_degree": out_degree, "z_original": za, "z_pullback": zb,
         "deviation": dev, "tolerance": limit, "pass": ok,
     }

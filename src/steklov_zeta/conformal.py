@@ -70,60 +70,23 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .errors import BackendMismatch
-from .fourier import (CircleGrid, EXACT, FLOAT, TrigSeries, _indices,
-                      _nyquist_degree, _size, evaluate_at, from_samples,
-                      grid_points)
+from .fourier import (EXACT, FLOAT, TrigSeries, _indices, _nyquist_degree,
+                      _size, evaluate_at, from_samples, grid_points)
 from .scalars import join, ring
-
-
-@dataclass(frozen=True)
-class MoebiusParam:
-    """Translation parameter rho in (-1, 1), exact (Fraction) or float."""
-
-    rho: Fraction | float
-
-    def __post_init__(self):
-        _rho_value(self.rho)
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.rho, (int, Fraction))
-
-    @property
-    def t(self) -> float:
-        """Hyperbolic translation length, tanh(t) = rho."""
-        return math.atanh(float(self.rho))
-
-    @classmethod
-    def parse(cls, text: str) -> "MoebiusParam":
-        """Parse "p/q" or an integer as an exact rational, a decimal as a
-        float; any other text raises a ValueError that names these forms."""
-        text = text.strip()
-        try:
-            if "/" in text:
-                rho = Fraction(text)
-            elif "." in text or "e" in text.lower():
-                rho = float(text)
-            else:
-                rho = Fraction(int(text))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError('rho must be "p/q", an integer or a decimal, '
-                             f"got {text!r}") from None
-        return cls(rho)
 
 
 def _rho_value(rho):
     """The one check of a translation parameter: an int becomes a Fraction,
-    a MoebiusParam passes through, a Fraction or float must lie strictly
-    inside (-1, 1); anything else, NaN too, raises ValueError.  mu runs it
-    per entry, hence numerator and denominator rather than abs(rho) < 1."""
-    if isinstance(rho, MoebiusParam):
-        return rho.rho
+    a Fraction or float must lie strictly inside (-1, 1); anything else,
+    NaN or another type, raises ValueError.  mu runs it per entry, hence
+    numerator and denominator rather than abs(rho) < 1."""
     if isinstance(rho, int):
         rho = Fraction(rho)
     if (isinstance(rho, Fraction) and abs(rho.numerator) < rho.denominator
             or isinstance(rho, float) and -1.0 < rho < 1.0):
         return rho
+    if not isinstance(rho, (Fraction, float)):
+        rho = f"{rho!r} of type {type(rho).__name__}"
     raise ValueError(f"rho must lie in (-1, 1), got {rho}")
 
 
@@ -311,8 +274,7 @@ def pullback_direct(a: TrigSeries, rho, grid_size: int,
     grid_size = _size(grid_size, "grid size")
     out_degree = _nyquist_degree(grid_size, out_degree)
     u, dphi = _circle_map(r, grid_size)
-    samples = evaluate_at(a.to_float(), u) / dphi
-    return from_samples(CircleGrid(grid_size, samples), out_degree)
+    return from_samples(evaluate_at(a.to_float(), u) / dphi, out_degree)
 
 
 @lru_cache(maxsize=CIRCLE_MAP_CACHE)
@@ -331,8 +293,13 @@ def _circle_map(r: float, grid_size: int) -> tuple:
 def rotate(a: TrigSeries, alpha: float) -> TrigSeries:
     """Rotation pullback: coefficient n picks up the phase e^{i alpha n}.
 
-    Float backend only (the phases are transcendental).
+    Float backend only (the phases are transcendental); alpha must be a
+    finite int, Fraction or float.
     """
+    if not (isinstance(alpha, (int, Fraction, float))
+            and abs(alpha) <= sys.float_info.max):  # NaN fails too
+        raise ValueError(f"alpha must be a finite int, Fraction or float, "
+                         f"got {alpha!r}")
     if a.backend == EXACT:
         raise BackendMismatch("rotate supports the float backend only")
     return TrigSeries.from_complex(
@@ -390,7 +357,7 @@ def exp_relation_check(rho, N: int, steps: int) -> float:
     in fixed steps over t = artanh(rho), from the recurrence's M_N(rho)."""
     r = _rho_value(rho)
     D = d_matrix(N).to_array()
-    M = rk4_exponential(D, MoebiusParam(r).t, steps)
+    M = rk4_exponential(D, math.atanh(float(r)), steps)
     ref = mu_matrix(r, N).to_array()
     half = N // 2
     sl = slice(N - half, N + half + 1)

@@ -26,8 +26,8 @@ size are computed once and shared read-only (grid_points).
 from __future__ import annotations
 
 import json
+import numbers
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -163,6 +163,15 @@ class TrigSeries:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "TrigSeries":
+        """An int or Fraction scales either backend, a RationalComplex an
+        exact and any other number a float series; a mix is a mismatch."""
+        rc = isinstance(scalar, RationalComplex)
+        if not (rc or isinstance(scalar, numbers.Number)):
+            return NotImplemented
+        if rc != (self.backend == EXACT) and not isinstance(
+                scalar, numbers.Rational):
+            raise BackendMismatch(f"cannot scale {self.backend} series by "
+                                  f"{scalar!r}")
         return TrigSeries({n: scalar * v for n, v in self._coeffs.items()},
                           self.backend)
 
@@ -176,20 +185,6 @@ class TrigSeries:
     def sum_abs(self) -> float:
         """Float value of sum_n |a_n|, the natural scale of the series."""
         return float(sum(abs(complex(v)) for v in self._coeffs.values()))
-
-
-@dataclass(frozen=True)
-class CircleGrid:
-    """Equispaced samples f(theta_m), theta_m = 2 pi m / size."""
-
-    size: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        size = _size(self.size, "grid size")
-        object.__setattr__(self, "size", size)
-        if len(self.samples) != size:
-            raise ValueError("sample count must equal grid size")
 
 
 def grid_angles(size: int) -> np.ndarray:
@@ -261,10 +256,10 @@ def evaluate(a: TrigSeries, theta):
     return evaluate_at(a, np.exp(1j * np.asarray(theta, dtype=float)))
 
 
-def sample_series(a: TrigSeries, size: int) -> CircleGrid:
-    """Sample a series on the equispaced grid of the given size: the one
-    grid sampler, on the shared points of grid_points."""
-    return CircleGrid(size, evaluate_at(a, grid_points(size)))
+def sample_series(a: TrigSeries, size: int) -> np.ndarray:
+    """The samples a(theta_m), theta_m = 2 pi m / size, of a series on the
+    equispaced grid: the one grid sampler, on the points of grid_points."""
+    return evaluate_at(a, grid_points(size))
 
 
 def _nyquist_degree(size: int, degree: int) -> int:
@@ -277,18 +272,23 @@ def _nyquist_degree(size: int, degree: int) -> int:
     return degree
 
 
-def from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
-    """Recover the band-limited series of the given degree from grid samples.
+def from_samples(samples, degree: int) -> TrigSeries:
+    """Recover the band-limited series of the given degree from the samples
+    of sample_series: one-dimensional, on a grid of len(samples) points.
 
     The inverse DFT is exact (up to roundoff) for inputs that are genuinely
     band-limited to the requested degree; the grid must satisfy the Nyquist
     bound size >= 2*degree + 1.
     """
-    degree = _nyquist_degree(grid.size, degree)
-    spec = np.fft.fft(np.asarray(grid.samples, dtype=complex))
+    samples = np.asarray(samples, dtype=complex)
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got {samples.ndim}-D")
+    size = len(samples)
+    degree = _nyquist_degree(size, degree)
+    spec = np.fft.fft(samples)
     band = range(-degree, degree + 1)  # negative n index from the end
     return TrigSeries.from_complex(
-        dict(zip(band, (spec[band] / grid.size).tolist())))
+        dict(zip(band, (spec[band] / size).tolist())))
 
 
 def is_real(a: TrigSeries) -> bool:
@@ -316,7 +316,7 @@ def _real_samples(a: TrigSeries, grid_size: int) -> np.ndarray:
     """Real parts of a on the equispaced grid; a must be real."""
     if not is_real(a):
         raise NotReal("min_on_circle needs a real (conjugate-symmetric) series")
-    return sample_series(a, grid_size).samples.real
+    return sample_series(a, grid_size).real
 
 
 def normalization_integral(a: TrigSeries, grid_size: int = DEFAULT_GRID) -> float:

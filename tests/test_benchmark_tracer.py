@@ -5,9 +5,12 @@ and signature.  This pins both contracts inside the test suite, so that
 renaming or deleting a traced name, a cache or a called function fails
 here and not only under ``perfbench/run.py``."""
 
+import subprocess
+import sys
+
 from steklov_zeta import TrigSeries, cli, invariants, lie, trace
 
-from util import load_perfbench
+from util import PERFBENCH, load_perfbench
 
 
 def load_layers():
@@ -50,3 +53,14 @@ def test_benchmark_workloads_run_their_first_op(tmp_path):
         assert checks, name
         assert all(isinstance(c, workloads.Check) and c.ok
                    for c in checks), (name, checks)
+
+
+def test_perfbench_suite_passes():
+    """The benchmark's own tests (python -m pytest perfbench) pass; they pin
+    the traced names and the caches that the tracer reads."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(PERFBENCH)], cwd=PERFBENCH.parent, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout.splitlines()[-1], proc.stdout

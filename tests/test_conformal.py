@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import random
@@ -9,15 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steklov_zeta import (BackendMismatch, GridTooSmall, MoebiusParam,
-                          TrigSeries, apply_moebius, conformal, conjugate,
+from steklov_zeta import (BackendMismatch, GridTooSmall, TrigSeries,
+                          apply_moebius, conformal, conjugate,
                           d_matrix, exp_relation_check, group_law_check, mu,
                           mu_matrix, pullback_direct, rotate,
                           suggest_out_degree, z1_closed, z2_closed)
+from steklov_zeta.cli import main
 from steklov_zeta.conformal import _columns, _rows, rk4_exponential
 from steklov_zeta.explorer import random_positive_series
-from steklov_zeta.fourier import (CircleGrid, evaluate_at, from_samples,
-                                  grid_points)
+from steklov_zeta.fourier import evaluate_at, from_samples, grid_points
 from steklov_zeta.scalars import RC_ZERO
 
 from util import large_rational_series, random_exact_series
@@ -287,6 +288,26 @@ def test_rotate_and_conjugate():
         rotate(TrigSeries.exact({0: 1}), 0.1)
 
 
+@pytest.mark.parametrize("alpha", ["x", None, math.inf, -math.inf, math.nan,
+                                   1j, np.float32(0.5), 10 ** 400],
+                         ids=["str", "None", "inf", "-inf", "nan", "complex",
+                              "float32", "huge-int"])
+def test_rotate_rejects_a_bad_angle(alpha):
+    a = TrigSeries.from_complex({2: 1 + 1j, -1: 0.5})
+    with pytest.raises(ValueError) as info:
+        rotate(a, alpha)
+    assert str(info.value) \
+        == f"alpha must be a finite int, Fraction or float, got {alpha!r}"
+
+
+def test_rotate_takes_an_int_fraction_or_float_angle():
+    a = TrigSeries.from_complex({2: 1 + 1j, -1: 0.5})
+    assert rotate(a, 1) == rotate(a, 1.0)
+    assert rotate(a, Fraction(1, 2)) == rotate(a, 0.5)
+    assert rotate(a, np.float64(0.5)) == rotate(a, 0.5)
+    assert rotate(a, 2 * math.pi).coeff(2) == pytest.approx(1 + 1j)
+
+
 def test_invariance_under_rotation_and_conjugation():
     rng = random.Random(31)
     a = random_exact_series(rng, 4)
@@ -470,7 +491,6 @@ RHO_CALLS = {
     "group_law_check_rho2": lambda r: group_law_check(Fraction(1, 3), r, 4),
     "exp_relation_check": lambda r: exp_relation_check(r, 4, 10),
     "suggest_out_degree": lambda r: suggest_out_degree(3, r, 1e-9),
-    "MoebiusParam": MoebiusParam,
 }
 
 
@@ -484,33 +504,59 @@ def test_bad_rho_is_rejected_everywhere(name, rho):
 
 def test_rho_check_accepts_the_open_interval():
     assert mu(0, 0, 0) == 1 and isinstance(mu(0, 0, 0), Fraction)
-    assert mu(2, 2, MoebiusParam(Fraction(-99, 100))) \
-        == mu(2, 2, Fraction(-99, 100))
+    assert isinstance(mu(2, 2, Fraction(-99, 100)), Fraction)
     assert mu(2, 2, 0.99) == pytest.approx(float(mu(2, 2, Fraction(99, 100))))
 
 
+@pytest.mark.parametrize("rho", [np.float32(0.5), np.int64(0), "0.5", None,
+                                 0.5j], ids=repr)
+@pytest.mark.parametrize("name", sorted(RHO_CALLS))
+def test_rho_of_another_type_is_named(name, rho):
+    """A rho of a type outside int, Fraction and float is named by its repr
+    and type, never by a value that lies inside the interval."""
+    with pytest.raises(ValueError) as info:
+        RHO_CALLS[name](rho)
+    assert str(info.value) == ("rho must lie in (-1, 1), got "
+                               f"{rho!r} of type {type(rho).__name__}")
+
+
 def test_moebius_param_validation():
+    """The type of rho picks the backend, and exp_relation_check flows for
+    the time t with tanh(t) = rho."""
     with pytest.raises(ValueError):
-        MoebiusParam(Fraction(3, 2))
-    assert MoebiusParam.parse("3/10").exact
-    assert not MoebiusParam.parse("0.3").exact
-    assert MoebiusParam.parse("0").exact
-    assert MoebiusParam(Fraction(1, 2)).t == pytest.approx(math.atanh(0.5))
+        mu_matrix(Fraction(3, 2), 2)
+    assert mu_matrix(Fraction(3, 10), 2).exact
+    assert not mu_matrix(0.3, 2).exact
+    assert mu_matrix(0, 2).exact
+    M = rk4_exponential(d_matrix(4).to_array(), math.atanh(0.5), 10)
+    ref = mu_matrix(Fraction(1, 2), 4).to_array()
+    assert exp_relation_check(Fraction(1, 2), 4, 10) \
+        == float(np.max(np.abs(M[2:7, 2:7] - ref[2:7, 2:7])))
 
 
-def test_moebius_param_parse():
-    assert MoebiusParam.parse(" 3/10 ").rho == Fraction(3, 10)
-    assert MoebiusParam.parse("-1/2").rho == Fraction(-1, 2)
-    assert MoebiusParam.parse("0").rho == 0
-    assert MoebiusParam.parse("0.25").rho == 0.25
-    assert MoebiusParam.parse("-2.5e-1").rho == -0.25
+def test_moebius_param_parse(capsys):
+    """The --rho grammar of the CLI: "p/q" and integers are exact,
+    decimals float, and any other text is a usage error that names the
+    accepted forms."""
+    def mu_matrix_cli(text):
+        code = main(["mu-matrix", f"--rho={text}", "--half-width", "1",
+                     "--format", "json"])
+        return (code, *capsys.readouterr())
+
+    for text, rho, backend in ((" 3/10 ", "3/10", "exact"),
+                               ("-1/2", "-1/2", "exact"),
+                               ("0", "0", "exact"),
+                               ("0.25", "0.25", "float"),
+                               ("-2.5e-1", "-0.25", "float")):
+        code, out, err = mu_matrix_cli(text)
+        assert code == 0 and f" | backend={backend} | " in err
+        assert json.loads(out)["rho"] == rho
     for text in ("abc", "", "1/x", "3/0", "0.3.1", "nan"):
-        with pytest.raises(ValueError) as info:
-            MoebiusParam.parse(text)
-        assert str(info.value) == ('rho must be "p/q", an integer or a '
-                                   f"decimal, got {text!r}")
-    with pytest.raises(ValueError, match="must lie in"):
-        MoebiusParam.parse("3/2")
+        assert mu_matrix_cli(text) == (
+            2, "", 'error: rho must be "p/q", an integer or a decimal, '
+                   f"got {text!r}\n")
+    assert mu_matrix_cli("3/2") \
+        == (2, "", "error: rho must lie in (-1, 1), got 3/2\n")
 
 
 def test_truncated_matrix_at_rejects_indices_past_the_half_width():
@@ -540,8 +586,7 @@ def test_mu_matrix_cache_keeps_exact_and_float_apart(order):
         assert {type(v) for row in M.entries for v in row} \
             == {Fraction if exact else float}
     assert conformal._mu_matrix.cache_info().currsize == 2
-    assert mu_matrix(MoebiusParam(Fraction(1, 2)), 4) \
-        is mu_matrix(Fraction(1, 2), 4)
+    assert mu_matrix(Fraction(2, 4), 4) is mu_matrix(Fraction(1, 2), 4)
     assert conformal._mu_matrix.cache_info().currsize == 2
 
 
@@ -567,7 +612,7 @@ def test_repeated_calls_return_the_cached_values():
         got = suggest_out_degree(K, rho, 1e-12)
         assert suggest_out_degree(K, rho, 1e-12) == got \
             == conformal._cut.__wrapped__(K, Fraction(rho), 1e-12)
-    assert suggest_out_degree(3, MoebiusParam(Fraction(1, 2)), 1e-12) \
+    assert suggest_out_degree(3, Fraction(1, 2), 1e-12) \
         == suggest_out_degree(3, 0.5, 1e-12)
 
 
@@ -578,7 +623,7 @@ def pullback_inline(a, rho, grid_size, out_degree):
     w = (z - rho) / den
     dphi = (1.0 - rho * rho) / np.abs(den) ** 2
     samples = evaluate_at(a.to_float(), w / np.abs(w)) / dphi
-    return from_samples(CircleGrid(grid_size, samples), out_degree)
+    return from_samples(samples, out_degree)
 
 
 def test_cached_circle_map_is_bit_identical_to_the_inline_formula():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklov_zeta import (BackendMismatch, CircleGrid, GridTooSmall,
-                          NotPositive, NotReal, RationalComplex, TrigSeries,
+from steklov_zeta import (BackendMismatch, GridTooSmall, NotPositive,
+                          NotReal, RationalComplex, TrigSeries,
                           evaluate, evaluate_at, from_samples, fourier,
                           is_real, min_on_circle, normalization_integral,
                           random_real_series, sample_series,
@@ -244,8 +244,7 @@ def test_from_samples_round_trip_single_mode():
 
 
 def test_from_samples_zero():
-    g = CircleGrid(8, np.zeros(8, dtype=complex))
-    assert not from_samples(g, 2)
+    assert not from_samples(np.zeros(8, dtype=complex), 2)
 
 
 def test_from_samples_cosine():
@@ -255,21 +254,19 @@ def test_from_samples_cosine():
     assert b.coeff(-1) == pytest.approx(0.5)
 
 
-def test_circle_grid_size_is_checked_once():
-    # a float size used to pass the constructor and fail in from_samples
-    # with an IndexError from numpy
-    with pytest.raises(ValueError, match="index 8.0 is not an integer"):
-        from_samples(CircleGrid(8.0, np.ones(8)), 2)
-    grid = CircleGrid(np.int64(8), np.ones(8))
-    assert type(grid.size) is int and grid.size == 8
-    assert type(CircleGrid(True, np.ones(1)).size) is int
-    with pytest.raises(ValueError, match="sample count must equal grid size"):
-        CircleGrid(8, np.ones(7))
-
-
 def test_from_samples_grid_too_small():
     with pytest.raises(GridTooSmall):
-        from_samples(CircleGrid(6, np.zeros(6, dtype=complex)), 3)
+        from_samples(np.zeros(6, dtype=complex), 3)
+
+
+def test_from_samples_takes_the_grid_size_from_a_1d_input():
+    samples = sample_series(TrigSeries.from_complex({1: 0.5, -1: 0.5}), 16)
+    assert from_samples(samples.tolist(), 1) == from_samples(samples, 1)
+    with pytest.raises(GridTooSmall, match="grid size 0 < 2\\*0\\+1"):
+        from_samples(np.array([], dtype=complex), 0)
+    for bad in (samples.reshape(4, 4), np.zeros((1, 16)), samples[0]):
+        with pytest.raises(ValueError, match=f"must be 1-D, got {bad.ndim}-D"):
+            from_samples(bad, 1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -352,6 +349,31 @@ def test_normalization_requires_positive():
 def test_backend_mixing_rejected():
     with pytest.raises(BackendMismatch):
         TrigSeries.exact({0: 1}) + TrigSeries.from_complex({0: 1.0})
+
+
+_EXACT_ONE = TrigSeries.exact({1: (1, 2), -2: 3})
+_FLOAT_ONE = _EXACT_ONE.to_float()
+
+
+@pytest.mark.parametrize("scalar, a", [
+    (0.5, _EXACT_ONE), (1j, _EXACT_ONE), (np.float64(0.5), _EXACT_ONE),
+    (RationalComplex(1, 1), _FLOAT_ONE)], ids=repr)
+def test_scaling_by_a_scalar_of_the_other_backend_is_a_mismatch(scalar, a):
+    with pytest.raises(BackendMismatch, match=f"cannot scale {a.backend} "):
+        scalar * a
+
+
+def test_scaling_keeps_rational_scalars_on_either_backend():
+    for scalar in (2, Fraction(-1, 3), np.int64(3), True):
+        for a in (_EXACT_ONE, _FLOAT_ONE):
+            b = scalar * a
+            assert b.backend == a.backend
+            assert b.items() == [(n, scalar * v) for n, v in a.items()]
+    assert (RationalComplex(0, 1) * _EXACT_ONE).coeff(-2) \
+        == RationalComplex(0, 3)
+    assert (0.5j * _FLOAT_ONE).coeff(-2) == 1.5j
+    with pytest.raises(TypeError):
+        None * _FLOAT_ONE
 
 
 def test_json_round_trip_exact():
@@ -535,7 +557,6 @@ _WEIGHT = TrigSeries.from_complex({0: 2.0, 1: 1.0, -1: 1.0})  # 2 + 2 cos
 SIZE_CALLS = {  # name: (call of the size, least admissible size)
     "grid_angles": (grid_angles, 1),
     "grid_points": (grid_points, 1),
-    "CircleGrid": (lambda n: CircleGrid(n, np.zeros(3)), 1),
     "min_on_circle": (lambda n: min_on_circle(_WEIGHT, n), 1),
     "normalization_integral":
         (lambda n: normalization_integral(_WEIGHT, n), 1),
@@ -593,10 +614,11 @@ def uncached_points(size: int) -> np.ndarray:
     return np.exp(1j * grid_angles(size))
 
 
-def per_n_from_samples(grid: CircleGrid, degree: int) -> TrigSeries:
+def per_n_from_samples(samples: np.ndarray, degree: int) -> TrigSeries:
     """from_samples as a loop over n: the oracle of its one-slice read."""
-    spec = np.fft.fft(np.asarray(grid.samples, dtype=complex)) / grid.size
-    return TrigSeries.from_complex({n: spec[n % grid.size]
+    size = len(samples)
+    spec = np.fft.fft(np.asarray(samples, dtype=complex)) / size
+    return TrigSeries.from_complex({n: spec[n % size]
                                     for n in range(-degree, degree + 1)})
 
 
@@ -608,7 +630,7 @@ def uncached_pullback(a: TrigSeries, rho: float, grid_size: int,
     w = (z - rho) / den
     dphi = (1.0 - rho * rho) / np.abs(den) ** 2
     samples = evaluate_at(a.to_float(), w / np.abs(w)) / dphi
-    return per_n_from_samples(CircleGrid(grid_size, samples), out_degree)
+    return per_n_from_samples(samples, out_degree)
 
 
 def series_bits(a: TrigSeries) -> tuple:
@@ -643,7 +665,7 @@ def test_float_grid_size_misses_the_cache():
 def test_grid_samplers_equal_the_uncached_formula(size):
     a = random_positive_series(5, 0.6, np.random.default_rng(size), floor=0.5)
     samples = evaluate(a, grid_angles(size))
-    assert sample_series(a, size).samples.tobytes() == samples.tobytes()
+    assert sample_series(a, size).tobytes() == samples.tobytes()
     assert min_on_circle(a, size) == float(np.min(samples.real))
     assert normalization_integral(a, size) \
         == float(np.mean(1.0 / samples.real))
@@ -657,6 +679,6 @@ def test_grid_samplers_equal_the_uncached_formula(size):
                                           (8192, 60)])
 def test_from_samples_equals_the_per_n_loop(size, degree):
     rng = np.random.default_rng(size)
-    grid = CircleGrid(size, rng.normal(size=size) + 1j * rng.normal(size=size))
-    assert series_bits(from_samples(grid, degree)) \
-        == series_bits(per_n_from_samples(grid, degree))
+    samples = rng.normal(size=size) + 1j * rng.normal(size=size)
+    assert series_bits(from_samples(samples, degree)) \
+        == series_bits(per_n_from_samples(samples, degree))
