@@ -47,14 +47,13 @@ identities among truncated products hold on a central block only when N
 comfortably exceeds the band spread of the block; see group_law_check.
 
 Callers move many weights along a few translations, so the work that
-depends only on rho and a size is done once per key: mu_matrix per
-(rho, N), the cut of suggest_out_degree per (K, rho, tol) and the circle
-map of pullback_direct per (rho, grid size).  Each cache is a bounded
-lru_cache behind the public function, keyed on the checked values; the
-keys are typed (Fraction(1, 2) == 0.5 and both hash alike), and those
-of the recurrence carry the sign of a float zero rho (_sign).  Cached
-values are immutable or read-only, and every value is the one an
-uncached call computes.
+depends only on rho and a size is done once per key: the columns of the
+recurrence (_columns, read by mu, mu_matrix and apply_moebius), mu_matrix,
+the cut of suggest_out_degree and the circle map of pullback_direct.  Each
+cache is a bounded lru_cache keyed on the checked values, where rho is in
+the one form that _rho_value gives it; the keys are typed (Fraction(1, 2)
+== 0.5 and both hash alike).  Cached values are immutable or read-only,
+and every value is the one an uncached call computes.
 """
 
 from __future__ import annotations
@@ -77,11 +76,14 @@ from .scalars import join, ring
 
 def _rho_value(rho):
     """The one check of a translation parameter: an int becomes a Fraction,
-    a Fraction or float must lie strictly inside (-1, 1); anything else,
-    NaN or another type, raises ValueError.  mu runs it per entry, hence
-    numerator and denominator rather than abs(rho) < 1."""
+    a float (numpy.float64 too) a plain float, -0.0 as 0.0; either must lie
+    strictly inside (-1, 1), and anything else, NaN or another type, raises
+    ValueError.  mu runs it per entry, hence numerator and denominator
+    rather than abs(rho) < 1."""
     if isinstance(rho, int):
         rho = Fraction(rho)
+    elif isinstance(rho, float):
+        rho = float(rho) + 0.0
     if (isinstance(rho, Fraction) and abs(rho.numerator) < rho.denominator
             or isinstance(rho, float) and -1.0 < rho < 1.0):
         return rho
@@ -95,13 +97,6 @@ def _rho_value(rho):
 MU_MATRIX_CACHE = 8
 CUT_CACHE = 32
 CIRCLE_MAP_CACHE = 8
-
-
-def _sign(r) -> float:
-    """copysign(1, r), the part of a rho cache key that == and hash miss:
-    0.0 == -0.0, yet the float recurrence keeps the sign of a zero rho
-    (mu_matrix(0.0, 2) holds -0.0 where mu_matrix(-0.0, 2) holds 0.0)."""
-    return math.copysign(1.0, r)
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -123,16 +118,12 @@ def _rows(p, q, K: int):
         prev = row
 
 
-def _columns(r, K: int, N: int):
-    """(U, q, d) with U[k][n + 1] = U^{(k)}_n (module docstring) for k <= K,
-    -1 <= n <= N; a float r runs it with p = r, q = 1.0."""
-    p, q = (r, 1.0) if isinstance(r, float) else (r.numerator, r.denominator)
-    return list(zip(*islice(_rows(p, q, K), N + 2))), q, q * q - p * p
-
-
 @lru_cache(maxsize=32, typed=True)
-def _cached_columns(r, K: int, N: int, sign: float):
-    return _columns(r, K, N)
+def _columns(r, K: int, N: int):
+    """(U, q, d) with the tuple U[k][n + 1] = U^{(k)}_n (module docstring)
+    for k <= K, -1 <= n <= N; a float r runs it with p = r, q = 1.0."""
+    p, q = (r, 1.0) if isinstance(r, float) else (r.numerator, r.denominator)
+    return tuple(zip(*islice(_rows(p, q, K), N + 2))), q, q * q - p * p
 
 
 def _entry(u, e: int, q, d):
@@ -151,8 +142,8 @@ def mu(n: int, k: int, rho):
         n, k = -n, -k
     if n < -1:
         return 0.0 if isinstance(r, float) else Fraction(0)
-    cols, q, d = _cached_columns(r, 1 << max(k, 15).bit_length(),
-                                 1 << max(n, 15).bit_length(), _sign(r))
+    cols, q, d = _columns(r, 1 << max(k, 15).bit_length(),
+                          1 << max(n, 15).bit_length())
     return _entry(cols[k][n + 1], n + k + 1, q, d)
 
 
@@ -194,11 +185,11 @@ def mu_matrix(rho, N: int) -> TruncatedMatrix:
     """
     N = _size(N, "half-width")
     r = _rho_value(rho)
-    return _mu_matrix(r, N, _sign(r))
+    return _mu_matrix(r, N)
 
 
 @lru_cache(maxsize=MU_MATRIX_CACHE, typed=True)
-def _mu_matrix(r, N: int, sign: float) -> TruncatedMatrix:
+def _mu_matrix(r, N: int) -> TruncatedMatrix:
     cols, q, d = _columns(r, N, N)
     # vals[k][n + N] = mu_{nk} for 0 <= k <= N, |n| <= N; zero below n = -1
     vals = [[_entry(0, 0, q, d)] * (N - 1)
@@ -339,9 +330,15 @@ def group_law_check(rho, rho2, N: int, exact: bool = False,
 
 
 def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
-    """Integrate M' = D M from the identity over [0, t], classical RK4."""
+    """Integrate M' = D M from the identity over [0, t], classical RK4.
+    D must be a square 2-D array and t a finite real, else ValueError."""
     steps = _size(steps, "steps")
-    h = t / steps
+    D = np.asarray(D)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise ValueError(f"D must be a square 2-D array, got shape {D.shape}")
+    if not (isinstance(t, numbers.Real) and abs(t) <= sys.float_info.max):
+        raise ValueError(f"t must be a finite real, got {t!r}")
+    h = float(t) / steps
     M = np.eye(D.shape[0])
     for _ in range(steps):
         k1 = D @ M
@@ -374,9 +371,10 @@ def suggest_out_degree(max_input_freq: int, rho, tol: float, *,
     on its exact dyadic value; every comparison is on integers.  The walk
     reads one row per degree and its integers grow with it, so a caller
     that cannot use a cut past some degree passes it as limit: the walk
-    then stops there and returns limit + 1 for any cut past it.  The cut
-    depends only on (K, Fraction(rho), float(tol), limit), the key of a
-    cache of CUT_CACHE ints (_cut)."""
+    then stops there and returns limit + 1 for any cut past it, at once
+    when K > limit (the cut is never below K).  The cut depends only on
+    (K, Fraction(rho), float(tol), limit), the key of a cache of CUT_CACHE
+    ints (_cut)."""
     K = _size(max_input_freq, "max input frequency", 0)
     r = Fraction(_rho_value(rho))
     # the cut runs on float(tol): a huge int or Fraction would overflow it,
@@ -386,6 +384,8 @@ def suggest_out_degree(max_input_freq: int, rho, tol: float, *,
         raise ValueError(f"tol must be a finite real > 0, got {tol!r}")
     if limit is not None:
         limit = _size(limit, "limit", 0)
+        if K > limit:
+            return limit + 1
     return _cut(K, r, float(tol), limit)
 
 

@@ -25,6 +25,8 @@ import csv
 import io
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,12 +67,17 @@ class CampaignConfig:
         if not finite:
             raise ValueError("coeff_scale must be a real >= 0 whose sample "
                              f"values stay finite, got {scale!r}")
+        kappas = []
         for kappa in self.kappas:
             try:
                 a_kappa_form(kappa, KAPPA_FORM_SIZE)
             except ValueError as exc:
                 raise ValueError(f"kappas must give finite a_kappa_forms: "
                                  f"{exc}") from None
+            kappas.append(float(kappa))
+        # floats, so a Fraction or numpy.float32 scale or kappa serializes too
+        object.__setattr__(self, "coeff_scale", float(scale))
+        object.__setattr__(self, "kappas", tuple(kappas))
 
 
 @dataclass(frozen=True)
@@ -184,11 +191,15 @@ def random_positive_series(n0: int, scale: float, rng: np.random.Generator,
                            floor: float = 0.5,
                            grid_size: int = 2048) -> TrigSeries:
     """Random real series shifted to stay above a positive floor (screened
-    on a dense grid)."""
+    on a dense grid).  A floor that is not a finite real > 0 raises a
+    ValueError."""
+    if not (isinstance(floor, numbers.Real)
+            and 0 < floor <= sys.float_info.max and float(floor) > 0):
+        raise ValueError(f"floor must be a finite real > 0, got {floor!r}")
     a = random_real_series(n0, scale, rng)
     m = min_on_circle(a, grid_size)
     if m < floor:
-        shift = TrigSeries.from_complex({0: floor - m})
+        shift = TrigSeries.from_complex({0: float(floor) - m})
         a = a + shift
     return a
 

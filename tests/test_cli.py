@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +202,36 @@ def test_check_invariance_default_cut_stops_at_the_cap(capsys, tmp_path,
     assert f"at rho 0.99 is past the check-invariance cap {MAX_OUT_DEGREE}" \
         in err
     assert len(rows) == MAX_OUT_DEGREE + 2   # rows n = -1, 0, ..., cap
+
+
+@pytest.mark.parametrize("degree", [200, 1000])
+def test_check_invariance_input_past_the_cap_fails_at_once(tmp_path, degree):
+    """The cut is never below the input degree, so an input past the cap is
+    a usage error before the cut's walk, whose integers grow with the
+    degree (degree 1000 once took 78 s).  A subprocess under a timeout, so
+    that a returning walk fails the suite instead of stalling it."""
+    path = tmp_path / "a.json"
+    save_series(TrigSeries.exact({-degree: 1, 0: 3, degree: 1}), path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklov_zeta.cli", "check-invariance",
+         "--series", str(path), "--rho", "0.3", "--k", "1"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("error:") == 1
+    assert ("error: the default output degree at rho 0.3 is past the "
+            f"check-invariance cap {MAX_OUT_DEGREE}") in proc.stderr
+
+
+def test_negative_zero_rho_is_read_as_zero(capsys):
+    """--rho -0.0 is the float 0.0: printed so, and the same matrix."""
+    outs = []
+    for text in ("-0.0", "0.0"):
+        code, out, _ = run(capsys, "mu-matrix", f"--rho={text}",
+                           "--half-width", "2", "--format", "json")
+        assert code == 0 and json.loads(out)["rho"] == "0.0"
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_check_invariance_zero_tolerance_is_accepted(capsys, pair_series):

@@ -391,6 +391,30 @@ def test_exp_relation_converges():
     assert dev <= 1e-8
 
 
+@pytest.mark.parametrize("D, t, message", [
+    (np.eye(3)[0], 0.1, r"square 2-D array, got shape \(3,\)"),
+    (np.ones((2, 3)), 0.1, r"square 2-D array, got shape \(2, 3\)"),
+    (np.float64(1.0), 0.1, r"square 2-D array, got shape \(\)"),
+    (np.eye(3), "x", "t must be a finite real, got 'x'"),
+    (np.eye(3), math.nan, "t must be a finite real, got nan"),
+    (np.eye(3), -math.inf, "t must be a finite real, got -inf"),
+    (np.eye(3), 10 ** 400, "t must be a finite real"),
+    (np.eye(3), 0.1j, "t must be a finite real")],
+    ids=["1-D", "2x3", "0-D", "t-str", "t-nan", "t-neg-inf", "t-huge-int",
+         "t-complex"])
+def test_rk4_rejects_a_bad_generator_or_time(D, t, message):
+    with pytest.raises(ValueError, match=message):
+        rk4_exponential(D, t, 4)
+
+
+def test_rk4_takes_an_exact_time_as_a_float():
+    """A Fraction t runs in floats, not as an object array."""
+    D = d_matrix(3).to_array()
+    M = rk4_exponential(D, Fraction(1, 4), 8)
+    assert M.dtype == float
+    assert np.array_equal(M, rk4_exponential(D, 0.25, 8))
+
+
 def test_rk4_is_fourth_order():
     # Richardson: halving the step scales the error by ~16
     D = d_matrix(8).to_array()
@@ -471,6 +495,23 @@ def test_limited_walk_reads_rows_up_to_the_limit(monkeypatch):
     # rho = 0.99's cut of a degree-3 input at tol 1e-9 is 2444
     assert suggest_out_degree(3, 0.99, 1e-9, limit=120) == 121
     assert len(rows) == 122          # row n = -1 and rows c = 0..120
+
+
+def test_limit_below_the_input_degree_skips_the_walk(monkeypatch):
+    """The cut is never below K, so for K > limit the answer is limit + 1
+    without reading a row, even at a degree whose walk would never end in
+    practice; the walk itself agrees."""
+    assert conformal._cut.__wrapped__(121, Fraction(0.3), 1e-9, 120) == 121
+
+    def no_walk(*args):
+        raise AssertionError("walked the cut past the limit")
+
+    monkeypatch.setattr(conformal, "_rows", no_walk)
+    conformal._cut.cache_clear()
+    for K in (121, 10 ** 6):
+        assert suggest_out_degree(K, 0.3, 1e-9, limit=120) == 121
+    with pytest.raises(ValueError, match="tol must be"):
+        suggest_out_degree(10 ** 6, 0.3, math.nan, limit=120)
 
 
 @pytest.mark.parametrize("limit, message", [
@@ -591,18 +632,73 @@ def test_mu_matrix_cache_keeps_exact_and_float_apart(order):
 
 
 @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=str)
-def test_rho_caches_keep_the_sign_of_a_zero_rho(order):
-    """0.0 == -0.0, but the float recurrence keeps the sign of a zero rho:
-    each call returns what an uncached call would, in either order."""
-    for cache in (conformal._mu_matrix, conformal._cached_columns):
+def test_rho_caches_share_one_entry_for_a_signed_zero_rho(order):
+    """_rho_value reads -0.0 as 0.0: in either order both zeros share one
+    entry of each cache, equal (signed zeros included) to an uncached 0.0
+    call."""
+    for cache in (conformal._mu_matrix, conformal._columns):
         cache.cache_clear()
+    fresh = conformal._mu_matrix.__wrapped__(0.0, 3)
+    cols, q, d = conformal._columns.__wrapped__(0.0, 32, 32)
+    ref = [repr(conformal._entry(u, n + k + 1, q, d))
+           for k, col in enumerate(cols[:3]) for n, u in enumerate(col[:6], -1)]
     for rho in order:
-        fresh = conformal._mu_matrix.__wrapped__(rho, 3, math.copysign(1, rho))
         assert repr(mu_matrix(rho, 3).entries) == repr(fresh.entries)
-        cols, q, d = conformal._columns(rho, 2, 4)
-        assert [repr(mu(n, k, rho)) for k in range(3) for n in range(-1, 5)] \
-            == [repr(conformal._entry(u, n + k + 1, q, d))
-                for k, col in enumerate(cols) for n, u in enumerate(col, -1)]
+        assert [repr(mu(n, k, rho)) for k in range(3)
+                for n in range(-1, 5)] == ref
+    assert mu_matrix(-0.0, 3) is mu_matrix(0.0, 3)
+    assert conformal._mu_matrix.cache_info().currsize == 1
+    # one column table for mu's block and one for _mu_matrix's (3, 3)
+    assert conformal._columns.cache_info().currsize == 2
+
+
+def test_float_subclass_rho_shares_the_plain_float_entry():
+    """A numpy.float64 rho is read as the plain float: one cache entry,
+    and plain floats out of mu, mu_matrix and apply_moebius."""
+    for cache in (conformal._mu_matrix, conformal._columns):
+        cache.cache_clear()
+    r64 = np.float64(0.5)
+    assert mu_matrix(r64, 2) is mu_matrix(0.5, 2)
+    assert {type(v) for row in mu_matrix(r64, 2).entries for v in row} \
+        == {float}
+    assert type(mu(1, 1, r64)) is float and mu(1, 1, r64) == mu(1, 1, 0.5)
+    assert apply_moebius(_SERIES, r64, 6) == apply_moebius(_SERIES, 0.5, 6)
+    assert conformal._mu_matrix.cache_info().currsize == 1
+    # (0.5, 2, 2) of mu_matrix, mu's (32, 32) block, (0.5, 1, 6) of
+    # apply_moebius
+    assert conformal._columns.cache_info().currsize == 3
+    for key in ((0.5, 2, 2), (0.5, 32, 32), (0.5, 1, 6)):
+        cols, q, d = conformal._columns(*key)
+        assert type(q) is float and type(d) is float
+        # the recurrence's zero rows are int 0; no numpy scalar anywhere
+        assert {type(u) for col in cols for u in col} <= {float, int}
+
+
+def test_exact_and_float_rho_keep_apart_in_the_column_cache():
+    for cache in (conformal._mu_matrix, conformal._columns):
+        cache.cache_clear()
+    for rho in (Fraction(1, 2), 0.5):
+        mu_matrix(rho, 3)
+    assert conformal._mu_matrix.cache_info().currsize == 2
+    assert conformal._columns.cache_info().currsize == 2
+    exact, _, _ = conformal._columns(Fraction(1, 2), 3, 3)
+    floats, _, _ = conformal._columns(0.5, 3, 3)
+    assert {type(u) for col in exact for u in col} == {int}
+    # column 0 of a float table ends in the int 0 of the recurrence's seed
+    assert {type(u) for col in floats for u in col} == {float, int}
+
+
+def test_repeated_apply_moebius_is_a_columns_cache_hit():
+    a = TrigSeries.exact({n: Fraction(1, 1 + abs(n)) for n in range(-3, 4)})
+    conformal._columns.cache_clear()
+    first = apply_moebius(a, Fraction(3, 10), 12)
+    info = conformal._columns.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert apply_moebius(a, Fraction(3, 10), 12) == first
+    info = conformal._columns.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    cols, _, _ = conformal._columns(Fraction(3, 10), 3, 12)
+    assert isinstance(cols, tuple) and isinstance(cols[0], tuple)
 
 
 def test_repeated_calls_return_the_cached_values():
@@ -661,6 +757,6 @@ def test_rho_caches_are_bounded():
     for cache, bound in ((conformal._mu_matrix, conformal.MU_MATRIX_CACHE),
                          (conformal._cut, conformal.CUT_CACHE),
                          (conformal._circle_map, conformal.CIRCLE_MAP_CACHE),
-                         (conformal._cached_columns, 32),
+                         (conformal._columns, 32),
                          (conformal._pow, 1024)):
         assert cache.cache_info().maxsize == bound < math.inf

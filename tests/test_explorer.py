@@ -48,6 +48,22 @@ def test_random_positive_series_screened():
         assert min_on_circle(a, 2048) >= 0.5 - 1e-9
 
 
+@pytest.mark.parametrize("floor", [math.nan, math.inf, -5, 0, 0.0,
+                                   Fraction(1, 10 ** 400), 10 ** 400, "x",
+                                   None],
+                         ids=["nan", "inf", "-5", "0", "0.0", "tiny-Fraction",
+                              "huge-int", "str", "None"])
+def test_random_positive_series_rejects_a_bad_floor(floor):
+    with pytest.raises(ValueError,
+                       match="^floor must be a finite real > 0, got "):
+        random_positive_series(5, 1.0, sample_rng(3, 0), floor=floor)
+
+
+def test_random_positive_series_takes_an_exact_floor():
+    a = random_positive_series(5, 1.0, sample_rng(3, 0), floor=Fraction(1, 2))
+    assert a == random_positive_series(5, 1.0, sample_rng(3, 0), floor=0.5)
+
+
 def test_campaign_deterministic_and_clean():
     cfg = CampaignConfig(seed=2024, count=40, max_degree=5)
     r1 = z2_nonneg_campaign(cfg)
@@ -328,6 +344,26 @@ def test_campaign_validation():
                          max_degree=np.int64(2))
     assert {type(cfg.seed), type(cfg.count), type(cfg.max_degree)} == {int}
     z2_nonneg_campaign(cfg).to_text("json")
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), 1,
+                                   np.float64(0.5), "0.5"], ids=repr)
+def test_campaign_stores_its_scale_and_kappas_as_floats(value):
+    """A scale or kappa of another real type is kept as a float, so the
+    report serializes; the kappa "0.5" passes a_kappa_form's check as
+    0.5.  A string scale is rejected (test_campaign_rejects_unusable_floats)."""
+    kw = {} if isinstance(value, str) else {"coeff_scale": value}
+    cfg = CampaignConfig(seed=1, count=2, max_degree=2, kappas=(value,), **kw)
+    assert {type(cfg.coeff_scale)} | {type(k) for k in cfg.kappas} == {float}
+    assert cfg.kappas == (float(value),)
+    text = z2_nonneg_campaign(cfg).to_text("json")
+    assert json.loads(text)["config"]["kappas"] == [float(value)]
+
+
+def test_campaign_reads_its_kappas_once():
+    cfg = CampaignConfig(seed=1, count=1, max_degree=2,
+                         kappas=(k for k in (0.0, 0.5)))
+    assert cfg.kappas == (0.0, 0.5)
 
 
 @pytest.mark.parametrize("field, value", [
