@@ -48,9 +48,10 @@ from .trace import exact_width, trace_difference
 
 # The largest output degree check-invariance evaluates Z_k of a pullback
 # at.  The cold Z_2 form table grows like the cube of the degree: z2_closed
-# of a dense pullback took 0.44 s at degree 60, 1.2 s at 90 and 2.9 s
-# (101 MB peak) at 120 on a 2-vCPU x86_64 VM, so about 16,000 s at the
-# degree-2020 default cut of rho = 0.99.  A larger cut is a usage error.
+# of a dense pullback took 0.37 s at degree 60, 1.1 s at 90 and 2.9 s at
+# 120 on a 2-vCPU x86_64 VM, its process peaking at 41, 49 and 64 MB, so
+# about 16,000 s at the degree-2020 default cut of rho = 0.99.  A larger
+# cut is a usage error.
 MAX_OUT_DEGREE = 120
 
 _VERSIONS = (f"steklov-zeta {__version__}",

@@ -331,11 +331,16 @@ def group_law_check(rho, rho2, N: int, exact: bool = False,
 
 def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
     """Integrate M' = D M from the identity over [0, t], classical RK4.
-    D must be a square 2-D array and t a finite real, else ValueError."""
+    D must be a square 2-D array of numbers (a bool, integer, float or
+    complex dtype, or an object array of numbers such as Fractions) and t a
+    finite real, else ValueError."""
     steps = _size(steps, "steps")
     D = np.asarray(D)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError(f"D must be a square 2-D array, got shape {D.shape}")
+    if not (D.dtype.kind in "biufc" or D.dtype.kind == "O" and all(
+            isinstance(x, numbers.Number) for x in D.flat)):
+        raise ValueError(f"D must hold numbers, got dtype {D.dtype}")
     if not (isinstance(t, numbers.Real) and abs(t) <= sys.float_info.max):
         raise ValueError(f"t must be a finite real, got {t!r}")
     h = float(t) / steps

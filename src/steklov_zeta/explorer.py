@@ -241,6 +241,7 @@ def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
     convention used throughout the reports); two_sided=True also adds the
     n <= -2 terms, which doubles the denominator of a real series.
     """
+    k = _size(k, "order k")
     if not is_real(a):
         raise NotReal("the ratio is defined for real series")
     denom = _ratio_denominator(a.items(), k, two_sided)

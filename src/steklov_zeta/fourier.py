@@ -86,7 +86,14 @@ class TrigSeries:
             raise ValueError(f"unknown backend {backend!r}")
         clean = {}
         for n, v in zip(_indices(coeffs), coeffs.values()):
-            v = _coerce_exact(v) if backend == EXACT else complex(v)
+            if backend == EXACT:
+                v = _coerce_exact(v)
+            else:  # a ValueError naming v, as scalars.to_fraction gives
+                try:
+                    v = complex(v)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{v!r} is not a complex number") from None
             if v:
                 clean[n] = v
         object.__setattr__(self, "_coeffs", clean)

@@ -407,6 +407,22 @@ def test_rk4_rejects_a_bad_generator_or_time(D, t, message):
         rk4_exponential(D, t, 4)
 
 
+@pytest.mark.parametrize("D, dtype", [
+    (np.array([["a", "b"], ["c", "d"]]), "<U1"),
+    (np.array([[None, None], [None, None]]), "object")],
+    ids=["str", "object-none"])
+def test_rk4_rejects_a_generator_of_non_numbers(D, dtype):
+    with pytest.raises(ValueError, match=f"must hold numbers, got dtype {dtype}"):
+        rk4_exponential(D, 0.1, 4)
+
+
+def test_rk4_takes_a_generator_of_fractions():
+    D = np.array([[Fraction(0), Fraction(1, 2)],
+                  [Fraction(-1, 3), Fraction(1, 4)]], dtype=object)
+    M = rk4_exponential(D, 0.5, 8)
+    assert np.array_equal(M.astype(float),
+                          rk4_exponential(D.astype(float), 0.5, 8))
+
 def test_rk4_takes_an_exact_time_as_a_float():
     """A Fraction t runs in floats, not as an object array."""
     D = d_matrix(3).to_array()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from steklov_zeta import (CampaignConfig, DegenerateDenominator, NotHermitian,
                           explorer, inequality_ratio, invariants, is_real,
                           positive_definite_check, random_positive_series,
                           random_real_series, min_on_circle, trinomial_extract,
-                          z1_closed, z2_closed, z2_nonneg_campaign)
+                          z1_closed, z2_closed, z2_nonneg_campaign, zeta)
 from steklov_zeta.explorer import (CAMPAIGN_BLOCK, _ratio_denominator,
                                    rationalize_series, sample_rng)
 
@@ -218,6 +219,17 @@ def test_inequality_ratio_degenerate():
     with pytest.raises(DegenerateDenominator):
         inequality_ratio(TrigSeries.from_complex({0: 1.0, 1: 0.5, -1: 0.5}), 2)
 
+
+@pytest.mark.parametrize("k", [None, "2", [1], (1,)],
+                         ids=["none", "str", "list", "tuple"])
+def test_inequality_ratio_checks_its_order_first(k):
+    """k is checked before the denominator is summed: the ValueError of
+    zeta(a, k), not a TypeError from the denominator."""
+    a = TrigSeries.from_complex({2: 1.0, -2: 1.0})
+    with pytest.raises(ValueError) as zeta_error:
+        zeta(a, k)
+    with pytest.raises(ValueError, match=re.escape(str(zeta_error.value))):
+        inequality_ratio(a, k)
 
 def test_coefficient_bound_from_z1():
     # term bound: |a_n|^2 <= 3 Z_1 / (2 (n^3 - n)) for every n >= 2

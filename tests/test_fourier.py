@@ -551,6 +551,13 @@ def test_other_exact_values_raise_value_error_naming_them(value):
             make()
 
 
+@pytest.mark.parametrize("value", [None, [1], object(), "abc"],
+                         ids=["none", "list", "object", "str"])
+def test_float_values_raise_value_error_naming_them(value):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(repr(value))} is not a complex"):
+        TrigSeries.from_complex({1: value})
+
 # one check of every size argument ------------------------------------------
 
 _WEIGHT = TrigSeries.from_complex({0: 2.0, 1: 1.0, -1: 1.0})  # 2 + 2 cos

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -441,6 +444,25 @@ def test_zero_sum_multisets_is_a_generator():
     assert list(zero_sum_multisets((1, -1), 1, -1)) == [(-1,)]
 
 
+@pytest.mark.parametrize("args, message", [
+    (((1, -1), None), "index None is not an integer"),
+    (((1, -1), 2.0), "index 2.0 is not an integer"),
+    (((1, -1), -1), "slots must be >= 0, got -1"),
+    (((1, -1), 2, 0.5), "index 0.5 is not an integer"),
+    (((1.5, -1.5, 0), 2), "index 1.5 is not an integer")],
+    ids=["slots-none", "slots-float", "slots-negative", "total-float",
+         "values-float"])
+def test_zero_sum_multisets_checks_its_arguments(args, message):
+    # at the call, before the first multiset is asked for
+    with pytest.raises(ValueError, match=message):
+        zero_sum_multisets(*args)
+
+
+def test_zero_sum_multisets_takes_integer_like_arguments():
+    got = list(zero_sum_multisets(np.arange(-2, 3), np.int64(2), True))
+    assert got == [(-1, 2), (0, 1)]
+    assert all(type(j) is int for ms in got for j in ms)
+
 def _in_case1(t):
     return t[0] >= 0 and t[1] >= 0 and t[2] >= 0
 
@@ -746,6 +768,87 @@ def test_first_pairs_are_non_decreasing(slots, coeff, support):
         first = _form_table.__wrapped__(support, slots, coeff, backend)[0][0]
         assert len(first) > 0
         assert np.all(first[1:] >= first[:-1])
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@TABLE_CASES
+def test_form_table_is_the_same_in_any_block(monkeypatch, slots, coeff,
+                                             support, backend, block):
+    # runs of equal first pairs cross the block edges; starts and den are
+    # taken over the joined blocks
+    monkeypatch.setattr(invariants, "_TABLE_BLOCK", block)
+    test_form_table_equals_term_by_term_build(slots, coeff, support, backend)
+
+
+@pytest.mark.parametrize("slots, coeff, block", [
+    (4, z2_coeff_closed, 31),   # all 31 multisets in one block
+    (6, _six_slot_coeff, 79),   # 237 multisets in three blocks
+    (6, _six_slot_coeff, 67)],  # 201 terms in three blocks of terms
+    ids=["4-one-block", "6-three-blocks", "6-three-term-blocks"])
+def test_form_table_over_a_whole_number_of_blocks(monkeypatch, slots, coeff,
+                                                  block):
+    """A full last block is followed by one more, empty read."""
+    multisets = sum(1 for _ in zero_sum_multisets(SPARSE_SUPPORT, slots))
+    terms = len(reference_form_table(SPARSE_SUPPORT, slots, coeff,
+                                     "float")[2])
+    assert multisets % block == 0 or terms % block == 0
+    blocks = []
+    table_block = invariants._table_block
+
+    def counting_block(*args):
+        out = table_block(*args)
+        blocks.append(out[0])
+        return out
+
+    monkeypatch.setattr(invariants, "_TABLE_BLOCK", block)
+    monkeypatch.setattr(invariants, "_table_block", counting_block)
+    for backend in ("exact", "float"):
+        blocks.clear()
+        test_form_table_equals_term_by_term_build(slots, coeff,
+                                                  SPARSE_SUPPORT, backend)
+        assert blocks == [block] * (multisets // block) + [multisets % block]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("support", [(), (1, 2)], ids=["empty", "no-zero-sum"])
+def test_form_table_without_terms(support, backend):
+    pairs, starts, weights, den = _form_table.__wrapped__(
+        support, 4, z2_coeff_closed, backend)
+    ref_pairs, ref_starts, ref_weights, ref_den = reference_form_table(
+        support, 4, z2_coeff_closed, backend)
+    assert pairs.shape == ref_pairs.shape == (2, 0)
+    assert pairs.dtype == ref_pairs.dtype
+    assert starts.dtype == ref_starts.dtype and len(starts) == 0
+    assert weights.dtype == (object if backend == "exact" else float)
+    assert len(weights) == len(ref_weights) == 0
+    assert den == ref_den == 1
+
+
+_COLD_TABLE_MEMORY = """
+import tracemalloc
+from steklov_zeta import invariants
+tracemalloc.start()
+table = invariants._form_table(tuple(range(-60, 61)), 4,
+                               invariants.z2_coeff_closed, "float")
+kept, peak = tracemalloc.get_traced_memory()
+print(kept, peak, sum(a.nbytes for a in table[:3]))
+"""
+
+
+def test_cold_table_build_peaks_below_twice_what_it_keeps():
+    """The cold closed Z_2 table of a degree-60 support, built in a fresh
+    interpreter (no table or coefficient cache warmed by other tests), peaks
+    at most at twice the memory it leaves allocated: the table and the
+    coefficient cache.  A build that holds the whole table in Python lists
+    before numpy sees it peaks at about 3.6 times."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _COLD_TABLE_MEMORY],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    kept, peak, table = map(int, proc.stdout.split())
+    assert table <= kept <= peak <= 2 * kept, (kept, peak, table)
 
 
 def _sparse_exact_series(rng):
