@@ -30,6 +30,7 @@ import math
 import platform
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -39,9 +40,9 @@ from .conformal import (_rho_value, mu_matrix, pullback_direct,
 from .errors import SteklovZetaError
 from .explorer import CampaignConfig, z2_nonneg_campaign
 from .fourier import TrigSeries, _size, is_real, load_series
-from .invariants import (brute_n, coeff_bound_check, symmetrize_z,
-                         z2_coeff_closed, z_coeff, zero_sum_multisets, zeta,
-                         zeta_invariant)
+from .invariants import (_TABLE_BLOCK, _z_block, brute_n, coeff_bound_check,
+                         symmetrize_z, z2_coeff_closed, z_coeff,
+                         zero_sum_multisets, zeta, zeta_invariant)
 from .lie import GENERATORS, RELATION_PLANES, bracket_check, relation_sweep
 from .scalars import RationalComplex
 from .trace import exact_width, trace_difference
@@ -136,9 +137,12 @@ def cmd_brute_n(args) -> int:
     writer = csv.writer(buf)
     writer.writerow([f"j{i+1}" for i in range(slots)]
                     + ["numerator", "denominator"])
-    for ms in zero_sum_multisets(range(-radius, radius + 1), slots):
-        v = Fraction(brute_n(ms)) if args.coeff == "n" else z_coeff(ms)
-        writer.writerow(list(ms) + [v.numerator, v.denominator])
+    multisets = zero_sum_multisets(range(-radius, radius + 1), slots)
+    while block := list(islice(multisets, _TABLE_BLOCK)):
+        values = (map(Fraction, map(brute_n, block)) if args.coeff == "n"
+                  else _z_block(block))
+        for ms, v in zip(block, values):
+            writer.writerow(list(ms) + [v.numerator, v.denominator])
     _emit(buf.getvalue(), args.out)
     return 0
 

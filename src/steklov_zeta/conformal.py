@@ -332,8 +332,9 @@ def group_law_check(rho, rho2, N: int, exact: bool = False,
 def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
     """Integrate M' = D M from the identity over [0, t], classical RK4.
     D must be a square 2-D array of numbers (a bool, integer, float or
-    complex dtype, or an object array of numbers such as Fractions) and t a
-    finite real, else ValueError."""
+    complex dtype, or an object array of numbers such as Fractions, which
+    is taken to float64 once, or to complex128 if an entry is not real) and
+    t a finite real, else ValueError."""
     steps = _size(steps, "steps")
     D = np.asarray(D)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -343,6 +344,9 @@ def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
         raise ValueError(f"D must hold numbers, got dtype {D.dtype}")
     if not (isinstance(t, numbers.Real) and abs(t) <= sys.float_info.max):
         raise ValueError(f"t must be a finite real, got {t!r}")
+    if D.dtype.kind == "O":
+        D = D.astype(float if all(isinstance(x, numbers.Real) for x in D.flat)
+                     else complex)
     h = float(t) / steps
     M = np.eye(D.shape[0])
     for _ in range(steps):

@@ -41,18 +41,25 @@ products, whose recurrences do not couple:
 
     A_U = g sum A_U',     B_U = |g| sum B_U',     2 O = B - A,
 
-so one gather, one grouped sum and one product per level serve a block of
-n at once.  Let P and Q be the sums of the positive and of the negated
-negative head entries and h = P + Q the head's l1 norm.  Every sum T lies
-in [-Q, P], so outside n in [-P, Q] all 2k factors share a sign and
-f > 0: n runs over those h + 1 values.  On them every factor has
-|n + sum T| <= h.  Overflow bound: a chain to U has |U| + 1 factors and U
-has at most |U|! value sequences, so |A_U(n)| <= B_U(n) <= m! h^(m + 1)
-= (2k-1)! h^(2k); a grouped sum or product is bounded by the B entry it
-builds (the B terms are >= 0 and bound the A terms), and each sum over n
-is at most (h + 1) (2k-1)! h^(2k).  Below 2^63 the walk runs on int64 and
-past it on Python ints; the last products are taken on Python ints.  The
-int64 rule holds up to h = 4338, 258, 49 and 16 at k = 2, 3, 4 and 5.
+so one gather of the covered rows, one sum over them and one product per
+level serve a block of n at once.  Let P and Q be the sums of the positive
+and of the negated negative head entries and h = P + Q the head's l1 norm.
+Every sum T lies in [-Q, P], so outside n in [-P, Q] all 2k factors share
+a sign and f > 0: n runs over those h + 1 values, n = -P + t for t in
+[0, h].  On them every factor has |n + sum T| <= h.  Overflow bound: a
+chain to U has |U| + 1 factors and U has at most |U|! value sequences, so
+|A_U(n)| <= B_U(n) <= m! h^(m + 1) = (2k-1)! h^(2k); a grouped sum or
+product is bounded by the B entry it builds (the B terms are >= 0 and
+bound the A terms), and each sum over n is at most (h + 1) (2k-1)! h^(2k).
+Below 2^63 the walk runs on int64 and past it on Python ints; the last
+products are taken on Python ints.  The int64 rule holds up to h = 4338,
+258, 49 and 16 at k = 2, 3, 4 and 5.
+
+The walk depends on a head only through its multiplicity pattern (the
+lattice) and its level sums, so _z_block walks all heads of one pattern
+in a block at once, their columns n side by side, each column under its
+own head's bound, _BLOCK entries at a time; symmetrize_z is its one-row
+call.
 
 Closed forms are implemented for the two lowest orders: the pair
 coefficient Z_{j,-j} = |j^3 - j| / 3, and the quadruple coefficients, which
@@ -67,14 +74,16 @@ _form_table).  A table is cached on (support, slots, coefficient function,
 backend), so a series with a new support pays the build once and every
 later series on that support pays one gather per pair of slots after the
 first, a product, a sum per group, one gather of the distinct first pairs
-and a sum.  A build calls the coefficient function once per zero-sum
-multiset, which is most of its cost (the coefficient caches never hit
-there), and does the rest of its bookkeeping in numpy and on ints, one
-block of multisets at a time, so that only the finished table grows with
-the support; the closed Z_2 table of a degree-60 support, 51,071
-multisets, takes about 0.3 s and peaks at 1.3 times the memory it keeps,
-against about 0.5 ms for a warm float Z_2 of a degree-60 series (2-vCPU
-x86_64 VM, Python 3.11).  Both backends run one evaluator
+and a sum.  A build reads the multisets one block at a time and does its
+bookkeeping in numpy and on ints, so that only the finished table grows
+with the support.  The brute table takes its coefficients from one
+_z_block walk per block, one per multiplicity pattern of the heads; the
+closed routes call their coefficient function once per multiset, which
+is most of their cost.  The closed Z_2 table of a degree-60 support,
+51,071 multisets, takes about 0.3 s and peaks at 1.3 times the memory it
+keeps, against about 0.5 ms for a warm float Z_2 of a degree-60 series;
+the brute k = 3 table over [-15, 15], 32,134 multisets, takes about
+0.7 s (2-vCPU x86_64 VM, Python 3.11).  Both backends run one evaluator
 (_form_sum) on rows of coefficients on the ring of scalars.ring; a series
 is one row, and the campaign of explorer passes a block of rows on one
 support.  Exact values are exact; float values may differ from a
@@ -87,10 +96,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice, product
 
 import numpy as np
 
@@ -152,9 +160,11 @@ def _int64_fits(h: int, m: int) -> bool:
 # partitions of 2k - 1 number 7, 15 and 30 at k = 3, 4, 5.
 _LATTICE_CACHE_SIZE = 64
 
-# Entries of one block of the recurrence (sub-multisets x 2 x columns n):
-# a head of large l1 norm walks its n in blocks of at most this many.
-_BLOCK = 1 << 20
+# Entries of one chunk of _z_block's walk (sub-multisets x 2 x columns n).
+# A chunk of 2^15 int64 entries (256 KiB) stays in a core's cache: the
+# cold brute k = 3 table over [-15, 15] took about half the time it took
+# at 2^20 (2-vCPU x86_64 VM).
+_BLOCK = 1 << 15
 
 # Multisets that _form_table turns into table columns at a time: only one
 # block of them is ever held in Python lists.
@@ -165,28 +175,24 @@ _TABLE_BLOCK = 4096
 def _lattice(counts: tuple):
     """The sub-multisets of a head with these multiplicities, as rows of
     multiplicities ordered by size, and for each size i >= 1 the slice
-    (lo, hi) of its rows, the rows of size i - 1 each one covers (as row
-    indices, grouped by covering row) and the group offsets.  The arrays
-    are shared by every call with this pattern and only read."""
-    counts = np.array(counts)
-    radix = counts + 1
-    strides = np.cumprod(np.r_[1, radix[:-1]])
-    grid = np.arange(strides[-1] * radix[-1])[:, None] // strides % radix
-    size = grid.sum(1)
-    order = np.argsort(size, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    # one edge per (row, value it can still take): row -> row + that value
-    rows, vals = np.nonzero(grid < counts)
-    tgt = rank[rows + strides[vals]]
-    by_tgt = np.argsort(tgt, kind="stable")
-    tgt, src = tgt[by_tgt], rank[rows][by_tgt]
-    first = np.searchsorted(tgt, np.arange(len(order) + 1))
-    bounds = np.searchsorted(size[order], np.arange(counts.sum() + 2))
-    levels = tuple((lo, hi, src[first[lo]:first[hi]],
-                    first[lo:hi] - first[lo])
-                   for lo, hi in zip(bounds[1:-1], bounds[2:]))
-    return grid[order], levels
+    (lo, hi) of its rows and their covers: the (c, hi - lo) array whose
+    column u - lo holds the rows of size i - 1 that row u covers, padded
+    with the row index len(rows), which the walk keeps at zero, to the
+    largest count c of that level.  The arrays are shared by every call
+    with this pattern and only read."""
+    grid = sorted(product(*(range(c + 1) for c in counts)), key=sum)
+    index = {u: i for i, u in enumerate(grid)}
+    covers = [[index[u[:v] + (u[v] - 1,) + u[v + 1:]]
+               for v in range(len(u)) if u[v]] for u in grid]
+    sizes = [sum(u) for u in grid]
+    levels = []
+    for size in range(1, sizes[-1] + 1):
+        lo, hi = bisect_left(sizes, size), bisect_right(sizes, size)
+        level = covers[lo:hi]
+        levels.append((lo, hi, np.array(
+            [[c[j] if j < len(c) else len(grid) for c in level]
+             for j in range(max(map(len, level)))])))
+    return np.array(grid), tuple(levels)
 
 
 def symmetrize_z(indices) -> Fraction:
@@ -199,40 +205,93 @@ def symmetrize_z(indices) -> Fraction:
     (module docstring), which carries per sub-multiset the sums over its
     chains of the signed and of the absolute products, on int64 while
     (h + 1) (2k-1)! h^(2k) < 2^63 for the l1 norm h of the slots (the
-    bound proved there) and on Python ints past it.
+    bound proved there) and on Python ints past it.  It is the one-row
+    call of _z_block, the walk of a table's whole block.
     """
     idx = _validate_index(indices)
     if sum(idx) != 0:
         raise NonZeroSum(f"indices must sum to zero, got {idx}")
-    head = idx[:-1]
-    tally = sorted(Counter(head).items(), key=lambda vc: -vc[1])
-    grid, levels = _lattice(tuple(c for _, c in tally))
-    low = -sum(j for j in head if j > 0)
-    high = -sum(j for j in head if j < 0)
-    dtype = np.int64 if _int64_fits(high - low, len(head)) else object
-    sums = grid.astype(dtype, copy=False) @ np.array([v for v, _ in tally],
-                                                     dtype=dtype)
-    width = max(1, _BLOCK // (2 * len(grid)))
-    total = 0
-    for start in range(low, high + 1, width):
-        n = np.arange(start, min(start + width, high + 1)).astype(
-            dtype, copy=False)
-        g = n + sums[:, None]
-        # walk[U] = (A_U, B_U) over this block of n, in place of the factors
-        walk = np.stack([g, np.abs(g)], axis=1)
-        for lo, hi, src, offsets in levels:
-            walk[lo:hi] *= np.add.reduceat(walk[src], offsets, axis=0)
-        signed, absolute = walk[-1].sum(axis=1)
-        total += int(absolute) - int(signed)
-    repeats = math.prod(math.factorial(c) for _, c in tally)
-    return Fraction(repeats * total, math.factorial(len(head)))
+    return _z_block([idx])[0]
+
+
+def _z_block(rows) -> list:
+    """symmetrize_z of each row of a block, in order.  The rows are checked
+    zero-sum tuples of Python ints, all of one length; the last slot of
+    each is the fixed one and the others its head.
+
+    The rows are grouped by the multiplicity pattern of their head, and
+    each group walks the recurrence once, on one _lattice.  A row of head
+    sums P, Q and h = P + Q (module docstring) becomes the h + 1 columns
+    n = -P + t, t in [0, h]; a group lays the columns of its rows side by
+    side, with no padding, each column added to its own row's level sums.
+    An entry obeys the bound of its own row, so a run of columns whose
+    widest row fits _int64_fits runs on int64: the rows are sorted by h,
+    the int64 columns come first and the rest run on Python ints.  The
+    columns are walked at most _BLOCK entries (sub-multisets x 2 x columns)
+    at a time, so a wide row can span several chunks; each row's sums over
+    n are taken per chunk and added up on Python ints.
+    """
+    groups: dict = {}
+    for i, row in enumerate(rows):
+        head = row[:-1]
+        values = sorted(set(head), key=head.count, reverse=True)
+        pos = sum(j for j in head if j > 0)
+        # h = P + Q = 2P - sum(head), and the row sums to zero
+        groups.setdefault(tuple(map(head.count, values)), []).append(
+            (2 * pos + row[-1], pos, i, values))
+    out = [None] * len(rows)
+    for counts, members in groups.items():
+        members.sort()
+        hs, pos, where, values = zip(*members)
+        m = sum(counts)
+        grid, levels = _lattice(counts)
+        widths = [h + 1 for h in hs]
+        ends = list(accumulate(widths))
+        # row r has the columns start_r + t, so at column c it has
+        # n = c - start_r - P_r and g = sum T + n = base[:, r] + c
+        base = grid @ np.array(values, dtype=np.int64).T - np.array(
+            [e - w + p for e, w, p in zip(ends, widths, pos)])
+        step = max(1, _BLOCK // (2 * len(grid)))
+        signed, absolute = [], []
+        for c0 in range(0, ends[-1], step):
+            c1 = min(c0 + step, ends[-1])
+            r0, r1 = bisect_right(ends, c0), bisect_left(ends, c1) + 1
+            runs = widths[r0:r1]  # less the overhang of the end rows
+            runs[0] -= c0 - (ends[r0] - widths[r0])
+            runs[-1] -= ends[r1 - 1] - c1
+            g = base[:, r0:r1].repeat(runs, axis=1) + np.arange(c0, c1)
+            # walk[U] = (A_U, B_U) over these columns, in place of the
+            # factors, and a last row of zeros for the padded covers
+            walk = np.empty((len(grid) + 1, 2 * (c1 - c0)),
+                            np.int64 if _int64_fits(hs[r1 - 1], m) else object)
+            walk[:-1, :c1 - c0] = g
+            walk[:-1, c1 - c0:] = np.abs(g)
+            walk[-1] = 0
+            for lo, hi, covers in levels:
+                walk[lo:hi] *= np.add.reduce(walk[covers])
+            # the top row's A and B halves, summed over each row's run
+            starts = [0, *accumulate(runs[:-1])]
+            sums = np.add.reduceat(walk[-2], starts + [
+                c1 - c0 + t for t in starts]).tolist()
+            a, b = sums[:r1 - r0], sums[r1 - r0:]
+            if r0 < len(signed):  # the last row of the chunk before goes on
+                signed[-1] += a.pop(0)
+                absolute[-1] += b.pop(0)
+            signed += a
+            absolute += b
+        repeats = math.prod(map(math.factorial, counts))
+        den = math.factorial(m)
+        for i, a, b in zip(where, signed, absolute):
+            out[i] = Fraction(repeats * (b - a), den)
+    return out
 
 
 # Entries kept by each coefficient cache (_Z_CACHE, z2_coeff_closed).  They
 # serve the relation sweeps and single lookups, which revisit keys; a k = 2,
 # radius-5 raising-relation sweep (one check per multiset) touches about a
-# hundred.  A table build gains nothing from them: it looks each multiset up
-# once, so its hit ratio is 0.
+# hundred.  A table build gains nothing from them, as it looks each multiset
+# up once: the brute one walks its blocks past _Z_CACHE, and a closed one
+# fills z2_coeff_closed's cache at a hit ratio of 0.
 _COEFF_CACHE_SIZE = 4096
 
 _Z_CACHE: dict[tuple, Fraction] = {}
@@ -373,15 +432,20 @@ def _table_block(multisets, support: tuple, slots: int, coeff,
     weights are over the block's own common denominator den (1 for the
     float backend).
 
-    coeff is called once per multiset; the rest is numpy on the kept
-    (b, slots) array of values.  Positions come from a search in the
-    support.  The orderings of a sorted multiset are the multinomial
-    slots! / prod(run!) over its runs of equal values, and prod(run!) is
-    the product, over the slots, of the run length reached at each slot.
-    Each weight is reduced to n / d on integers, with no Fraction: a
-    coefficient c is in lowest terms, so c * o reduces by
+    The brute coefficient (_BRUTE_COEFF) comes from one _z_block call on
+    the block; any other coeff is called once per multiset.  The rest is
+    numpy on the kept (b, slots) array of values.  Positions come from a
+    search in the support.  The orderings of a sorted multiset are the
+    multinomial slots! / prod(run!) over its runs of equal values, and
+    prod(run!) is the product, over the slots, of the run length reached
+    at each slot.  Each weight is reduced to n / d on integers, with no
+    Fraction: a coefficient c is in lowest terms, so c * o reduces by
     gcd(o, c.denominator).
     """
+    if coeff is _BRUTE_COEFF:  # one walk, then its values in order
+        multisets = list(multisets)
+        values = iter(_z_block(multisets))
+        coeff = lambda *ms: next(values)
     read, flat, nums, dens = 0, [], [], []
     for read, ms in enumerate(multisets, 1):
         c = coeff(*ms)
@@ -425,7 +489,8 @@ def _form_sum(support: tuple, vec, mul, slots: int, coeff, backend: str):
     sums has one ring element per row, over den * D^slots.
 
     coeff is the coefficient function of one route, called with the indices
-    of a sorted multiset: _z_coeff_of (brute), _pair_coeff_closed or
+    of a sorted multiset (or its block form on a block of them, see
+    _table_block): _z_coeff_of (brute), _pair_coeff_closed or
     z2_coeff_closed (closed).  The terms come from _form_table, cached on
     (support, slots, coeff, backend).  The routes pass different functions,
     so they never share a table; the caller passes the function its module
@@ -467,8 +532,15 @@ def _series_form(a: TrigSeries, slots: int, coeff):
 
 
 def _z_coeff_of(*indices) -> Fraction:
-    """z_coeff of the given indices: the brute route's form coefficient."""
+    """z_coeff of the given indices: the brute route's form coefficient.
+    Its tables take their values from its block form, _z_block."""
     return z_coeff(indices)
+
+
+# _z_coeff_of as defined here, whose tables _table_block fills through
+# _z_block; a stand-in swapped in for the module attribute is called once
+# per multiset.
+_BRUTE_COEFF = _z_coeff_of
 
 
 def zeta_invariant(a: TrigSeries, k: int):

@@ -265,10 +265,18 @@ def split_primes(width: int, count: int) -> tuple:
     """The count largest primes p = 1 (mod 4) with width (p - 1)^2 < 2^63,
     largest first, as pairs (p, s) with s^2 = -1 (mod p): a sum of width
     products of residues below p fits an int64.  s is c^((p - 1)/4) for
-    the least quadratic non-residue c."""
-    p = 1 + math.isqrt((WORD - 1) // width)
-    p -= (p - 1) % 4
-    primes = []
+    the least quadratic non-residue c.
+
+    The search goes on below the last prime of split_primes(width,
+    count // 2), itself cached, so residue_primes' doubling counts test
+    each candidate once."""
+    if count > 1:
+        primes = list(split_primes(width, count // 2))
+        p = primes[-1][0] - 4
+    else:
+        p = 1 + math.isqrt((WORD - 1) // width)
+        p -= (p - 1) % 4
+        primes = []
     while len(primes) < count:
         if _is_prime(p):
             c = 2

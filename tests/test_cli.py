@@ -58,6 +58,34 @@ def test_brute_n_table(capsys):
     assert "-3,3,8,1" in lines
 
 
+@pytest.mark.parametrize("table_block", [None, 7], ids=["one-block", "7"])
+@pytest.mark.parametrize("k, radius, sha256", [
+    ("2", "4", "82a1b86fd8ca990ca6060f428b61c8ca"
+               "048e08d92d3dbcba706bcd35e3a331d4"),
+    ("3", "2", "f960526f3f020eb092ef637a65c45b38"
+               "7cba510b71c7f09aa563cee834e9658d")],
+    ids=["k2-r4", "k3-r2"])
+def test_brute_n_z_table_reads_blocks(capsys, monkeypatch, k, radius, sha256,
+                                      table_block):
+    """The Z table takes its coefficients from one block walk per block of
+    multisets, none from z_coeff, and its bytes are the ones a z_coeff call
+    per row printed (digest pinned)."""
+    blocks = []
+    walk = cli._z_block
+    monkeypatch.setattr(cli, "_z_block",
+                        lambda rows: blocks.append(len(rows)) or walk(rows))
+    monkeypatch.setattr(cli, "z_coeff", None)
+    if table_block:
+        monkeypatch.setattr(cli, "_TABLE_BLOCK", table_block)
+    code, out, _ = run(capsys, "brute-n", "--k", k, "--radius", radius)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    rows = len(out.splitlines()) - 1
+    size = table_block or rows
+    full, rest = divmod(rows, size)
+    assert blocks == [size] * full + [rest] * (rest > 0)
+
+
 def test_z2_coeff_verify(capsys):
     code, out, _ = run(capsys, "z2-coeff", "--indices=-3,2,2,-1", "--verify")
     assert code == 0

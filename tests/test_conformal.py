@@ -423,6 +423,23 @@ def test_rk4_takes_a_generator_of_fractions():
     assert np.array_equal(M.astype(float),
                           rk4_exponential(D.astype(float), 0.5, 8))
 
+
+@pytest.mark.parametrize("entry, dtype", [(Fraction(2, 7), float),
+                                          (0.25j, complex)],
+                         ids=["fractions", "a-complex-entry"])
+def test_rk4_runs_an_object_generator_in_floats(entry, dtype):
+    """An object D of numbers is taken to float64 (complex128 when an entry
+    is not real) before the steps: the result is that dtype and the same
+    bits as for the converted D."""
+    D = np.array([[Fraction(0), Fraction(1, 3), Fraction(-5, 9)],
+                  [Fraction(-1, 3), entry, 2],
+                  [Fraction(7, 11), Fraction(-2), Fraction(1, 6)]],
+                 dtype=object)
+    M = rk4_exponential(D, 0.7, 12)
+    assert M.dtype == dtype
+    assert M.tobytes() == rk4_exponential(
+        np.array(D.tolist(), dtype=dtype), 0.7, 12).tobytes()
+
 def test_rk4_takes_an_exact_time_as_a_float():
     """A Fraction t runs in floats, not as an object array."""
     D = d_matrix(3).to_array()

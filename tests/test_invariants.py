@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -171,6 +172,103 @@ def test_recurrence_past_the_int64_range():
     z = symmetrize_z(idx)
     assert z * math.factorial(5) / (2 * 2 * 6) > 2 ** 63
     assert z == symmetrize_z_orderings(idx)
+
+
+# _BLOCK values for the block walk: the default; about one row of the
+# widest six-slot pattern over [-3, 3] per chunk (2 x 32 sub-multisets x 16
+# values of n); one column per chunk, so that every row of l1 norm h >= 1
+# spans several chunks
+WALK_BLOCKS = pytest.mark.parametrize("walk_block", [None, 1024, 2],
+                                      ids=["default", "row", "column"])
+
+
+@functools.lru_cache(maxsize=None)
+def _ordering_coeff(*ms) -> Fraction:
+    """symmetrize_z_orderings as a coefficient function, memoized."""
+    return symmetrize_z_orderings(ms)
+
+
+def _ordering_sums(rows):
+    return [_ordering_coeff(*ms) for ms in rows]
+
+
+@WALK_BLOCKS
+@pytest.mark.parametrize("slots", [2, 4, 6, 8])
+def test_block_walk_equals_the_ordering_sum(monkeypatch, slots, walk_block):
+    """Every zero-sum multiset over [-3, 3] (4, 18, 58 and 151 of them) in
+    one block, and each of its rows alone."""
+    if walk_block:
+        monkeypatch.setattr(invariants, "_BLOCK", walk_block)
+    rows = list(zero_sum_multisets(range(-3, 4), slots))
+    expected = _ordering_sums(rows)
+    assert invariants._z_block(rows) == expected
+    assert [symmetrize_z(ms) for ms in rows] == expected
+
+
+@WALK_BLOCKS
+def test_block_walk_on_either_side_of_the_int64_bound(monkeypatch,
+                                                      walk_block):
+    """Six slots over (-300, -1, 0, 1, 300): heads of l1 norm 3 and 900
+    share the pattern (2, 2, 1), so one group runs on int64 and on Python
+    ints."""
+    if walk_block:
+        monkeypatch.setattr(invariants, "_BLOCK", walk_block)
+    rows = list(zero_sum_multisets((-300, -1, 0, 1, 300), 6))
+    fits = {invariants._int64_fits(sum(map(abs, ms[:-1])), 5) for ms in rows}
+    assert fits == {True, False}
+    assert {(-1, -1, 0, 0, 1, 1), (-300, -300, 0, 0, 300, 300)} <= set(rows)
+    assert invariants._z_block(rows) == _ordering_sums(rows)
+
+
+def test_cold_brute_table_walks_once_per_pattern(monkeypatch, fresh_tables):
+    """A cold degree-3 Z_3 table looks up one lattice per multiplicity
+    pattern of its heads (7), not one per multiset (58), and leaves the
+    coefficient cache of single lookups alone."""
+    lattices = []
+    lattice = invariants._lattice
+
+    def counting(counts):
+        lattices.append(counts)
+        return lattice(counts)
+
+    monkeypatch.setattr(invariants, "_lattice", counting)
+    monkeypatch.setattr(invariants, "_Z_CACHE", {})
+    a = random_exact_series(random.Random(37), 3)
+    zeta_invariant(a, 3)
+    patterns = {tuple(sorted(Counter(ms[:-1]).values(), reverse=True))
+                for ms in zero_sum_multisets(a.support, 6)}
+    assert sorted(lattices) == sorted(patterns) and len(patterns) == 7
+    assert invariants._Z_CACHE == {}
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, None])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("slots, support", [
+    (2, tuple(range(-3, 4))), (4, tuple(range(-3, 4))),
+    (6, tuple(range(-3, 4))), (6, (-7, -2, 0, 1, 3, 5))],
+    ids=["2-dense", "4-dense", "6-dense", "6-sparse"])
+def test_brute_table_equals_the_ordering_sum_build(monkeypatch, slots,
+                                                  support, backend, block):
+    """The brute table, built by the block walk, against the term-by-term
+    build with the ordering sum as its coefficient: the same bits."""
+    if block:
+        monkeypatch.setattr(invariants, "_TABLE_BLOCK", block)
+    rows, starts, weights, den = _form_table.__wrapped__(
+        support, slots, invariants._z_coeff_of, backend)
+    ref_rows, ref_starts, ref_weights, ref_den = reference_form_table(
+        support, slots, _ordering_coeff, backend)
+    assert len(ref_weights) > 0
+    assert rows.dtype == ref_rows.dtype and np.array_equal(rows, ref_rows)
+    assert starts.dtype == ref_starts.dtype
+    assert np.array_equal(starts, ref_starts)
+    assert den == ref_den
+    if backend == "exact":
+        assert weights.dtype == object
+        assert all(type(w) is int for w in weights)
+        assert weights.tolist() == ref_weights
+    else:
+        assert weights.dtype == ref_weights.dtype
+        assert weights.tobytes() == ref_weights.tobytes()
 
 
 def test_z_coeff_full_symmetry_and_evenness():
@@ -627,9 +725,10 @@ def test_routes_never_share_a_table(monkeypatch, fresh_tables):
     monkeypatch.undo()
 
     # with a closed table cached, the brute route still builds its own
+    # (table builds reach z_coeff only through _z_coeff_of's block form)
     _form_table.cache_clear()
     z2_closed(a)
-    monkeypatch.setattr(invariants, "z_coeff", lambda idx: Fraction(7))
+    monkeypatch.setattr(invariants, "_z_coeff_of", lambda *ms: Fraction(7))
     assert zeta_invariant(a, 2) != closed
 
 

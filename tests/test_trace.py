@@ -12,6 +12,7 @@ from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
                           operator_matrix, pullback_direct,
                           random_positive_series, trace_difference,
                           z1_closed, z2_closed, zeta_invariant)
+from steklov_zeta import scalars
 from steklov_zeta.explorer import rationalize_series, sample_rng
 from steklov_zeta.scalars import WORD, join, residue_primes, ring, split_primes
 from steklov_zeta.trace import _trace_bound, _trace_difference_at
@@ -378,6 +379,40 @@ def by_trial_division(n):
     """Primality of n < 55110^2 by trial division."""
     divisors = _SMALL_PRIMES[_SMALL_PRIMES <= math.isqrt(n)]
     return n > 1 and not (n % divisors == 0).any()
+
+
+def straight_split_primes(width, count):
+    """split_primes as a search from the top for every count."""
+    p = 1 + math.isqrt((WORD - 1) // width)
+    p -= (p - 1) % 4
+    primes = []
+    while len(primes) < count:
+        if scalars._is_prime(p):
+            c = 2
+            while pow(c, (p - 1) // 2, p) != p - 1:
+                c += 1
+            primes.append((p, pow(c, (p - 1) // 4, p)))
+        p -= 4
+    return tuple(primes)
+
+
+def test_split_primes_go_on_from_the_cached_half(monkeypatch):
+    """At every width, residue_primes' doubling counts test no candidate
+    twice, and every count is the straight search's list."""
+    tested = []
+    is_prime = scalars._is_prime
+    monkeypatch.setattr(scalars, "_is_prime",
+                        lambda n: tested.append(n) or is_prime(n))
+    split_primes.cache_clear()
+    for width in range(3, 256):
+        del tested[:]
+        for count in (1, 2, 4, 8, 16):
+            split_primes(width, count)
+        assert len(tested) == len(set(tested)), width
+        straight = straight_split_primes(width, 16)
+        for count in range(1, 17):
+            assert split_primes(width, count) == straight[:count]
+    split_primes.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)
