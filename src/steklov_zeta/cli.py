@@ -187,22 +187,23 @@ def _parse_rho(text: str):
 
 def cmd_mu_matrix(args) -> int:
     rho = _parse_rho(args.rho)
-    _header(args, "float" if isinstance(rho, float) else "exact")
-    M = mu_matrix(rho, args.half_width)
+    exact = not isinstance(rho, float)
+    _header(args, "exact" if exact else "float")
+    N = args.half_width
+    rows = mu_matrix(rho, N).array.tolist()     # Fractions or floats
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "k", "value"])
-        for n, k, v in M.iter_entries():
-            writer.writerow([n, k, str(v) if M.exact else repr(float(v))])
+        writer.writerows([n - N, k - N, str(v)] for n, row in enumerate(rows)
+                         for k, v in enumerate(row))
         _emit(buf.getvalue(), args.out)
     else:
         obj = {
-            "half_width": M.half_width,
+            "half_width": N,
             "rho": str(rho),
-            "exact": M.exact,
-            "entries": [[str(v) if M.exact else float(v) for v in row]
-                        for row in M.entries],
+            "exact": exact,
+            "entries": [[str(v) if exact else v for v in row] for row in rows],
         }
         _emit(json.dumps(obj, indent=2) + "\n", args.out)
     return 0

@@ -149,29 +149,25 @@ def mu(n: int, k: int, rho):
 
 @dataclass(frozen=True, eq=False)
 class TruncatedMatrix:
-    """Dense truncation of an operator on frequencies n in [-N, N]."""
+    """Dense truncation of an operator on frequencies n in [-N, N]: the
+    read-only (2N+1)^2 array, entry (n, k) at [n + N, k + N], of Fractions
+    for a rational rho and float64 otherwise.
 
-    half_width: int
-    entries: tuple  # rows of entries, each a tuple
-    exact: bool
+    >>> M = mu_matrix(Fraction(1, 2), 1)
+    >>> M.array[1 + 1, 0 + 1], M.at(1, 0)
+    (Fraction(-2, 3), Fraction(-2, 3))
+    """
+
+    array: np.ndarray
 
     def at(self, n: int, k: int):
         """Entry (n, k); an index past the half-width raises ValueError."""
         n, k = _indices((n, k))
-        N = self.half_width
+        N = len(self.array) // 2
         if abs(n) > N or abs(k) > N:
             raise ValueError(f"index ({n}, {k}) lies outside the half-width "
                              f"{N}")
-        return self.entries[n + N][k + N]
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
-    def iter_entries(self):
-        N = self.half_width
-        for n in range(-N, N + 1):
-            for k in range(-N, N + 1):
-                yield n, k, self.entries[n + N][k + N]
+        return self.array.item(n + N, k + N)
 
 
 def mu_matrix(rho, N: int) -> TruncatedMatrix:
@@ -191,25 +187,24 @@ def mu_matrix(rho, N: int) -> TruncatedMatrix:
 @lru_cache(maxsize=MU_MATRIX_CACHE, typed=True)
 def _mu_matrix(r, N: int) -> TruncatedMatrix:
     cols, q, d = _columns(r, N, N)
-    # vals[k][n + N] = mu_{nk} for 0 <= k <= N, |n| <= N; zero below n = -1
-    vals = [[_entry(0, 0, q, d)] * (N - 1)
-            + [_entry(u, n + k + 1, q, d) for n, u in enumerate(col, -1)]
-            for k, col in enumerate(cols)]
-    idx = range(-N, N + 1)
-    ent = tuple(tuple(vals[k][n + N] if k >= 0 else vals[-k][N - n]
-                      for k in idx) for n in idx)
-    return TruncatedMatrix(N, ent, exact=not isinstance(r, float))
+    M = np.full((2 * N + 1,) * 2, _entry(0, 0, q, d),
+                dtype=float if isinstance(q, float) else object)
+    for k, col in enumerate(cols):      # zero below n = -1
+        M[N - 1:, N + k] = [_entry(u, n + k + 1, q, d)
+                            for n, u in enumerate(col, -1)]
+    M[:, :N] = M[::-1, :N:-1]           # mu_{nk} = mu_{-n,-k}
+    M.flags.writeable = False
+    return TruncatedMatrix(M)
 
 
-def d_matrix(N: int) -> TruncatedMatrix:
-    """Generator of the translation family: two shifted diagonals."""
+def d_matrix(N: int) -> np.ndarray:
+    """Generator of the translation family (module docstring): a read-only
+    int array, entry (n, k) at [n + N, k + N] as in TruncatedMatrix."""
     N = _size(N, "half-width")
-    idx = range(-N, N + 1)
-    ent = tuple(
-        tuple((n - 2) if k == n - 1 else -(n + 2) if k == n + 1 else 0
-              for k in idx)
-        for n in idx)
-    return TruncatedMatrix(N, ent, exact=True)
+    n = np.arange(-N, N + 1)
+    D = np.diag(n[1:] - 2, -1) - np.diag(n[:-1] + 2, 1)
+    D.flags.writeable = False
+    return D
 
 
 def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
@@ -323,8 +318,8 @@ def group_law_check(rho, rho2, N: int, exact: bool = False,
     if exact and (isinstance(r1, float) or isinstance(r2, float)):
         raise BackendMismatch("exact group-law check needs rational rho")
     r3 = (r1 + r2) / (1 + r1 * r2)
-    A, B, C = (np.array(mu_matrix(r, N).entries,
-                        dtype=object if exact else float) for r in (r1, r2, r3))
+    A, B, C = (mu_matrix(r, N).array.astype(object if exact else float)
+               for r in (r1, r2, r3))
     sl = slice(N - block, N + block + 1)
     return float(np.max(np.abs(A[sl, :] @ B[:, sl] - C[sl, sl])))
 
@@ -362,9 +357,8 @@ def exp_relation_check(rho, N: int, steps: int) -> float:
     """Max deviation on |n|, |k| <= N//2 of exp(t D_N), integrated by RK4
     in fixed steps over t = artanh(rho), from the recurrence's M_N(rho)."""
     r = _rho_value(rho)
-    D = d_matrix(N).to_array()
-    M = rk4_exponential(D, math.atanh(float(r)), steps)
-    ref = mu_matrix(r, N).to_array()
+    M = rk4_exponential(d_matrix(N), math.atanh(float(r)), steps)
+    ref = np.asarray(mu_matrix(r, N).array, dtype=float)
     half = N // 2
     sl = slice(N - half, N + half + 1)
     return float(np.max(np.abs(M[sl, sl] - ref[sl, sl])))

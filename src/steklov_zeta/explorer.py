@@ -188,16 +188,15 @@ def random_real_series(n0: int, scale: float,
 
 
 def random_positive_series(n0: int, scale: float, rng: np.random.Generator,
-                           floor: float = 0.5,
-                           grid_size: int = 2048) -> TrigSeries:
+                           floor: float = 0.5) -> TrigSeries:
     """Random real series shifted to stay above a positive floor (screened
-    on a dense grid).  A floor that is not a finite real > 0 raises a
-    ValueError."""
+    on a grid of 2048 points).  A floor that is not a finite real > 0
+    raises a ValueError."""
     if not (isinstance(floor, numbers.Real)
             and 0 < floor <= sys.float_info.max and float(floor) > 0):
         raise ValueError(f"floor must be a finite real > 0, got {floor!r}")
     a = random_real_series(n0, scale, rng)
-    m = min_on_circle(a, grid_size)
+    m = min_on_circle(a, 2048)
     if m < floor:
         shift = TrigSeries.from_complex({0: float(floor) - m})
         a = a + shift

@@ -121,15 +121,21 @@ def _validate_index(indices) -> tuple:
     return tuple(idx)
 
 
+def _zero_sum_index(indices) -> tuple:
+    """_validate_index, and NonZeroSum unless the entries sum to zero."""
+    idx = _validate_index(indices)
+    if sum(idx) != 0:
+        raise NonZeroSum(f"indices must sum to zero, got {idx}")
+    return idx
+
+
 def brute_n(indices) -> int:
     """Brute-force coefficient N for a zero-sum multi-index.
 
     Sums |f(n)| - f(n) over the integer interval [-|j|, |j|] that contains
     every root of f.  Always a non-negative even integer.
     """
-    idx = _validate_index(indices)
-    if sum(idx) != 0:
-        raise NonZeroSum(f"indices must sum to zero, got {idx}")
+    idx = _zero_sum_index(indices)
     partial = []
     s = 0
     for j in (0,) + idx[:-1]:
@@ -208,9 +214,7 @@ def symmetrize_z(indices) -> Fraction:
     bound proved there) and on Python ints past it.  It is the one-row
     call of _z_block, the walk of a table's whole block.
     """
-    idx = _validate_index(indices)
-    if sum(idx) != 0:
-        raise NonZeroSum(f"indices must sum to zero, got {idx}")
+    idx = _zero_sum_index(indices)
     return _z_block([idx])[0]
 
 
@@ -667,9 +671,7 @@ def zeta(a: TrigSeries, k: int):
 
 def coeff_bound_check(indices) -> bool:
     """Check 0 <= Z_{j_1...j_{2k}} <= 2 (2|j|)^{2k+1} exactly."""
-    idx = _validate_index(indices)
-    if sum(idx) != 0:
-        raise NonZeroSum(f"indices must sum to zero, got {idx}")
+    idx = _zero_sum_index(indices)
     z = z_coeff(idx)
     span = sum(abs(j) for j in idx)
     bound = 2 * (2 * span) ** (len(idx) + 1)

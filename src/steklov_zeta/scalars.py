@@ -356,10 +356,12 @@ def format_scalar(value) -> tuple[str, str]:
     return repr(z.real), repr(z.imag)
 
 
-def parse_scalar(re: str, im: str, backend: str):
-    """Parse (re, im) strings back to a scalar of the requested backend."""
+def parse_scalar(re, im, backend: str):
+    """Parse (re, im), strings or JSON numbers, back to a scalar of the
+    requested backend; a number reads as its text, so 0.1 gives 1/10."""
+    re, im = to_fraction(str(re)), to_fraction(str(im))
     if backend == "exact":
-        return RationalComplex(Fraction(re), Fraction(im))
+        return RationalComplex(re, im)
     if backend == "float":
-        return complex(float(Fraction(re)), float(Fraction(im)))
+        return complex(float(re), float(im))
     raise ValueError(f"unknown backend {backend!r}")

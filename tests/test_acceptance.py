@@ -179,7 +179,7 @@ def test_criterion_06a_group_law():
 def test_criterion_06b_exponential_relation():
     start = time.time()
     dev = exp_relation_check(Fraction(1, 5), 40, 2000)
-    D = d_matrix(10).to_array()
+    D = d_matrix(10)
     t = math.atanh(0.5)
     e1 = np.max(np.abs(rk4_exponential(D, t, 10) - rk4_exponential(D, t, 20)))
     e2 = np.max(np.abs(rk4_exponential(D, t, 20) - rk4_exponential(D, t, 40)))

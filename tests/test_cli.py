@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steklov_zeta import (TrigSeries, __version__, exact_width, save_series,
-                          suggest_out_degree)
+from steklov_zeta import (TrigSeries, __version__, exact_width, load_series,
+                          save_series, suggest_out_degree)
 from steklov_zeta import cli, conformal
 from steklov_zeta.cli import MAX_OUT_DEGREE, main
 
@@ -119,6 +119,23 @@ def test_exact_mu_matrix_csv_is_pinned(capsys, rho, digest):
     # sum, before the column recurrence; "--rho=" keeps argparse from
     # reading -2/7 as a flag
     code, out, _ = run(capsys, "mu-matrix", "--format", "csv",
+                       "--half-width", "24", f"--rho={rho}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, rho, digest", [
+    ("json", "3/10",
+     "882efb65da451b0b56d35fda87da03db6a2069909afeb379c176ca968506474b"),
+    ("csv", "0.3",
+     "bc7bd60ba36cc4a764e7fb801c4f0a6929586f1b80cc5c7040d243ea92bd1ddc"),
+    ("json", "0.3",
+     "16d09bad663fa2e5776d980e932ee4a4cc8117748cb69895a3ebb0161e95a82c"),
+])
+def test_mu_matrix_output_is_pinned(capsys, fmt, rho, digest):
+    """The bytes of the json and the float outputs at half-width 24; the
+    exact csv is pinned above."""
+    code, out, _ = run(capsys, "mu-matrix", "--format", fmt,
                        "--half-width", "24", f"--rho={rho}")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -519,6 +536,13 @@ SERIES_FILES = {  # case -> (file text, what the error line names)
     "series-re-division-by-zero": (
         '{"coeffs": [{"n": 2, "re": "1/0"}]}',
         'row 0: "re" and "im" must be finite rationals, got "1/0" and "0"'),
+    "series-re-nan": (
+        '{"coeffs": [{"n": 2, "re": NaN}]}',
+        'row 0: "re" and "im" must be finite rationals, got NaN and "0"'),
+    "series-im-infinity": (
+        '{"coeffs": [{"n": 2, "re": "1", "im": -Infinity}]}',
+        'row 0: "re" and "im" must be finite rationals, got "1" and '
+        '-Infinity'),
 }
 
 
@@ -557,6 +581,19 @@ def test_series_file_accepts_integer_strings_and_numbers(capsys, tmp_path):
                     '{"n": -2, "re": "1", "im": 0.0}]}\n')
     code, out, _ = run(capsys, "compute-z", "--series", str(path), "--k", "1")
     assert (code, out.strip()) == (0, "4")
+
+
+@pytest.mark.parametrize("re", ["0.1", "1e-1", '"0.1"', '"1/10"'])
+def test_series_file_reads_a_number_as_its_decimal_text(capsys, tmp_path,
+                                                         re):
+    """A JSON number goes through scalars.to_fraction as its text: 0.1 is
+    1/10, as the string "0.1" is, not the binary double nearest it."""
+    path = tmp_path / "a.json"
+    path.write_text(f'{{"coeffs": [{{"n": 2, "re": {re}}}, '
+                    f'{{"n": -2, "re": {re}, "im": 0.0}}]}}\n')
+    assert load_series(path).coeff(2) == Fraction(1, 10)
+    code, out, _ = run(capsys, "compute-z", "--series", str(path), "--k", "1")
+    assert (code, out.strip()) == (0, "1/25")
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path, pair_series):

@@ -145,8 +145,8 @@ def test_mu_matrix_matches_binomial_sum(rho):
 def test_float_mu_matrix_is_accurate(rho, N):
     """Float entries within 1e-12 of the largest exact entry at widths where
     an alternating binomial sum for mu cancels catastrophically."""
-    exact = mu_matrix(rho, N).to_array()
-    got = mu_matrix(float(rho), N).to_array()
+    exact = mu_matrix(rho, N).array.astype(float)
+    got = mu_matrix(float(rho), N).array
     assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -169,19 +169,35 @@ def test_mu_exact_after_float_at_equal_rho():
 
 def test_mu_matrix_layout():
     M = mu_matrix(Fraction(1, 2), 3)
-    assert M.exact and M.half_width == 3
+    assert M.array.dtype == object and M.array.shape == (7, 7)
     assert M.at(0, 0) == mu(0, 0, Fraction(1, 2))
-    arr = M.to_array()
-    assert arr.shape == (7, 7)
-    assert arr[3, 3] == pytest.approx(float(M.at(0, 0)))
+    for n, k in ((0, 0), (2, -1), (-3, 3)):
+        assert M.array[n + 3, k + 3] is M.at(n, k)
 
 
 def test_d_matrix_entries():
     D = d_matrix(6)
-    assert D.at(3, 2) == 1
-    assert D.at(3, 4) == -5
-    assert D.at(0, 5) == 0
-    assert D.at(0, 1) == -2 and D.at(0, -1) == -2
+    assert D.shape == (13, 13) and D.dtype.kind == "i"
+    assert D[3 + 6, 2 + 6] == 1
+    assert D[3 + 6, 4 + 6] == -5
+    assert D[0 + 6, 5 + 6] == 0
+    assert D[0 + 6, 1 + 6] == -2 and D[0 + 6, -1 + 6] == -2
+
+
+@pytest.mark.parametrize("make", [lambda: mu_matrix(Fraction(3, 10), 2).array,
+                                  lambda: mu_matrix(0.3, 2).array,
+                                  lambda: d_matrix(2)],
+                         ids=["mu_matrix-exact", "mu_matrix-float", "d_matrix"])
+def test_transport_arrays_are_read_only(make):
+    """The cached matrix is shared by every caller: a write raises and
+    leaves it as it was."""
+    A = make()
+    before = A.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        A[2, 2] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        A[:, 0] *= 2
+    assert make().tolist() == before
 
 
 @pytest.mark.parametrize("rho", [Fraction(1, 10), Fraction(3, 10),
@@ -442,7 +458,7 @@ def test_rk4_runs_an_object_generator_in_floats(entry, dtype):
 
 def test_rk4_takes_an_exact_time_as_a_float():
     """A Fraction t runs in floats, not as an object array."""
-    D = d_matrix(3).to_array()
+    D = d_matrix(3)
     M = rk4_exponential(D, Fraction(1, 4), 8)
     assert M.dtype == float
     assert np.array_equal(M, rk4_exponential(D, 0.25, 8))
@@ -450,7 +466,7 @@ def test_rk4_takes_an_exact_time_as_a_float():
 
 def test_rk4_is_fourth_order():
     # Richardson: halving the step scales the error by ~16
-    D = d_matrix(8).to_array()
+    D = d_matrix(8)
     t = math.atanh(0.5)
     coarse = rk4_exponential(D, t, 8)
     mid = rk4_exponential(D, t, 16)
@@ -599,11 +615,11 @@ def test_moebius_param_validation():
     the time t with tanh(t) = rho."""
     with pytest.raises(ValueError):
         mu_matrix(Fraction(3, 2), 2)
-    assert mu_matrix(Fraction(3, 10), 2).exact
-    assert not mu_matrix(0.3, 2).exact
-    assert mu_matrix(0, 2).exact
-    M = rk4_exponential(d_matrix(4).to_array(), math.atanh(0.5), 10)
-    ref = mu_matrix(Fraction(1, 2), 4).to_array()
+    assert mu_matrix(Fraction(3, 10), 2).array.dtype == object
+    assert mu_matrix(0.3, 2).array.dtype == float
+    assert mu_matrix(0, 2).array.dtype == object
+    M = rk4_exponential(d_matrix(4), math.atanh(0.5), 10)
+    ref = mu_matrix(Fraction(1, 2), 4).array.astype(float)
     assert exp_relation_check(Fraction(1, 2), 4, 10) \
         == float(np.max(np.abs(M[2:7, 2:7] - ref[2:7, 2:7])))
 
@@ -656,8 +672,8 @@ def test_mu_matrix_cache_keeps_exact_and_float_apart(order):
     for rho in order:
         M = mu_matrix(rho, 4)
         exact = isinstance(rho, Fraction)
-        assert M.exact is exact
-        assert {type(v) for row in M.entries for v in row} \
+        assert (M.array.dtype == object) is exact
+        assert {type(v) for v in M.array.ravel().tolist()} \
             == {Fraction if exact else float}
     assert conformal._mu_matrix.cache_info().currsize == 2
     assert mu_matrix(Fraction(2, 4), 4) is mu_matrix(Fraction(1, 2), 4)
@@ -676,7 +692,8 @@ def test_rho_caches_share_one_entry_for_a_signed_zero_rho(order):
     ref = [repr(conformal._entry(u, n + k + 1, q, d))
            for k, col in enumerate(cols[:3]) for n, u in enumerate(col[:6], -1)]
     for rho in order:
-        assert repr(mu_matrix(rho, 3).entries) == repr(fresh.entries)
+        assert repr(mu_matrix(rho, 3).array.tolist()) \
+            == repr(fresh.array.tolist())
         assert [repr(mu(n, k, rho)) for k in range(3)
                 for n in range(-1, 5)] == ref
     assert mu_matrix(-0.0, 3) is mu_matrix(0.0, 3)
@@ -692,7 +709,7 @@ def test_float_subclass_rho_shares_the_plain_float_entry():
         cache.cache_clear()
     r64 = np.float64(0.5)
     assert mu_matrix(r64, 2) is mu_matrix(0.5, 2)
-    assert {type(v) for row in mu_matrix(r64, 2).entries for v in row} \
+    assert {type(v) for v in mu_matrix(r64, 2).array.ravel().tolist()} \
         == {float}
     assert type(mu(1, 1, r64)) is float and mu(1, 1, r64) == mu(1, 1, 0.5)
     assert apply_moebius(_SERIES, r64, 6) == apply_moebius(_SERIES, 0.5, 6)
