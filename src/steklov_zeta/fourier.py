@@ -384,7 +384,10 @@ def series_from_json(obj: dict, backend: str = EXACT) -> TrigSeries:
     """The series of {"coeffs": [{"n": ..., "re": ..., "im": ...}, ...]};
     any other shape raises a ValueError that names this one, a row entry
     of the wrong type one that names the row (see _row_entry), and two rows
-    of the same frequency (2 and "2" are the same) one that names both."""
+    of the same frequency (2 and "2" are the same) one that names both.  An
+    unknown backend is named before any row is read."""
+    if backend not in (EXACT, FLOAT):
+        raise ValueError(f"unknown backend {backend!r}")
     coeffs, row_of = {}, {}
     try:
         rows = obj["coeffs"] if isinstance(obj, dict) else None

@@ -76,9 +76,9 @@ later series on that support pays one gather per pair of slots after the
 first, a product, a sum per group, one gather of the distinct first pairs
 and a sum.  A build reads the multisets one block at a time and does its
 bookkeeping in numpy and on ints, so that only the finished table grows
-with the support.  The brute table takes its coefficients from one
-_z_block walk per block, one per multiplicity pattern of the heads; the
-closed routes call their coefficient function once per multiset, which
+with the support.  The brute route's coefficient function is _z_block
+itself, called once per block (one walk per multiplicity pattern of the
+heads); the closed routes' functions are called once per multiset, which
 is most of their cost.  The closed Z_2 table of a degree-60 support,
 51,071 multisets, takes about 0.3 s and peaks at 1.3 times the memory it
 keeps, against about 0.5 ms for a warm float Z_2 of a degree-60 series;
@@ -406,7 +406,7 @@ def _form_table(support: tuple, slots: int, coeff, backend: str):
     its pair columns and weights (_table_block) before the next is read;
     the blocks are joined once at the end.  So the build's Python lists
     never hold more than one block: the cold closed Z_2 build of a
-    degree-60 support peaks at 3.3 MB under tracemalloc and keeps 2.5 MB
+    degree-60 support peaks at 3.5 MB under tracemalloc and keeps 2.5 MB
     (the table and the coefficient cache).  starts is found on the
     joined pairs[0], since a run of equal first pairs can cross a block
     edge, and the exact den is the lcm of the blocks' denominators.
@@ -436,8 +436,8 @@ def _table_block(multisets, support: tuple, slots: int, coeff,
     weights are over the block's own common denominator den (1 for the
     float backend).
 
-    The brute coefficient (_BRUTE_COEFF) comes from one _z_block call on
-    the block; any other coeff is called once per multiset.  The rest is
+    coeff is called once on the whole block when it is _z_block (the
+    brute route), and once per multiset otherwise.  The rest is
     numpy on the kept (b, slots) array of values.  Positions come from a
     search in the support.  The orderings of a sorted multiset are the
     multinomial slots! / prod(run!) over its runs of equal values, and
@@ -446,13 +446,11 @@ def _table_block(multisets, support: tuple, slots: int, coeff,
     Fraction: a coefficient c is in lowest terms, so c * o reduces by
     gcd(o, c.denominator).
     """
-    if coeff is _BRUTE_COEFF:  # one walk, then its values in order
-        multisets = list(multisets)
-        values = iter(_z_block(multisets))
-        coeff = lambda *ms: next(values)
-    read, flat, nums, dens = 0, [], [], []
-    for read, ms in enumerate(multisets, 1):
-        c = coeff(*ms)
+    multisets = list(multisets)
+    coeffs = (_z_block(multisets) if coeff is _z_block
+              else [coeff(*ms) for ms in multisets])
+    flat, nums, dens = [], [], []
+    for ms, c in zip(multisets, coeffs):
         if c:
             flat.extend(ms)
             nums.append(c.numerator)
@@ -474,11 +472,11 @@ def _table_block(multisets, support: tuple, slots: int, coeff,
                                   + rows[:, 1::2]).T)
     if backend == EXACT:
         den = math.lcm(*dens)
-        return read, pairs, np.array(
+        return len(multisets), pairs, np.array(
             [n * (den // d) for n, d in zip(nums, dens)], dtype=object), den
     # n / d is the correctly rounded quotient of the rational c * o
-    return read, pairs, np.fromiter(map(operator.truediv, nums, dens),
-                                    float, len(nums)), 1
+    return len(multisets), pairs, np.fromiter(
+        map(operator.truediv, nums, dens), float, len(nums)), 1
 
 
 def _form_sum(support: tuple, vec, mul, slots: int, coeff, backend: str):
@@ -492,10 +490,10 @@ def _form_sum(support: tuple, vec, mul, slots: int, coeff, backend: str):
     passes a block of rows on one support and pays the table lookup once.
     sums has one ring element per row, over den * D^slots.
 
-    coeff is the coefficient function of one route, called with the indices
-    of a sorted multiset (or its block form on a block of them, see
-    _table_block): _z_coeff_of (brute), _pair_coeff_closed or
-    z2_coeff_closed (closed).  The terms come from _form_table, cached on
+    coeff is the coefficient function of one route: _z_block (brute),
+    called on a block of sorted multisets, or _pair_coeff_closed or
+    z2_coeff_closed (closed), called with the indices of one (see
+    _table_block).  The terms come from _form_table, cached on
     (support, slots, coeff, backend).  The routes pass different functions,
     so they never share a table; the caller passes the function its module
     binds at call time, so one swapped in for z2_coeff_closed (the benchmark
@@ -535,25 +533,13 @@ def _series_form(a: TrigSeries, slots: int, coeff):
     return join(z, den * D ** slots, exact)
 
 
-def _z_coeff_of(*indices) -> Fraction:
-    """z_coeff of the given indices: the brute route's form coefficient.
-    Its tables take their values from its block form, _z_block."""
-    return z_coeff(indices)
-
-
-# _z_coeff_of as defined here, whose tables _table_block fills through
-# _z_block; a stand-in swapped in for the module attribute is called once
-# per multiset.
-_BRUTE_COEFF = _z_coeff_of
-
-
 def zeta_invariant(a: TrigSeries, k: int):
     """Z_k(a) for a finite series: an exact finite sum, no tail truncation.
 
     Returns a backend scalar (RationalComplex or complex); the value is real
     whenever a is conjugate-symmetric.
     """
-    return _series_form(a, 2 * _size(k, "order k"), _z_coeff_of)
+    return _series_form(a, 2 * _size(k, "order k"), _z_block)
 
 
 def _pair_coeff_closed(i: int, j: int) -> Fraction:

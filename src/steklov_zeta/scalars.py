@@ -28,16 +28,26 @@ import numpy as np
 
 _RATIONAL = (int, Fraction)
 
+# Largest decimal exponent to_fraction reads, as Fraction expands it in full:
+# the default digit limit of int() on a string, sys.get_int_max_str_digits().
+_MAX_EXPONENT = 4300
+
 
 def to_fraction(x) -> Fraction:
     """x as a Fraction: a Fraction, anything operator.index accepts (ints,
-    bools, numpy integers) or a "p/q" or decimal string.  Anything else, a
-    float too, raises a ValueError that names it: the library's one check
-    of an exact value."""
+    bools, numpy integers) or a "p/q" or decimal string with an exponent of
+    at most _MAX_EXPONENT in magnitude.  Anything else, a float too, raises
+    a ValueError that names it: the library's one check of an exact value."""
     if isinstance(x, Fraction):
         return x
     try:
-        return Fraction(x if isinstance(x, str) else operator.index(x))
+        if not isinstance(x, str):
+            return Fraction(operator.index(x))
+        # what follows the E is the exponent, as int() reads it for Fraction
+        _, e, exponent = x.upper().partition("E")
+        if e and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError(x)
+        return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError(f"{x!r} is not an exact rational") from None
 
@@ -357,11 +367,9 @@ def format_scalar(value) -> tuple[str, str]:
 
 
 def parse_scalar(re, im, backend: str):
-    """Parse (re, im), strings or JSON numbers, back to a scalar of the
-    requested backend; a number reads as its text, so 0.1 gives 1/10."""
+    """Parse (re, im), strings or JSON numbers, to an "exact" scalar, else
+    a "float" one; a number reads as its text, so 0.1 gives 1/10."""
     re, im = to_fraction(str(re)), to_fraction(str(im))
     if backend == "exact":
         return RationalComplex(re, im)
-    if backend == "float":
-        return complex(float(re), float(im))
-    raise ValueError(f"unknown backend {backend!r}")
+    return complex(float(re), float(im))

@@ -3,9 +3,11 @@ import hashlib
 import json
 import os
 import platform
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,6 +596,46 @@ def test_series_file_reads_a_number_as_its_decimal_text(capsys, tmp_path,
     assert load_series(path).coeff(2) == Fraction(1, 10)
     code, out, _ = run(capsys, "compute-z", "--series", str(path), "--k", "1")
     assert (code, out.strip()) == (0, "1/25")
+
+
+def test_series_file_with_a_huge_exponent_fails_at_once(tmp_path):
+    """Fraction expands a decimal exponent in full ("1e10000000" once took
+    11 s to read); the reader refuses one past 4300 before that.  A
+    subprocess under a timeout, so that a returning expansion fails the
+    suite instead of stalling it."""
+    path = tmp_path / "a.json"
+    path.write_text('{"coeffs": [{"n": 0, "re": "1e10000000"}]}\n')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklov_zeta.cli", "compute-z",
+         "--series", str(path), "--k", "1"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert ('error: series JSON row 0: "re" and "im" must be finite '
+            'rationals, got "1e10000000" and "0"') in proc.stderr
+
+
+def _readme_commands() -> list:
+    """The lines of the bash block under README's "Command line", split as
+    a shell splits them (comments dropped)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = text.split("\n## Command line\n", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_line_examples_exit_0(capsys, tmp_path, monkeypatch):
+    """Every README example runs through main in a directory holding a.json,
+    the real positive series 2 + cos(t) + cos(2t) / 2."""
+    commands = _readme_commands()
+    assert commands and all(argv[0] == "steklov-zeta" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    save_series(TrigSeries.exact({0: 2, 1: Fraction(1, 2), -1: Fraction(1, 2),
+                                  2: Fraction(1, 4), -2: Fraction(1, 4)}),
+                "a.json")
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path, pair_series):

@@ -3,6 +3,8 @@ import json
 import math
 import pickle
 import re
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from steklov_zeta.conformal import (apply_moebius, d_matrix,
 from steklov_zeta.explorer import (CampaignConfig, a_kappa_form,
                                    random_positive_series, rationalize_series)
 from steklov_zeta.fourier import grid_angles, grid_points
+from steklov_zeta.scalars import _MAX_EXPONENT, to_fraction
 from steklov_zeta.trace import KIND_DN, operator_matrix, trace_difference
 
 
@@ -409,6 +412,32 @@ def test_json_repeated_frequency_is_a_value_error():
     for backend in ("exact", "float"):
         with pytest.raises(ValueError, match="rows 0 and 2 .* n = 2$"):
             series_from_json(obj, backend)
+
+
+@pytest.mark.parametrize("rows", [[], [{"n": 1, "re": "1"}]],
+                         ids=["no-rows", "one-row"])
+def test_json_unknown_backend_is_named_before_the_rows(rows):
+    with pytest.raises(ValueError, match="^unknown backend 'bogus'$"):
+        series_from_json({"coeffs": rows}, "bogus")
+
+
+@pytest.mark.parametrize("exponent", ["4300", "-4300", "+4_300", "0"])
+def test_to_fraction_reads_an_exponent_up_to_the_int_digit_limit(exponent):
+    assert _MAX_EXPONENT == sys.int_info.default_max_str_digits
+    assert to_fraction(f"3e{exponent}") == 3 * Fraction(10) ** int(exponent)
+    assert to_fraction(f"-0.5E{exponent}") == (
+        Fraction(-1, 2) * Fraction(10) ** int(exponent))
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E-4301", "2.5e+4_301",
+                                  "1e10000000", "-1e-10000000"])
+def test_to_fraction_refuses_a_larger_exponent_at_once(text):
+    # Fraction would expand it in full: "1e10000000" once took 11 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError,
+                       match=re.escape(f"'{text}' is not an exact rational")):
+        to_fraction(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_series_is_immutable():

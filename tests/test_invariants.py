@@ -254,7 +254,7 @@ def test_brute_table_equals_the_ordering_sum_build(monkeypatch, slots,
     if block:
         monkeypatch.setattr(invariants, "_TABLE_BLOCK", block)
     rows, starts, weights, den = _form_table.__wrapped__(
-        support, slots, invariants._z_coeff_of, backend)
+        support, slots, invariants._z_block, backend)
     ref_rows, ref_starts, ref_weights, ref_den = reference_form_table(
         support, slots, _ordering_coeff, backend)
     assert len(ref_weights) > 0
@@ -725,10 +725,11 @@ def test_routes_never_share_a_table(monkeypatch, fresh_tables):
     monkeypatch.undo()
 
     # with a closed table cached, the brute route still builds its own
-    # (table builds reach z_coeff only through _z_coeff_of's block form)
+    # (its tables take their coefficients from the module's _z_block)
     _form_table.cache_clear()
     z2_closed(a)
-    monkeypatch.setattr(invariants, "_z_coeff_of", lambda *ms: Fraction(7))
+    monkeypatch.setattr(invariants, "_z_block",
+                        lambda rows: [Fraction(7)] * len(rows))
     assert zeta_invariant(a, 2) != closed
 
 
@@ -959,7 +960,7 @@ def _sparse_exact_series(rng):
 ORACLE_FORMS = {
     "z1": (z1_closed, 2, invariants._pair_coeff_closed),
     "z2": (z2_closed, 4, z2_coeff_closed),
-    "z3": (lambda a: zeta_invariant(a, 3), 6, invariants._z_coeff_of),
+    "z3": (lambda a: zeta_invariant(a, 3), 6, lambda *ms: z_coeff(ms)),
 }
 
 
@@ -986,7 +987,7 @@ def test_exact_forms_with_large_numerators_and_denominators():
     for a in large_rational_series():
         for k in (1, 2, 3):
             assert zeta_invariant(a, k) == term_by_term_form_sum(
-                a, 2 * k, invariants._z_coeff_of)
+                a, 2 * k, lambda *ms: z_coeff(ms))
         assert z1_closed(a) == term_by_term_form_sum(
             a, 2, invariants._pair_coeff_closed)
         assert z2_closed(a) == term_by_term_form_sum(a, 4, z2_coeff_closed)
@@ -1021,6 +1022,34 @@ def test_closed_table_calls_the_module_coefficient_once_per_multiset(
         assert called == yielded
         z2_closed(a)  # a warm table calls neither
         assert len(called) == len(yielded) == count
+
+
+def test_brute_table_calls_the_module_walk_once_per_block(monkeypatch,
+                                                          fresh_tables):
+    # the brute route passes _z_block itself; a new table calls the one the
+    # module binds once per block of multisets (a last, shorter one
+    # included, empty after a full block) and no single-lookup coefficient
+    blocks = []
+    walk = invariants._z_block
+
+    def counting_walk(rows):
+        blocks.append(list(rows))
+        return walk(rows)
+
+    a = random_exact_series(random.Random(41), 3)
+    multisets = list(zero_sum_multisets(a.support, 6))
+    expected = zeta_invariant(a, 3)
+    _form_table.cache_clear()
+    monkeypatch.setattr(invariants, "_TABLE_BLOCK", 7)
+    monkeypatch.setattr(invariants, "_z_block", counting_walk)
+    monkeypatch.setattr(invariants, "z_coeff", None)
+    monkeypatch.setattr(invariants, "symmetrize_z", None)
+    assert zeta_invariant(a, 3) == expected
+    assert [len(rows) for rows in blocks] == (
+        [7] * (len(multisets) // 7) + [len(multisets) % 7])
+    assert sum(blocks, []) == multisets
+    zeta_invariant(a, 3)  # a warm table walks no block
+    assert len(blocks) == len(multisets) // 7 + 1
 
 
 # one index check -----------------------------------------------------------
