@@ -90,16 +90,35 @@ def _parse_indices(text: str) -> tuple:
                          f"got {text!r}") from None
 
 
+def _fmt_exact(x) -> str:
+    """str of an exact int or Fraction.  Python converts an int of more
+    than sys.get_int_max_str_digits() digits to text only on request; past
+    that limit this raises a ValueError naming the value's digit count."""
+    try:
+        return str(x)
+    except ValueError:
+        big = max(abs(x.numerator), x.denominator)
+        digits = math.floor(math.log10(big)) + 1  # the float log may be off
+        digits += big >= 10 ** digits
+        digits -= big < 10 ** (digits - 1)
+        raise ValueError(
+            f"an exact value of {digits} digits is past Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing an integer "
+            "(raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits)"
+        ) from None
+
+
 def _fmt_scalar(value, real: bool = False) -> str:
     """Exact values print as rationals, "re+imi" when im != 0.  A float is
     printed as a bare real iff the caller says it is one (real=True, e.g. Z_k
     of a real series), never from its round-off imaginary part."""
     if isinstance(value, RationalComplex):
         if value.im == 0:
-            return str(value.re)
-        return f"{value.re}{'+' if value.im >= 0 else ''}{value.im}i"
+            return _fmt_exact(value.re)
+        return (f"{_fmt_exact(value.re)}{'+' if value.im >= 0 else ''}"
+                f"{_fmt_exact(value.im)}i")
     if isinstance(value, Fraction):
-        return str(value)
+        return _fmt_exact(value)
     z = complex(value)
     return repr(z.real) if real else repr(z)
 
@@ -153,11 +172,11 @@ def cmd_z2_coeff(args) -> int:
     if len(idx) != 4:
         raise ValueError("z2-coeff needs exactly four indices")
     closed = z2_coeff_closed(*idx)
-    lines = [f"closed: {closed}"]
+    lines = [f"closed: {_fmt_exact(closed)}"]
     code = 0
     if args.verify:
         brute = z_coeff(idx)
-        lines.append(f"brute: {brute}")
+        lines.append(f"brute: {_fmt_exact(brute)}")
         lines.append(f"match: {closed == brute}")
         if sum(idx) == 0:
             lines.append(f"bound: {coeff_bound_check(idx)}")
@@ -191,11 +210,12 @@ def cmd_mu_matrix(args) -> int:
     _header(args, "exact" if exact else "float")
     N = args.half_width
     rows = mu_matrix(rho, N).array.tolist()     # Fractions or floats
+    fmt = _fmt_exact if exact else str
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "k", "value"])
-        writer.writerows([n - N, k - N, str(v)] for n, row in enumerate(rows)
+        writer.writerows([n - N, k - N, fmt(v)] for n, row in enumerate(rows)
                          for k, v in enumerate(row))
         _emit(buf.getvalue(), args.out)
     else:
@@ -203,7 +223,8 @@ def cmd_mu_matrix(args) -> int:
             "half_width": N,
             "rho": str(rho),
             "exact": exact,
-            "entries": [[str(v) if exact else v for v in row] for row in rows],
+            "entries": [[fmt(v) if exact else v for v in row]
+                        for row in rows],
         }
         _emit(json.dumps(obj, indent=2) + "\n", args.out)
     return 0

@@ -14,8 +14,9 @@ and the campaign can be partitioned arbitrarily without changing results.
 A campaign draws each sample as one complex row of coefficients on the
 support -n0..n0 (_draw, shared with random_real_series) and evaluates
 Z_1 and Z_2 of CAMPAIGN_BLOCK rows at a time with one call of the form
-evaluator, invariants._form_sum, per form.  Each row's sums run in the
-order of that row alone, so every value is the double z1_closed and
+evaluator, invariants._form_sum, per form, which walks the rows in slices
+of a few (at most 8192 row x term entries each).  Each row's sums run in
+the order of that row alone, so every value is the double z1_closed and
 z2_closed give for the sample's series.
 """
 
@@ -247,9 +248,10 @@ def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
     return float(complex(zeta(a, k)).real) / denom
 
 
-# Rows of one form evaluation in z2_nonneg_campaign.  Its largest arrays
-# hold a complex value per row and Z_2 term (949 terms at n0 = 15, so about
-# 0.5 MB for a full block) and do not grow with the campaign's count.
+# Rows of one form evaluation in z2_nonneg_campaign.  The evaluation walks
+# them in slices of at most invariants._SUM_BLOCK row x term entries (8 rows
+# of the 949 Z_2 terms at n0 = 15), so its temporaries stay at or under
+# about 128 KiB whatever the block, and nothing grows with the count.
 CAMPAIGN_BLOCK = 32
 
 

@@ -67,28 +67,29 @@ are piecewise odd quintic polynomials evaluated after canonicalizing the
 quadruple under permutations and a global sign flip.
 
 Every form is summed from a table that depends only on the support of a,
-not on its values: the zero-sum multisets of support values, as pair
-indices into the outer product of the coefficient vector, each with its
-weight coefficient times orderings, grouped by their first pair (see
+not on its values: the zero-sum multisets of support values, each with its
+weight coefficient times orderings, grouped by their first pair, and the
+distinct pairs of support positions their pairs of slots use (see
 _form_table).  A table is cached on (support, slots, coefficient function,
 backend), so a series with a new support pays the build once and every
-later series on that support pays one gather per pair of slots after the
-first, a product, a sum per group, one gather of the distinct first pairs
-and a sum.  A build reads the multisets one block at a time and does its
-bookkeeping in numpy and on ints, so that only the finished table grows
-with the support.  The brute route's coefficient function is _z_block
-itself, called once per block (one walk per multiplicity pattern of the
-heads); the closed routes' functions are called once per multiset, which
-is most of their cost.  The closed Z_2 table of a degree-60 support,
-51,071 multisets, takes about 0.3 s and peaks at 1.3 times the memory it
-keeps, against about 0.5 ms for a warm float Z_2 of a degree-60 series;
-the brute k = 3 table over [-15, 15], 32,134 multisets, takes about
-0.7 s (2-vCPU x86_64 VM, Python 3.11).  Both backends run one evaluator
-(_form_sum) on rows of coefficients on the ring of scalars.ring; a series
-is one row, and the campaign of explorer passes a block of rows on one
-support.  Exact values are exact; float values may differ from a
-term-by-term loop in the last bits (another order), but not between a row
-alone and the same row in a block.
+later series on that support pays the products of the used pairs, one
+gather per pair of slots after the first, a product, a sum per group, one
+gather of the distinct first pairs and a sum.  A build reads the multisets
+one block at a time and does its bookkeeping in numpy and on ints, so that
+only the finished table grows with the support.  The brute route's
+coefficient function is _z_block itself, called once per block (one walk
+per multiplicity pattern of the heads); the closed routes' functions are
+called once per multiset, which is most of their cost.  The closed Z_2
+table of a degree-60 support, 51,071 multisets, takes about 0.3 s and
+peaks at 1.3 times the memory it keeps, against about 0.3 ms for a warm
+float Z_2 of a degree-60 series; the brute k = 3 table over [-15, 15],
+32,134 multisets, takes about 0.7 s (2-vCPU x86_64 VM, Python 3.11).  Both
+backends run one evaluator (_form_sum) on rows of coefficients on the ring
+of scalars.ring; a series is one row, and the campaign of explorer passes
+a block of rows on one support, which the evaluator walks a few rows at a
+time.  Exact values are exact; float values may differ from a term-by-term
+loop in the last bits (another order), but not between a row alone and the
+same row in a block.
 """
 
 from __future__ import annotations
@@ -175,6 +176,11 @@ _BLOCK = 1 << 15
 # Multisets that _form_table turns into table columns at a time: only one
 # block of them is ever held in Python lists.
 _TABLE_BLOCK = 4096
+
+# Row x term entries that _form_sum evaluates at a time: 8192 complex128
+# entries are 128 KiB, so a campaign block's temporaries stay in a core's
+# cache and are reused rather than mapped afresh for every block.
+_SUM_BLOCK = 8192
 
 
 @lru_cache(maxsize=_LATTICE_CACHE_SIZE)
@@ -387,29 +393,34 @@ def _zero_sum_walk(vals: list, slots: int, total: int):
 @lru_cache(maxsize=16)
 def _form_table(support: tuple, slots: int, coeff, backend: str):
     """The zero-sum terms of a form on one support:
-    (pairs, starts, weights, den).
+    (ends, pairs, starts, weights, den).
 
     There is one term per zero-sum multiset of support values whose
     coefficient coeff(*multiset) is nonzero, and its weight is coefficient
-    times orderings.  pairs is the (slots/2, M) array of pair indices
-    p * S + q into the S x S outer product of the coefficient vector, where
-    (p, q) are the positions in the sorted support of slots (2i, 2i + 1) of
-    the multiset; slots is even for every form.  For the float backend the
-    weights are float64 and den is 1; for the exact one they are an object
-    array of ints over one common denominator den.
+    times orderings.  The pair of slots (2i, 2i + 1) of a multiset is the
+    pair (p, q) of their positions in the sorted support, p <= q since the
+    multiset is sorted.  ends is the (2, U) array of the U distinct pairs
+    the terms use, in the order of p * S + q, and pairs the (slots/2, M)
+    array of each term's pairs as indices into ends; slots is even for
+    every form.  For the float backend the weights are float64 and den is
+    1; for the exact one they are an object array of ints over one common
+    denominator den.
 
     zero_sum_multisets yields in lexicographic order, so the terms come
     grouped by their first pair: pairs[0] is non-decreasing, and starts
     holds the index of the first term of each run of equal pairs[0].
 
     The multisets are read _TABLE_BLOCK at a time, and each block becomes
-    its pair columns and weights (_table_block) before the next is read;
-    the blocks are joined once at the end.  So the build's Python lists
-    never hold more than one block: the cold closed Z_2 build of a
-    degree-60 support peaks at 3.5 MB under tracemalloc and keeps 2.5 MB
-    (the table and the coefficient cache).  starts is found on the
-    joined pairs[0], since a run of equal first pairs can cross a block
-    edge, and the exact den is the lcm of the blocks' denominators.
+    its pair columns p * S + q and weights (_table_block) before the next
+    is read; the blocks are joined once at the end.  So the build's Python
+    lists never hold more than one block.  The used pairs are marked in a
+    mask over the S x S pair space, and the columns are remapped to their
+    ranks among the marked ones row by row, in place, so finding ends
+    sorts nothing and holds no second copy of the columns: the cold closed
+    Z_2 build of a degree-60 support peaks at 3.5 MB under tracemalloc and
+    keeps 2.8 MB (the table and the coefficient cache).  starts is found
+    on the joined pairs[0], since a run of equal first pairs can cross a
+    block edge, and the exact den is the lcm of the blocks' denominators.
     """
     multisets = zero_sum_multisets(support, slots)
     pairs, weights, dens = [], [], []
@@ -422,19 +433,28 @@ def _form_table(support: tuple, slots: int, coeff, backend: str):
         dens.append(d)
     pairs = np.concatenate(pairs, axis=1)
     starts = np.flatnonzero(np.diff(pairs[0], prepend=-1))
+    used = np.zeros(len(support) ** 2, dtype=bool)
+    used[pairs] = True
+    ends = np.flatnonzero(used)
+    rank = np.empty(len(used), dtype=pairs.dtype)
+    rank[ends] = np.arange(len(ends))
+    for row in pairs:
+        row[:] = rank[row]
+    ends = np.array(np.divmod(ends, len(support)))
     den = math.lcm(*dens)
     # an exact block is over its own lcm, a divisor of den; a float one over 1
     weights = np.concatenate([w * (den // d) if d != den else w
                               for w, d in zip(weights, dens)])
-    return pairs, starts, weights, den
+    return ends, pairs, starts, weights, den
 
 
 def _table_block(multisets, support: tuple, slots: int, coeff,
                  backend: str):
-    """The terms of the multisets of one block in _form_table's layout:
-    (read, pairs, weights, den), where read counts the multisets and the
-    weights are over the block's own common denominator den (1 for the
-    float backend).
+    """The terms of the multisets of one block for _form_table:
+    (read, pairs, weights, den), where read counts the multisets, pairs
+    holds each term's pairs as flat indices p * S + q into the S x S pair
+    space, and the weights are over the block's own common denominator
+    den (1 for the float backend).
 
     coeff is called once on the whole block when it is _z_block (the
     brute route), and once per multiset otherwise.  The rest is
@@ -500,27 +520,45 @@ def _form_sum(support: tuple, vec, mul, slots: int, coeff, backend: str):
     tracer's counting wrapper) gets tables of its own and is the one they
     call.
 
-    One evaluation for both backends: the outer product of each row with
-    itself by broadcasting; the weights times one gather per other pair of
-    slots (1 for Z_2, 2 for k = 3; none for Z_1), summed per first pair
-    (see _form_table) with np.add.reduceat; times one gather of the
-    distinct first pairs; one sum per row.  Every reduction runs along the
-    last axis, so a row's sum is the same in a block as on its own.
+    The rows along the last row axis are summed in slices of at most
+    _SUM_BLOCK // M of them for a table of M terms (at least one), so a
+    block of rows holds no larger temporaries than a few rows would; each
+    slice runs _form_rows.
     """
-    pairs, starts, weights, den = _form_table(support, slots, coeff, backend)
-    products = mul(vec[..., :, None], vec[..., None, :])
-    products = products.reshape(*products.shape[:-2], -1)
+    ends, pairs, starts, weights, den = _form_table(support, slots, coeff,
+                                                    backend)
+    rows = vec.shape[-2] if vec.ndim > 1 + (backend == EXACT) else 1
+    step = max(1, _SUM_BLOCK // max(1, len(weights)))
+    if rows <= step:
+        return _form_rows(vec, mul, ends, pairs, starts, weights), den
+    return np.concatenate([
+        _form_rows(vec[..., i:i + step, :], mul, ends, pairs, starts,
+                   weights)
+        for i in range(0, rows, step)], -1), den
+
+
+def _form_rows(vec, mul, ends, pairs, starts, weights):
+    """The sums of _form_sum for rows vec on the terms of one table (see
+    _form_table), one code path for both rings: the product of each row's
+    two ends of every used pair; the weights times one gather per other
+    pair of slots (1 for Z_2, 2 for k = 3; none for Z_1), summed per first
+    pair with np.add.reduceat; times one gather of the distinct first
+    pairs; one sum per row.  Every reduction runs along the last axis, so
+    a row's sum is the same in a block as on its own.
+    """
+    products = mul(vec.take(ends[0], -1), vec.take(ends[1], -1))
     terms = weights  # Z_1: one pair, so every group is a single term
     if len(pairs) > 1:
-        # in place: a new block-sized broadcast product takes several times
-        # longer (20 rows at n0 = 15, 2-vCPU x86_64 VM: 0.3 ms against 0.05)
+        # in place: one temporary per slice instead of two (a slice of 8
+        # rows at n0 = 15, 2-vCPU x86_64 VM: 16 us against 17 for a new
+        # product; an unsliced block of 20 rows, 0.3 MB, took 37 against 177)
         terms = products.take(pairs[1], -1)
         terms *= weights
         for i in range(2, len(pairs)):  # cheaper than iterating the rows
             terms = mul(terms, products.take(pairs[i], -1))
         terms = np.add.reduceat(terms, starts, -1)
     terms = mul(terms, products.take(pairs[0][starts], -1))
-    return np.add.reduce(terms, -1), den
+    return np.add.reduce(terms, -1)
 
 
 def _series_form(a: TrigSeries, slots: int, coeff):

@@ -178,6 +178,33 @@ def test_float_z_of_a_complex_series_prints_as_complex(capsys, tmp_path):
         assert out.strip().endswith("j")
 
 
+def test_exact_value_past_the_int_digit_limit_is_a_usage_error(capsys,
+                                                                tmp_path):
+    # Z_1 of a_2 = a_-2 = 10^3000 is 4 * 10^6000, 6001 digits: more than
+    # Python prints from an int at its default limit
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"coeffs": [{"n": n, "re": "1e3000"}
+                                           for n in (-2, 2)]}))
+    code, out, err = run(capsys, "compute-z", "--series", str(path),
+                         "--k", "1")
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 6001
+    assert code == 2 and out == ""
+    line = err.strip().splitlines()[-1]
+    assert line.startswith("error: an exact value of 6001 digits")
+    assert f"limit of {limit} digits" in line
+
+
+@pytest.mark.parametrize("value, digits", [
+    (10 ** 5000 - 1, 5000), (10 ** 5000, 5001), (-10 ** 4300, 4301),
+    (Fraction(1, 10 ** 4300), 4301), (Fraction(10 ** 4400, 3), 4401)],
+    ids=["10^5000-1", "10^5000", "-10^4300", "1/10^4300", "10^4400/3"])
+def test_exact_value_digit_count(value, digits):
+    with pytest.raises(ValueError, match=f"of {digits} digits"):
+        cli._fmt_exact(value)
+    assert cli._fmt_exact(Fraction(10 ** 4299, 7)) == f"{10 ** 4299}/7"
+
+
 def test_check_invariance(capsys, pair_series):
     code, out, _ = run(capsys, "check-invariance", "--series", pair_series,
                        "--rho", "0.3", "--k", "1", "--grid", "2048",

@@ -24,7 +24,7 @@ from steklov_zeta import invariants, lie
 from steklov_zeta.invariants import (_COEFF_CACHE_SIZE, _form_table,
                                      _p1_90, _p2_90, zero_sum_multisets)
 from steklov_zeta.lie import raising_relation_sweep
-from steklov_zeta.scalars import RC_ZERO
+from steklov_zeta.scalars import RC_ZERO, ring
 from steklov_zeta.trace import exact_width, trace_difference
 
 from util import (large_rational_series, random_exact_series,
@@ -253,8 +253,8 @@ def test_brute_table_equals_the_ordering_sum_build(monkeypatch, slots,
     build with the ordering sum as its coefficient: the same bits."""
     if block:
         monkeypatch.setattr(invariants, "_TABLE_BLOCK", block)
-    rows, starts, weights, den = _form_table.__wrapped__(
-        support, slots, invariants._z_block, backend)
+    rows, starts, weights, den = flat_table(support, slots,
+                                            invariants._z_block, backend)
     ref_rows, ref_starts, ref_weights, ref_den = reference_form_table(
         support, slots, _ordering_coeff, backend)
     assert len(ref_weights) > 0
@@ -621,8 +621,8 @@ def test_orderings_is_the_multinomial_count():
     # table column is one multiset, as pair indices p * S + q
     for support in (tuple(range(-3, 4)), (-5, -2, 0, 1, 4)):
         for slots in (2, 4, 6):
-            pairs, _, weights, den = _form_table.__wrapped__(
-                support, slots, _unit_coeff, "exact")
+            pairs, _, weights, den = flat_table(support, slots, _unit_coeff,
+                                                "exact")
             assert den == 1
             assert pairs.shape == (slots // 2, len(weights))
             assert len(weights) > 0
@@ -768,6 +768,15 @@ def test_z_cache_drops_its_oldest_entries(monkeypatch):
     assert next(iter(cache)) == (-10, 10) and (-9, 9) not in cache
 
 
+def flat_table(support, slots, coeff, backend):
+    """A new _form_table with each term's pairs as flat indices p * S + q
+    into the S x S pair space, reference_form_table's layout:
+    (pairs, starts, weights, den)."""
+    ends, pairs, starts, weights, den = _form_table.__wrapped__(
+        support, slots, coeff, backend)
+    return ends[0][pairs] * len(support) + ends[1][pairs], starts, weights, den
+
+
 def reference_form_table(support, slots, coeff, backend):
     """The term-by-term table build, one multiset at a time, kept as the
     oracle for the table's pairs, group starts, weights and den.  A group
@@ -840,8 +849,7 @@ TABLE_CASES = pytest.mark.parametrize("slots, coeff, support", [
 @TABLE_CASES
 def test_form_table_equals_term_by_term_build(slots, coeff, support,
                                               backend):
-    rows, starts, weights, den = _form_table.__wrapped__(support, slots,
-                                                         coeff, backend)
+    rows, starts, weights, den = flat_table(support, slots, coeff, backend)
     ref_rows, ref_starts, ref_weights, ref_den = reference_form_table(
         support, slots, coeff, backend)
     assert len(ref_weights) > 0
@@ -865,7 +873,7 @@ def test_first_pairs_are_non_decreasing(slots, coeff, support):
     # run must be one contiguous block; the table is not sorted, it relies
     # on the lexicographic order of zero_sum_multisets
     for backend in ("exact", "float"):
-        first = _form_table.__wrapped__(support, slots, coeff, backend)[0][0]
+        first = _form_table.__wrapped__(support, slots, coeff, backend)[1][0]
         assert len(first) > 0
         assert np.all(first[1:] >= first[:-1])
 
@@ -913,8 +921,10 @@ def test_form_table_over_a_whole_number_of_blocks(monkeypatch, slots, coeff,
 @pytest.mark.parametrize("backend", ["exact", "float"])
 @pytest.mark.parametrize("support", [(), (1, 2)], ids=["empty", "no-zero-sum"])
 def test_form_table_without_terms(support, backend):
-    pairs, starts, weights, den = _form_table.__wrapped__(
+    ends, pairs, starts, weights, den = _form_table.__wrapped__(
         support, 4, z2_coeff_closed, backend)
+    assert ends.shape == (2, 0) and ends.dtype == pairs.dtype
+    pairs = ends[0][pairs] * len(support) + ends[1][pairs]
     ref_pairs, ref_starts, ref_weights, ref_den = reference_form_table(
         support, 4, z2_coeff_closed, backend)
     assert pairs.shape == ref_pairs.shape == (2, 0)
@@ -981,6 +991,106 @@ def test_form_sum_equals_term_by_term_oracle(form, series):
     assert isinstance(value, RationalComplex)
     assert value == term_by_term_form_sum(a, slots, coeff)
     assert (value == RC_ZERO) == (series == "empty-table")
+
+
+SLICE_FORMS = pytest.mark.parametrize("slots, coeff", [
+    (2, invariants._pair_coeff_closed), (4, z2_coeff_closed),
+    (6, invariants._z_block)], ids=["z1", "z2", "brute-z3"])
+
+
+def _row_block(exact: bool, rows: int, support: tuple):
+    """(vec, mul) of a block of random rows on support in the ring of
+    scalars.ring: (rows, S) complex128, or the (2, rows, S) stack of ints
+    over one D for all rows."""
+    rng = random.Random(43)
+    if not exact:
+        values = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for _ in range(rows * len(support))]
+    else:
+        values = [RationalComplex(random_fraction(rng), random_fraction(rng))
+                  for _ in range(rows * len(support))]
+    vec, _, mul = ring(values, exact)
+    return vec.reshape(*vec.shape[:-1], rows, len(support)), mul
+
+
+@pytest.mark.parametrize("step", [1, 2, 7, None],
+                         ids=["1-row", "2-rows", "7-rows", "one-slice"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@SLICE_FORMS
+def test_form_sum_of_a_block_is_each_row_alone(monkeypatch, slots, coeff,
+                                               backend, step):
+    """_form_sum walks a block's rows in slices of _SUM_BLOCK // M rows for
+    a table of M terms; each row's sum has the same bits as the row on its
+    own, whatever the slices."""
+    support = tuple(range(-4, 5))
+    exact = backend == "exact"
+    rows = 10
+    vec, mul = _row_block(exact, rows, support)
+    terms = len(_form_table(support, slots, coeff, backend)[3])
+    assert terms > 0
+    monkeypatch.setattr(invariants, "_SUM_BLOCK", terms * (step or rows))
+    slices = []
+    form_rows = invariants._form_rows
+
+    def counting_rows(vec, *args):
+        slices.append(vec.shape[-2])
+        return form_rows(vec, *args)
+
+    monkeypatch.setattr(invariants, "_form_rows", counting_rows)
+    block, den = invariants._form_sum(support, vec, mul, slots, coeff,
+                                      backend)
+    monkeypatch.setattr(invariants, "_form_rows", form_rows)
+    if step:
+        assert slices == [step] * (rows // step) + [rows % step] * (
+            rows % step > 0)
+    else:
+        assert slices == [rows]
+    for i in range(rows):
+        row = vec[..., i, :]
+        alone, alone_den = invariants._form_sum(support, row, mul, slots,
+                                                coeff, backend)
+        assert alone_den == den
+        if exact:
+            assert all(type(z) is int for z in block[:, i])
+            assert block[:, i].tolist() == alone.tolist()
+        else:
+            assert block[i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@TABLE_CASES
+def test_table_ends_are_the_used_pairs(slots, coeff, support, backend):
+    ends, pairs, *_ = _form_table.__wrapped__(support, slots, coeff, backend)
+    ref_pairs = reference_form_table(support, slots, coeff, backend)[0]
+    used = sorted({divmod(p, len(support)) for p in ref_pairs.ravel().tolist()})
+    assert list(map(tuple, ends.T.tolist())) == used
+    assert np.all(ends[0] <= ends[1])
+    assert pairs.min() == 0 and pairs.max() == len(used) - 1
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@SLICE_FORMS
+def test_form_sum_multiplies_only_the_used_pairs(slots, coeff, backend):
+    """The pair products are taken on the used pairs of the table only (14
+    for Z_1 at n0 = 15 against the 961 of the whole S x S pair space), and
+    no product is ever S x S."""
+    support = tuple(range(-15, 16)) if slots < 6 else tuple(range(-4, 5))
+    S = len(support)
+    used = len(_form_table(support, slots, coeff, backend)[0][0])
+    vec, mul = _row_block(backend == "exact", 3, support)
+    shapes = []
+
+    def spy(x, y, *args):
+        shapes.append((x.shape, y.shape))
+        return mul(x, y, *args)
+
+    invariants._form_sum(support, vec, spy, slots, coeff, backend)
+    assert shapes[0] == (vec.shape[:-1] + (used,),) * 2
+    assert used < S * S
+    if slots == 2:
+        assert used == 14
+    for shape in itertools.chain(*shapes):
+        assert shape[-1] != S * S and shape[-2:] != (S, S)
 
 
 def test_exact_forms_with_large_numerators_and_denominators():
