@@ -14,10 +14,10 @@ and the campaign can be partitioned arbitrarily without changing results.
 A campaign draws each sample as one complex row of coefficients on the
 support -n0..n0 (_draw, shared with random_real_series) and evaluates
 Z_1 and Z_2 of CAMPAIGN_BLOCK rows at a time with one call of the form
-evaluator, invariants._form_sum, per form, which walks the rows in slices
-of a few (at most 8192 row x term entries each).  Each row's sums run in
-the order of that row alone, so every value is the double z1_closed and
-z2_closed give for the sample's series.
+evaluator, invariants._form_sum, per form, which walks the (R, S) rows in
+slices of a few (at most 8192 row x term entries each).  Each row's sums
+run in the order of that row alone, the one-row block of z1_closed and
+z2_closed, so every value is the double they give for the sample's series.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NotHermitian, NotReal
 from . import invariants
-from .fourier import EXACT, FLOAT, TrigSeries, _size, is_real, min_on_circle
+from .fourier import EXACT, TrigSeries, _size, is_real, min_on_circle
 from .invariants import z2_closed, zeta
 from .scalars import RationalComplex, ring
 
@@ -248,19 +248,18 @@ def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
     return float(complex(zeta(a, k)).real) / denom
 
 
-# Rows of one form evaluation in z2_nonneg_campaign.  The evaluation walks
-# them in slices of at most invariants._SUM_BLOCK row x term entries (8 rows
-# of the 949 Z_2 terms at n0 = 15), so its temporaries stay at or under
-# about 128 KiB whatever the block, and nothing grows with the count.
+# Rows R of the (R, S) block of one _form_sum in z2_nonneg_campaign, walked
+# in slices of at most invariants._SUM_BLOCK row x term entries (8 rows of
+# the 949 Z_2 terms at n0 = 15): temporaries stay at or under about 128 KiB
+# whatever the block, and nothing grows with the count.
 CAMPAIGN_BLOCK = 32
 
 
 def _closed_forms(support: tuple, rows: np.ndarray) -> list:
-    """[Z_1, Z_2] of each float row of coefficients on support, as real
-    parts: one _form_sum per form over all the rows."""
+    """[Z_1, Z_2] of each float row of coefficients on support, rows
+    (R, S), as real parts: one _form_sum per form over all the rows."""
     vec, _, mul = ring(rows, False)
-    return [invariants._form_sum(support, vec, mul, slots, coeff,
-                                 FLOAT)[0].real
+    return [invariants._form_sum(support, vec, mul, slots, coeff)[0].real
             for slots, coeff in ((2, invariants._pair_coeff_closed),
                                  (4, invariants.z2_coeff_closed))]
 
@@ -290,7 +289,8 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
         z1s, z2s = _closed_forms(support, rows)
         for j in np.flatnonzero(~rows.all(-1)):
             kept = tuple(n for n, v in zip(support, rows[j]) if v)
-            z1s[j], z2s[j] = _closed_forms(kept, rows[j][rows[j] != 0])
+            z1s[j:j + 1], z2s[j:j + 1] = _closed_forms(
+                kept, rows[j:j + 1, rows[j] != 0])
         for i, values, z1, z2 in zip(block, rows.tolist(), z1s.tolist(),
                                      z2s.tolist()):
             flagged = False

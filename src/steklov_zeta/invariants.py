@@ -73,23 +73,23 @@ distinct pairs of support positions their pairs of slots use (see
 _form_table).  A table is cached on (support, slots, coefficient function,
 backend), so a series with a new support pays the build once and every
 later series on that support pays the products of the used pairs, one
-gather per pair of slots after the first, a product, a sum per group, one
-gather of the distinct first pairs and a sum.  A build reads the multisets
-one block at a time and does its bookkeeping in numpy and on ints, so that
-only the finished table grows with the support.  The brute route's
-coefficient function is _z_block itself, called once per block (one walk
-per multiplicity pattern of the heads); the closed routes' functions are
-called once per multiset, which is most of their cost.  The closed Z_2
-table of a degree-60 support, 51,071 multisets, takes about 0.3 s and
-peaks at 1.3 times the memory it keeps, against about 0.3 ms for a warm
-float Z_2 of a degree-60 series; the brute k = 3 table over [-15, 15],
-32,134 multisets, takes about 0.7 s (2-vCPU x86_64 VM, Python 3.11).  Both
-backends run one evaluator (_form_sum) on rows of coefficients on the ring
-of scalars.ring; a series is one row, and the campaign of explorer passes
-a block of rows on one support, which the evaluator walks a few rows at a
-time.  Exact values are exact; float values may differ from a term-by-term
-loop in the last bits (another order), but not between a row alone and the
-same row in a block.
+gather per pair of slots after the first (Z_1: of its one pair), a sum per
+group and one gather of the distinct first pairs (from Z_2 on), and a sum.
+A build reads the multisets one block at a time and does its bookkeeping
+in numpy and on ints, so that only the finished table grows with the
+support.  The brute route's coefficient function is _z_block itself,
+called once per block (one walk per multiplicity pattern of the heads);
+the closed routes' functions are called once per multiset, which is most
+of their cost.  The closed Z_2 table of a degree-60 support, 51,071
+multisets, takes about 0.3 s and peaks at 1.3 times the memory it keeps,
+against about 0.3 ms for a warm float Z_2 of a degree-60 series; the brute
+k = 3 table over [-15, 15], 32,134 multisets, takes about 0.7 s (2-vCPU
+x86_64 VM, Python 3.11).  Both backends run one evaluator (_form_sum) on
+rows (..., R, S) on the ring of scalars.ring, a few rows at a time; a
+series is a one-row block, explorer's campaign a block of many.  Exact
+values are exact; float values may differ from a term-by-term loop in the
+last bits (another order), but not between a row alone and the same row in
+a block.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ from itertools import accumulate, islice, product
 import numpy as np
 
 from .errors import NonZeroSum
-from .fourier import EXACT, TrigSeries, _indices, _size
+from .fourier import EXACT, FLOAT, TrigSeries, _indices, _size
 from .scalars import join, ring
 
 
@@ -499,16 +499,17 @@ def _table_block(multisets, support: tuple, slots: int, coeff,
         map(operator.truediv, nums, dens), float, len(nums)), 1
 
 
-def _form_sum(support: tuple, vec, mul, slots: int, coeff, backend: str):
+def _form_sum(support: tuple, vec, mul, slots: int, coeff):
     """Rows of sums over zero-sum index tuples of
     coeff * a_{j_1} * ... * a_{j_slots}: (sums, den).
 
-    vec holds the coefficients on the given sorted support as rows (..., S)
-    on the ring of scalars.ring, mul its product: complex128 rows for the
-    float backend, the [re; im] stack (2, ..., S) of ints over the ring's D
-    for the exact one.  A TrigSeries is one row (_series_form); a campaign
-    passes a block of rows on one support and pays the table lookup once.
-    sums has one ring element per row, over den * D^slots.
+    vec holds rows (..., R, S) of coefficients on the sorted support, on
+    the ring of scalars.ring, mul its product: complex128 for the float
+    backend, the [re; im] stack (2, ..., R, S) of object ints over the
+    ring's D for the exact one, whose dtype picks the exact table.  A
+    TrigSeries is a one-row block (_series_form); a campaign passes many
+    rows on one support and pays the table lookup once.  sums has one ring
+    element per row, over den * D^slots.
 
     coeff is the coefficient function of one route: _z_block (brute),
     called on a block of sorted multisets, or _pair_coeff_closed or
@@ -520,55 +521,40 @@ def _form_sum(support: tuple, vec, mul, slots: int, coeff, backend: str):
     tracer's counting wrapper) gets tables of its own and is the one they
     call.
 
-    The rows along the last row axis are summed in slices of at most
-    _SUM_BLOCK // M of them for a table of M terms (at least one), so a
-    block of rows holds no larger temporaries than a few rows would; each
-    slice runs _form_rows.
+    The rows are summed in one loop over slices of _SUM_BLOCK // M rows
+    for a table of M terms (at least one), so a block holds no larger
+    temporaries than a few rows would.  Every reduction runs along the last
+    axis, so a row's sum is the same in a block as on its own.
     """
-    ends, pairs, starts, weights, den = _form_table(support, slots, coeff,
-                                                    backend)
-    rows = vec.shape[-2] if vec.ndim > 1 + (backend == EXACT) else 1
+    ends, pairs, starts, weights, den = _form_table(
+        support, slots, coeff, EXACT if vec.dtype == object else FLOAT)
     step = max(1, _SUM_BLOCK // max(1, len(weights)))
-    if rows <= step:
-        return _form_rows(vec, mul, ends, pairs, starts, weights), den
-    return np.concatenate([
-        _form_rows(vec[..., i:i + step, :], mul, ends, pairs, starts,
-                   weights)
-        for i in range(0, rows, step)], -1), den
-
-
-def _form_rows(vec, mul, ends, pairs, starts, weights):
-    """The sums of _form_sum for rows vec on the terms of one table (see
-    _form_table), one code path for both rings: the product of each row's
-    two ends of every used pair; the weights times one gather per other
-    pair of slots (1 for Z_2, 2 for k = 3; none for Z_1), summed per first
-    pair with np.add.reduceat; times one gather of the distinct first
-    pairs; one sum per row.  Every reduction runs along the last axis, so
-    a row's sum is the same in a block as on its own.
-    """
-    products = mul(vec.take(ends[0], -1), vec.take(ends[1], -1))
-    terms = weights  # Z_1: one pair, so every group is a single term
-    if len(pairs) > 1:
-        # in place: one temporary per slice instead of two (a slice of 8
-        # rows at n0 = 15, 2-vCPU x86_64 VM: 16 us against 17 for a new
-        # product; an unsliced block of 20 rows, 0.3 MB, took 37 against 177)
-        terms = products.take(pairs[1], -1)
+    sums = np.empty(vec.shape[:-1], vec.dtype)
+    for i in range(0, vec.shape[-2], step):
+        rows = vec[..., i:i + step, :]
+        products = mul(rows.take(ends[0], -1), rows.take(ends[1], -1))
+        # weights in place, one temporary instead of two: at n0 = 15 (2-vCPU
+        # x86_64 VM) 8 rows take 56 us against 58 for Z_2, 5.8 against 6.1
+        # for Z_1, and an unsliced block of 20 rows 133 against 339
+        terms = products.take(pairs[min(1, len(pairs) - 1)], -1)
         terms *= weights
-        for i in range(2, len(pairs)):  # cheaper than iterating the rows
-            terms = mul(terms, products.take(pairs[i], -1))
-        terms = np.add.reduceat(terms, starts, -1)
-    terms = mul(terms, products.take(pairs[0][starts], -1))
-    return np.add.reduce(terms, -1)
+        if len(pairs) > 1:  # Z_1's groups are single terms
+            for j in range(2, len(pairs)):  # cheaper than iterating the rows
+                terms = mul(terms, products.take(pairs[j], -1))
+            terms = mul(np.add.reduceat(terms, starts, -1),
+                        products.take(pairs[0][starts], -1))
+        sums[..., i:i + step] = np.add.reduce(terms, -1)
+    return sums, den
 
 
 def _series_form(a: TrigSeries, slots: int, coeff):
-    """The form of one series: its items as one row of _form_sum, the sum
-    joined to a backend scalar."""
+    """The form of one series: its items as the one row of _form_sum, the
+    sum joined to a backend scalar."""
     exact = a.backend == EXACT
     support, values = zip(*a.items()) if a else ((), ())
     vec, D, mul = ring(values, exact)
-    z, den = _form_sum(support, vec, mul, slots, coeff, a.backend)
-    return join(z, den * D ** slots, exact)
+    z, den = _form_sum(support, vec[..., None, :], mul, slots, coeff)
+    return join(z[..., 0], den * D ** slots, exact)
 
 
 def zeta_invariant(a: TrigSeries, k: int):

@@ -210,19 +210,18 @@ def _product(x, y, op=np.multiply):
 
 def cmul(x, y, op=np.multiply):
     """[xr; xi] [yr; yi], op the product of parts (np.multiply, np.matmul,
-    np.multiply.outer); a real x, one axis short of y, scales y."""
-    if x.ndim < y.ndim:
-        return op(x, y)
+    np.multiply.outer), for two stacks of the exact ring."""
     (xr, xi), (yr, yi) = x, y
     return np.array([op(xr, yr) - op(xi, yi), op(xr, yi) + op(xi, yr)])
 
 
 def ring(values, exact: bool):
     """(vec, D, mul): the complex values as one ring vector over D.  Float:
-    vec is complex128, D = 1, mul(x, y, op=np.multiply) is op.  Exact: D is
-    the lcm of every part's denominator, vec the (2, n) stack [re; im] of
-    D v as Python ints in an object array (products of a few outgrow
-    int64), mul is cmul.  A real array scales either shape with *."""
+    vec is complex128 in the shape of values (rows too), D = 1,
+    mul(x, y, op=np.multiply) is op.  Exact: D is the lcm of every part's
+    denominator, vec the (2, n) stack [re; im] of D v as Python ints in an
+    object array (products of a few outgrow int64), mul is cmul.  mul
+    takes two ring arrays; a real array scales either ring only with *."""
     if not exact:
         return np.array(values, dtype=complex), 1, _product
     D = math.lcm(*(v._d for v in values))
@@ -233,11 +232,16 @@ def ring(values, exact: bool):
 
 def join(z, den, exact: bool):
     """The ring element z over den > 0: a RationalComplex (exact) or a
-    complex."""
+    complex.  Every float kernel result passes here, and one that is not
+    finite (an overflow) raises a ValueError naming it."""
     if exact:
         return _make(int(z[0]), int(z[1]), den)
     z = complex(z)
-    return z if den == 1 else z / den
+    z = z if den == 1 else z / den
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"float result {z} is not finite (it overflowed "
+                         "double precision); use the exact backend")
+    return z
 
 
 WORD = 2 ** 63   # int64 holds every |value| < WORD

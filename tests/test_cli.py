@@ -195,6 +195,24 @@ def test_exact_value_past_the_int_digit_limit_is_a_usage_error(capsys,
     assert f"limit of {limit} digits" in line
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute-z", "--backend", "float", "--k", "2"),
+    ("compute-z", "--backend", "float", "--k", "4"),
+    ("check-invariance", "--rho", "0.3", "--k", "2")])
+def test_float_value_that_overflows_is_a_usage_error(capsys, tmp_path, argv):
+    # Z_k of parts 1e100 at n = 0, +-2 is past double precision: inf or nan
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"coeffs": [{"n": n, "re": "1e100"}
+                                           for n in (-2, 0, 2)]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, argv[0], "--series", str(path),
+                             *argv[1:])
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == err.strip().splitlines()[-1:]
+    assert "not finite" in errors[0] and "exact backend" in errors[0]
+
+
 @pytest.mark.parametrize("value, digits", [
     (10 ** 5000 - 1, 5000), (10 ** 5000, 5001), (-10 ** 4300, 4301),
     (Fraction(1, 10 ** 4300), 4301), (Fraction(10 ** 4400, 3), 4401)],

@@ -993,6 +993,39 @@ def test_form_sum_equals_term_by_term_oracle(form, series):
     assert (value == RC_ZERO) == (series == "empty-table")
 
 
+def _dense_float_series(degree: int) -> TrigSeries:
+    """A float series on every n in [-degree, degree] whose coefficients
+    are quotients of small integers, the same bits on every platform."""
+    return TrigSeries.from_complex({
+        n: complex((1 + 7 * n % 11) / (3 + n * n),
+                   (5 * n % 13 - 6) / (7 + abs(n)))
+        for n in range(-degree, degree + 1)})
+
+
+@pytest.mark.parametrize("degree, form, bits", [
+    (60, "z1", ("0x1.d4e83bdffd598p+12", "0x1.914c7d9f52d9dp+4")),
+    (60, "z2", ("0x1.c064115c3cc82p+27", "0x1.baea0b73a7d0cp+28")),
+    (5, "z1", ("0x1.0c75a4d7590abp+5", "0x1.3a730ba16a78ap+4")),
+    (5, "z2", ("0x1.0555ca07edb2bp+13", "0x1.74b3a89bb1b69p+11")),
+    (5, "z3", ("0x1.306abcee2bcdbp+23", "0x1.0568b0e29b5c0p+20"))])
+def test_float_form_bits_are_pinned(degree, form, bits):
+    # the bits of the closed Z_1, Z_2 and brute Z_3 float sums, which an
+    # evaluator change that reorders a sum would move
+    z = ORACLE_FORMS[form][0](_dense_float_series(degree))
+    assert (z.real.hex(), z.imag.hex()) == bits
+
+
+def test_float_result_that_overflows_raises():
+    a = TrigSeries.from_complex({n: 1e100 for n in (-2, 0, 2)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite.*exact backend"):
+            z2_closed(a)
+        with pytest.raises(ValueError, match="not finite.*exact backend"):
+            trace_difference(a, 2, exact_width(a, 2))
+    assert complex(z1_closed(TrigSeries.from_complex(
+        {n: 1e100 for n in (-2, 2)}))) == pytest.approx(4e200)
+
+
 SLICE_FORMS = pytest.mark.parametrize("slots, coeff", [
     (2, invariants._pair_coeff_closed), (4, z2_coeff_closed),
     (6, invariants._z_block)], ids=["z1", "z2", "brute-z3"])
@@ -1029,32 +1062,31 @@ def test_form_sum_of_a_block_is_each_row_alone(monkeypatch, slots, coeff,
     terms = len(_form_table(support, slots, coeff, backend)[3])
     assert terms > 0
     monkeypatch.setattr(invariants, "_SUM_BLOCK", terms * (step or rows))
-    slices = []
-    form_rows = invariants._form_rows
+    products = []
 
-    def counting_rows(vec, *args):
-        slices.append(vec.shape[-2])
-        return form_rows(vec, *args)
+    def spy(x, y, *args):
+        products.append(x.shape[-2])
+        return mul(x, y, *args)
 
-    monkeypatch.setattr(invariants, "_form_rows", counting_rows)
-    block, den = invariants._form_sum(support, vec, mul, slots, coeff,
-                                      backend)
-    monkeypatch.setattr(invariants, "_form_rows", form_rows)
+    block, den = invariants._form_sum(support, vec, spy, slots, coeff)
+    # a slice takes slots / 2 products, the first its rows' pair product
+    slices = products[::slots // 2]
+    assert len(products) == len(slices) * (slots // 2)
     if step:
         assert slices == [step] * (rows // step) + [rows % step] * (
             rows % step > 0)
     else:
         assert slices == [rows]
     for i in range(rows):
-        row = vec[..., i, :]
+        row = vec[..., i:i + 1, :]
         alone, alone_den = invariants._form_sum(support, row, mul, slots,
-                                                coeff, backend)
+                                                coeff)
         assert alone_den == den
         if exact:
             assert all(type(z) is int for z in block[:, i])
-            assert block[:, i].tolist() == alone.tolist()
+            assert block[:, i].tolist() == alone[:, 0].tolist()
         else:
-            assert block[i].tobytes() == alone.tobytes()
+            assert block[i].tobytes() == alone[0].tobytes()
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -1084,7 +1116,7 @@ def test_form_sum_multiplies_only_the_used_pairs(slots, coeff, backend):
         shapes.append((x.shape, y.shape))
         return mul(x, y, *args)
 
-    invariants._form_sum(support, vec, spy, slots, coeff, backend)
+    invariants._form_sum(support, vec, spy, slots, coeff)
     assert shapes[0] == (vec.shape[:-1] + (used,),) * 2
     assert used < S * S
     if slots == 2:
