@@ -48,10 +48,11 @@ from .scalars import RationalComplex
 from .trace import exact_width, trace_difference
 
 # The largest output degree check-invariance evaluates Z_k of a pullback
-# at.  The cold Z_2 form table grows like the cube of the degree: z2_closed
-# of a dense pullback took 0.37 s at degree 60, 1.1 s at 90 and 2.9 s at
-# 120 on a 2-vCPU x86_64 VM, its process peaking at 41, 49 and 64 MB, so
-# about 16,000 s at the degree-2020 default cut of rho = 0.99.  A larger
+# at.  The cold Z_2 form table grows like the cube of the degree: a cold
+# z2_closed of a dense pullback took 0.21 s at degree 60, 0.74 s at 90 and
+# 1.6 s at 120 (medians of 5 fresh processes on a shared 2-vCPU x86_64 VM,
+# Python 3.11.7, numpy 2.4.6), its process peaking at 42, 49 and 64 MB, so
+# about 8,000 s at the degree-2020 default cut of rho = 0.99.  A larger
 # cut is a usage error.
 MAX_OUT_DEGREE = 120
 
@@ -493,7 +494,9 @@ def main(argv=None) -> int:
                 cut = len(argv) - len(known.rest)
                 argv[cut:cut] = _config_tokens(subparser, raw)
         args = parser.parse_args(argv)
-        return args.func(args)
+        # no numpy warning: scalars.join names a non-finite float result
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:  # reported like a usage error

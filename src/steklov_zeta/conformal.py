@@ -249,9 +249,14 @@ def pullback_direct(a: TrigSeries, rho, grid_size: int,
     phi itself is never formed: a is evaluated at the point w / |w| of the
     circle (w = Phi_rho(z), renormalized against rounding) by
     fourier.evaluate_at; the points z are the shared fourier.grid_points.
-    Float backend only; the result is the degree-out_degree interpolant
-    from grid_size samples, and a grid too small for it raises GridTooSmall
-    before any sampling.  The points w / |w| and dphi/dtheta depend only on
+    A real weight a (exactly conjugate-symmetric) is sampled as a real
+    function, by evaluate_at's one-sided real rule, and its fresh float64
+    samples are divided by dphi/dtheta in place and go through
+    from_samples' real FFT, so its pullback b is exactly real too; any
+    other series is sampled and transformed as complex.  Float backend
+    only; the result is the degree-out_degree interpolant from grid_size
+    samples, and a grid too small for it raises GridTooSmall before any
+    sampling.  The points w / |w| and dphi/dtheta depend only on
     (rho, grid_size); they are kept, read-only, in a cache of
     CIRCLE_MAP_CACHE entries (_circle_map), 24 bytes per grid point: about
     192 KiB at grid_size 8192.
@@ -260,7 +265,9 @@ def pullback_direct(a: TrigSeries, rho, grid_size: int,
     grid_size = _size(grid_size, "grid size")
     out_degree = _nyquist_degree(grid_size, out_degree)
     u, dphi = _circle_map(r, grid_size)
-    return from_samples(evaluate_at(a.to_float(), u) / dphi, out_degree)
+    samples = evaluate_at(a.to_float(), u)
+    samples /= dphi
+    return from_samples(samples, out_degree)
 
 
 @lru_cache(maxsize=CIRCLE_MAP_CACHE)

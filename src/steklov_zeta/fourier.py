@@ -15,7 +15,13 @@ Mixing backends inside one operation raises
 Float point values come from one kernel, evaluate_at: the coefficients as
 one dense vector over -deg..deg and plain Horner's rule in z and in
 conj(z) = 1/z, deg + 1 steps per side whether the series is dense or
-sparse; there is no gap stepping.
+sparse; there is no gap stepping.  A series that is exactly real (a_0
+real, a_-n == conj(a_n) bit for bit) takes one side only: a(z) =
+2 Re P(z) - a_0, P(z) = sum_{n>=0} a_n z^n, one Horner pass over
+2a_deg, ..., 2a_1, a_0 whose real part is the value, a float64 array for
+an array z, within the same error bound.  from_samples of real samples
+takes the real FFT and mirrors a_n to a_-n by exact conjugation, so a real
+weight sampled and transformed stays exactly real.
 
 Circle integrals use the trapezoid rule on equispaced grids, which is
 spectrally accurate for smooth periodic integrands; grid sizes are caller
@@ -234,15 +240,23 @@ def evaluate_at(a: TrigSeries, z):
 
     z may be a scalar (a Python complex comes back) or an array.  The
     coefficients go into one dense vector c[n + deg] = a_n over -deg..deg,
-    zeros where a stores none, and Horner's rule runs over a_deg ... a_0 in
-    z and over a_-deg ... a_-1, 0 in conj(z), which equals 1/z on the
-    circle, so no exponential is taken.  With u the unit roundoff and every
+    zeros where a stores none.  A series that is exactly real (a_0 real and
+    a_-n == conj(a_n) for every n, bit for bit) takes one Horner pass over
+    2a_deg, ..., 2a_1, a_0 in z, and its value is the real part: a(z) =
+    2 Re P(z) - a_0 with P(z) = sum_{n>=0} a_n z^n, a float64 array for an
+    array z.  Any other series takes Horner's rule over a_deg ... a_0 in z
+    and over a_-deg ... a_-1, 0 in conj(z), which equals 1/z on the circle,
+    so no exponential is taken.  With u the unit roundoff and every
     |z| = 1, each of the deg + 1 steps per side (one complex product, one
     sum) adds at most about 3.3u * sum|a_n|; a point that is off the circle
-    by a relative d moves the term a_n z^n by about |n| d |a_n|.  A scalar
-    z and the same point inside an array can differ in the last bit: numpy's
-    SIMD loops (AVX-512 on x86_64) fuse the multiply-adds of a complex
-    product over an array but not for a single point ({2: 1j} at
+    by a relative d moves the term a_n z^n by about |n| d |a_n|.  The real
+    rule keeps within that bound: doubling is exact, the doubled
+    coefficients have the same sum of moduli as the whole series (|a_-n| =
+    |a_n|), so its one side of deg + 1 steps adds at most what one of the
+    two sides may add, and taking the real part adds nothing.  A scalar z
+    and the same point inside an array can differ in the last bit on either
+    path: numpy's SIMD loops (AVX-512 on x86_64) fuse the multiply-adds of
+    a complex product over an array but not for a single point ({2: 1j} at
     (3 + 4i)/5: -0.96-0.28000000000000014j alone, -0.96-0.2800000000000001j
     in a 12-point array).  Both lie within the bound above, so a certified
     minimum on the circle must take its margin from the bound, not from
@@ -253,8 +267,11 @@ def evaluate_at(a: TrigSeries, z):
     for n, v in a.items():
         c[n + deg] = complex(v)
     w = np.asarray(z, dtype=complex)
-    out = _horner(c[deg:][::-1], w)
-    out += _horner(c[:deg] + [0j], np.conj(w))
+    if c == [v.conjugate() for v in reversed(c)]:  # exactly real
+        out = _horner([2 * v for v in c[:deg:-1]] + [c[deg]], w).real
+    else:
+        out = _horner(c[deg:][::-1], w)
+        out += _horner(c[:deg] + [0j], np.conj(w))
     return complex(out) if np.ndim(z) == 0 else out
 
 
@@ -285,17 +302,25 @@ def from_samples(samples, degree: int) -> TrigSeries:
 
     The inverse DFT is exact (up to roundoff) for inputs that are genuinely
     band-limited to the requested degree; the grid must satisfy the Nyquist
-    bound size >= 2*degree + 1.
+    bound size >= 2*degree + 1.  Real samples (a float, int or bool dtype)
+    take the real FFT (np.fft.rfft) for a_0 ... a_degree, and a_-n is set to
+    the exact conjugate of a_n, so the series of real samples is exactly
+    real; complex samples take the full FFT.
     """
-    samples = np.asarray(samples, dtype=complex)
+    samples = np.asarray(samples)
+    real = samples.dtype.kind in "biuf"
+    samples = samples.astype(float if real else complex, copy=False)
     if samples.ndim != 1:
         raise ValueError(f"samples must be 1-D, got {samples.ndim}-D")
     size = len(samples)
     degree = _nyquist_degree(size, degree)
-    spec = np.fft.fft(samples)
     band = range(-degree, degree + 1)  # negative n index from the end
-    return TrigSeries.from_complex(
-        dict(zip(band, (spec[band] / size).tolist())))
+    if real:
+        half = np.fft.rfft(samples)[:degree + 1] / size
+        values = np.concatenate((half[:0:-1].conj(), half))
+    else:
+        values = np.fft.fft(samples)[band] / size
+    return TrigSeries.from_complex(dict(zip(band, values.tolist())))
 
 
 def is_real(a: TrigSeries) -> bool:

@@ -81,12 +81,13 @@ support.  The brute route's coefficient function is _z_block itself,
 called once per block (one walk per multiplicity pattern of the heads);
 the closed routes' functions are called once per multiset, which is most
 of their cost.  The closed Z_2 table of a degree-60 support, 51,071
-multisets, takes about 0.3 s and peaks at 1.3 times the memory it keeps,
+multisets, takes about 0.2 s and peaks at 1.3 times the memory it keeps,
 against about 0.3 ms for a warm float Z_2 of a degree-60 series; the brute
-k = 3 table over [-15, 15], 32,134 multisets, takes about 0.7 s (2-vCPU
-x86_64 VM, Python 3.11).  Both backends run one evaluator (_form_sum) on
-rows (..., R, S) on the ring of scalars.ring, a few rows at a time; a
-series is a one-row block, explorer's campaign a block of many.  Exact
+k = 3 table over [-15, 15], 32,134 multisets, takes about 0.5 s (fresh
+processes on a shared 2-vCPU x86_64 VM, Python 3.11.7, numpy 2.4.6).
+Both backends run one evaluator (_form_sum) on rows (..., R, S) on the
+ring of scalars.ring, a few rows at a time; a series is a one-row block,
+explorer's campaign a block of many.  Exact
 values are exact; float values may differ from a term-by-term loop in the
 last bits (another order), but not between a row alone and the same row in
 a block.

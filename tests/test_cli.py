@@ -213,6 +213,26 @@ def test_float_value_that_overflows_is_a_usage_error(capsys, tmp_path, argv):
     assert "not finite" in errors[0] and "exact backend" in errors[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute-z", "--backend", "float", "--k", "2"),
+    ("check-invariance", "--rho", "0.3", "--k", "2")])
+def test_float_overflow_prints_no_numpy_warning(tmp_path, argv):
+    """In a fresh interpreter, whose warning filters print numpy's
+    RuntimeWarning, stderr holds the header and the one error line only."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"coeffs": [{"n": n, "re": "1e100"}
+                                           for n in (-2, 0, 2)]}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklov_zeta.cli", argv[0], "--series",
+         str(path), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    header, error = proc.stderr.splitlines()
+    assert header.startswith("steklov-zeta ") and "backend=float" in header
+    assert error.startswith("error: float result") and "not finite" in error
+
+
 @pytest.mark.parametrize("value, digits", [
     (10 ** 5000 - 1, 5000), (10 ** 5000, 5001), (-10 ** 4300, 4301),
     (Fraction(1, 10 ** 4300), 4301), (Fraction(10 ** 4400, 3), 4401)],

@@ -196,11 +196,17 @@ _DYADIC = st.builds(lambda m, e: m / 2.0 ** e,
 
 @st.composite
 def kernel_series(draw):
-    """A float series with dyadic parts, degree <= 64, in one of four
-    patterns: dense, sparse, negative frequencies only, no constant term."""
+    """A float series with dyadic parts, degree <= 64, in one of five
+    patterns: dense, sparse, negative frequencies only, no constant term,
+    and real (a_0 real, a_-n = conj(a_n): evaluate_at's real rule)."""
     deg = draw(st.integers(0, KERNEL_DEGREE))
     pattern = draw(st.sampled_from(["dense", "sparse", "negative",
-                                    "no-constant"]))
+                                    "no-constant", "real"]))
+    if pattern == "real":
+        half = {n: complex(draw(_DYADIC), draw(_DYADIC) if n else 0.0)
+                for n in range(deg + 1)}
+        return TrigSeries.from_complex(
+            {**half, **{-n: v.conjugate() for n, v in half.items()}})
     if pattern == "sparse":
         freqs = {draw(st.sampled_from([deg, -deg]))}
         freqs |= draw(st.sets(st.integers(-deg, deg), max_size=3))
@@ -236,6 +242,48 @@ def test_evaluate_at_property_within_its_bound(f):
             err = abs(complex(float(Fraction(got.real) - ref.re),
                               float(Fraction(got.imag) - ref.im)))
             assert err <= bound, (zf, err, bound)
+
+
+def two_sided(a: TrigSeries, z: np.ndarray) -> np.ndarray:
+    """Horner's rule in z and in conj(z) over the dense vector: evaluate_at
+    on a series that is not exactly real, kept as the oracle of that path."""
+    deg = a.degree
+    c = [0j] * (2 * deg + 1)
+    for n, v in a.items():
+        c[n + deg] = complex(v)
+    out = fourier._horner(c[deg:][::-1], z)
+    out += fourier._horner(c[:deg] + [0j], np.conj(z))
+    return out
+
+
+def test_only_an_exactly_real_series_takes_the_real_rule():
+    z = grid_points(64)
+    real = {0: 1.0, 2: 0.5 + 0.25j, -2: 0.5 - 0.25j}
+    r = TrigSeries.from_complex(real)
+    values = evaluate_at(r, z)
+    assert values.dtype == np.float64
+    assert type(evaluate_at(r, z[3])) is complex
+    off = np.nextafter(0.25, 1.0)
+    for near in ({**real, 0: 1 + 1e-300j}, {**real, -2: 0.5 - off * 1j}):
+        a = TrigSeries.from_complex(near)
+        got = evaluate_at(a, z)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == two_sided(a, z).tobytes()
+        assert np.max(np.abs(got.real - values)) <= 1e-15
+    # each rule is within horner_bound of the exact value
+    assert np.max(np.abs(values - two_sided(r, z))) <= 2 * horner_bound(r)
+
+
+def test_pullback_of_a_real_weight_is_exactly_real():
+    a = random_positive_series(5, 0.6, np.random.default_rng(36), floor=0.5)
+    for rho in (0.1, 0.5, -0.7):
+        b = pullback_direct(a, rho, 2048, 60)
+        pos = np.array([b.coeff(n) for n in range(1, 61)])
+        assert b.support == tuple(range(-60, 61))
+        assert np.array([b.coeff(-n) for n in range(1, 61)]).tobytes() \
+            == pos.conj().tobytes()
+        assert b.coeff(0).imag == 0.0
+        assert sample_series(b, 256).dtype == np.float64
 
 
 def test_from_samples_round_trip_single_mode():
@@ -651,8 +699,15 @@ def uncached_points(size: int) -> np.ndarray:
 
 
 def per_n_from_samples(samples: np.ndarray, degree: int) -> TrigSeries:
-    """from_samples as a loop over n: the oracle of its one-slice read."""
+    """from_samples as a loop over n: the oracle of its one-slice read.
+    Real samples take the real FFT for n >= 0 and exact conjugates for
+    n < 0; complex ones the full FFT."""
     size = len(samples)
+    if np.isrealobj(samples):
+        spec = np.fft.rfft(samples) / size
+        return TrigSeries.from_complex(
+            {n: spec[n] if n >= 0 else spec[-n].conjugate()
+             for n in range(-degree, degree + 1)})
     spec = np.fft.fft(np.asarray(samples, dtype=complex)) / size
     return TrigSeries.from_complex({n: spec[n % size]
                                     for n in range(-degree, degree + 1)})
@@ -718,3 +773,6 @@ def test_from_samples_equals_the_per_n_loop(size, degree):
     samples = rng.normal(size=size) + 1j * rng.normal(size=size)
     assert series_bits(from_samples(samples, degree)) \
         == series_bits(per_n_from_samples(samples, degree))
+    real = samples.real.copy()
+    assert series_bits(from_samples(real, degree)) \
+        == series_bits(per_n_from_samples(real, degree))
