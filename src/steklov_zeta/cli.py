@@ -26,7 +26,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import platform
 import sys
 from fractions import Fraction
@@ -39,12 +38,12 @@ from .conformal import (_rho_value, mu_matrix, pullback_direct,
                         suggest_out_degree)
 from .errors import SteklovZetaError
 from .explorer import CampaignConfig, z2_nonneg_campaign
-from .fourier import TrigSeries, _size, is_real, load_series
+from .fourier import TrigSeries, _real, _size, is_real, load_series
 from .invariants import (_TABLE_BLOCK, _z_block, brute_n, coeff_bound_check,
                          symmetrize_z, z2_coeff_closed, z_coeff,
                          zero_sum_multisets, zeta, zeta_invariant)
 from .lie import GENERATORS, RELATION_PLANES, bracket_check, relation_sweep
-from .scalars import RationalComplex
+from .scalars import RationalComplex, _fmt_exact
 from .trace import exact_width, trace_difference
 
 # The largest output degree check-invariance evaluates Z_k of a pullback
@@ -89,24 +88,6 @@ def _parse_indices(text: str) -> tuple:
     except ValueError:
         raise ValueError("--indices takes comma-separated integers, "
                          f"got {text!r}") from None
-
-
-def _fmt_exact(x) -> str:
-    """str of an exact int or Fraction.  Python converts an int of more
-    than sys.get_int_max_str_digits() digits to text only on request; past
-    that limit this raises a ValueError naming the value's digit count."""
-    try:
-        return str(x)
-    except ValueError:
-        big = max(abs(x.numerator), x.denominator)
-        digits = math.floor(math.log10(big)) + 1  # the float log may be off
-        digits += big >= 10 ** digits
-        digits -= big < 10 ** (digits - 1)
-        raise ValueError(
-            f"an exact value of {digits} digits is past Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits for printing an integer "
-            "(raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits)"
-        ) from None
 
 
 def _fmt_scalar(value, real: bool = False) -> str:
@@ -232,9 +213,7 @@ def cmd_mu_matrix(args) -> int:
 
 
 def cmd_check_invariance(args) -> int:
-    if not 0.0 <= args.tol < math.inf:  # NaN fails too
-        raise ValueError(f"--tol must be a finite number >= 0, "
-                         f"got {args.tol}")
+    tol = float(_real(args.tol, "--tol", 0, strict=False))
     rho = _parse_rho(args.rho)
     _header(args, "float")
     a = load_series(args.series, "float")
@@ -253,7 +232,7 @@ def cmd_check_invariance(args) -> int:
     za = complex(zeta(a, args.k)).real
     zb = complex(zeta(b, args.k)).real
     dev = abs(za - zb)
-    limit = args.tol * (1.0 + abs(za))
+    limit = tol * (1.0 + abs(za))
     ok = dev <= limit
     report = {
         "k": args.k, "rho": str(rho), "grid": args.grid,

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,7 +69,7 @@ import numpy as np
 
 from .errors import BackendMismatch
 from .fourier import (EXACT, FLOAT, TrigSeries, _indices, _nyquist_degree,
-                      _size, evaluate_at, from_samples, grid_points)
+                      _real, _size, evaluate_at, from_samples, grid_points)
 from .scalars import join, ring
 
 
@@ -287,12 +286,9 @@ def rotate(a: TrigSeries, alpha: float) -> TrigSeries:
     """Rotation pullback: coefficient n picks up the phase e^{i alpha n}.
 
     Float backend only (the phases are transcendental); alpha must be a
-    finite int, Fraction or float.
+    finite real.
     """
-    if not (isinstance(alpha, (int, Fraction, float))
-            and abs(alpha) <= sys.float_info.max):  # NaN fails too
-        raise ValueError(f"alpha must be a finite int, Fraction or float, "
-                         f"got {alpha!r}")
+    _real(alpha, "alpha")
     if a.backend == EXACT:
         raise BackendMismatch("rotate supports the float backend only")
     return TrigSeries.from_complex(
@@ -344,8 +340,7 @@ def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
     if not (D.dtype.kind in "biufc" or D.dtype.kind == "O" and all(
             isinstance(x, numbers.Number) for x in D.flat)):
         raise ValueError(f"D must hold numbers, got dtype {D.dtype}")
-    if not (isinstance(t, numbers.Real) and abs(t) <= sys.float_info.max):
-        raise ValueError(f"t must be a finite real, got {t!r}")
+    _real(t, "t")
     if D.dtype.kind == "O":
         D = D.astype(float if all(isinstance(x, numbers.Real) for x in D.flat)
                      else complex)
@@ -387,11 +382,7 @@ def suggest_out_degree(max_input_freq: int, rho, tol: float, *,
     ints (_cut)."""
     K = _size(max_input_freq, "max input frequency", 0)
     r = Fraction(_rho_value(rho))
-    # the cut runs on float(tol): a huge int or Fraction would overflow it,
-    # a tiny one round it to 0.0, where the walk never ends
-    if not (isinstance(tol, numbers.Real) and 0 < tol <= sys.float_info.max
-            and float(tol) > 0):
-        raise ValueError(f"tol must be a finite real > 0, got {tol!r}")
+    _real(tol, "tol", 0)  # the cut runs on float(tol): 0.0 would never end it
     if limit is not None:
         limit = _size(limit, "limit", 0)
         if K > limit:

@@ -26,8 +26,6 @@ import csv
 import io
 import json
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, NotHermitian, NotReal
 from . import invariants
-from .fourier import EXACT, TrigSeries, _size, is_real, min_on_circle
+from .fourier import EXACT, TrigSeries, _real, _size, is_real, min_on_circle
 from .invariants import z2_closed, zeta
 from .scalars import RationalComplex, ring
 
@@ -59,15 +57,16 @@ class CampaignConfig:
                            _size(self.max_degree, "max degree", 2))
         # a sample's values are below (2 n0 + 1)^4 max|Z| scale^4 in modulus,
         # max|Z| <= 2 (8 n0)^5 (coeff_bound_check)
-        n0, scale = self.max_degree, self.coeff_scale
+        n0 = self.max_degree
+        scale = _real(self.coeff_scale, "coeff_scale", 0, strict=False)
         try:
-            finite = scale >= 0 and math.isfinite(
+            finite = math.isfinite(
                 (2 * n0 + 1) ** 4 * 2 * (8 * n0) ** 5 * float(scale) ** 4)
-        except (TypeError, OverflowError):
+        except OverflowError:
             finite = False
         if not finite:
-            raise ValueError("coeff_scale must be a real >= 0 whose sample "
-                             f"values stay finite, got {scale!r}")
+            raise ValueError("coeff_scale must keep the sample values finite, "
+                             f"got {scale!r}")
         kappas = []
         for kappa in self.kappas:
             try:
@@ -147,15 +146,8 @@ def _draw(n0: int, scale, rng: np.random.Generator) -> np.ndarray:
     a_0 is one uniform draw in [-scale, scale]; then one call draws the
     pairs (Re a_n, Im a_n), n = 1..n0, in that order, uniform in
     [-scale/sqrt(2), scale/sqrt(2)]: the same doubles as one scalar call
-    per part.  a_{-n} is the conjugate of a_n.
+    per part.  a_{-n} is the conjugate of a_n.  The caller checks scale.
     """
-    try:
-        usable = scale >= 0 and math.isfinite(2.0 * scale)
-    except TypeError:
-        usable = False
-    if not usable:
-        raise ValueError(f"scale must be a real >= 0 with 2 * scale finite, "
-                         f"got {scale!r}")
     s = scale / math.sqrt(2.0)
     row = np.empty(2 * n0 + 1, complex)
     row[n0] = rng.uniform(-scale, scale)
@@ -181,10 +173,12 @@ def random_real_series(n0: int, scale: float,
 
     a_0 is uniform real in [-scale, scale]; for 1 <= n <= n0 the real and
     imaginary parts of a_n are uniform in [-scale/sqrt(2), scale/sqrt(2)]
-    and a_{-n} is the conjugate.  A NaN, infinite or negative scale raises
-    a ValueError.
+    and a_{-n} is the conjugate.  A scale that is not a finite real >= 0,
+    or whose double 2 * scale is not finite, raises a ValueError.
     """
     n0 = _size(n0, "n0")
+    if not math.isfinite(2.0 * float(_real(scale, "scale", 0, strict=False))):
+        raise ValueError(f"scale must keep 2 * scale finite, got {scale!r}")
     return _series(n0, _draw(n0, scale, rng).tolist())
 
 
@@ -193,9 +187,7 @@ def random_positive_series(n0: int, scale: float, rng: np.random.Generator,
     """Random real series shifted to stay above a positive floor (screened
     on a grid of 2048 points).  A floor that is not a finite real > 0
     raises a ValueError."""
-    if not (isinstance(floor, numbers.Real)
-            and 0 < floor <= sys.float_info.max and float(floor) > 0):
-        raise ValueError(f"floor must be a finite real > 0, got {floor!r}")
+    _real(floor, "floor", 0)
     a = random_real_series(n0, scale, rng)
     m = min_on_circle(a, 2048)
     if m < floor:
@@ -221,30 +213,26 @@ def rationalize_series(a: TrigSeries) -> TrigSeries:
     return TrigSeries.exact(coeffs)
 
 
-def _ratio_denominator(items, k: int, two_sided: bool = False) -> float:
+def _ratio_denominator(items, k: int) -> float:
     """sum_{n>=2} n^{2k+1} |a_n|^{2k} over the (n, a_n) pairs of a real
-    series in increasing n (also n <= -2 when two_sided), the denominator
-    of inequality_ratio.  A zero a_n adds exactly 0."""
+    series in increasing n, the denominator of inequality_ratio.  A zero
+    a_n adds exactly 0."""
     denom = 0.0
     for n, v in items:
-        if n >= 2 or (two_sided and n <= -2):
-            denom += abs(n) ** (2 * k + 1) * abs(complex(v)) ** (2 * k)
+        if n >= 2:
+            denom += n ** (2 * k + 1) * abs(complex(v)) ** (2 * k)
     if denom == 0.0:
         raise DegenerateDenominator("no frequencies >= 2 in the series")
     return denom
 
 
-def inequality_ratio(a: TrigSeries, k: int, two_sided: bool = False) -> float:
-    """Z_k(a) divided by sum_{n>=2} n^{2k+1} |a_n|^{2k}.
-
-    The denominator counts positive frequencies only by default (the
-    convention used throughout the reports); two_sided=True also adds the
-    n <= -2 terms, which doubles the denominator of a real series.
-    """
+def inequality_ratio(a: TrigSeries, k: int) -> float:
+    """Z_k(a) divided by sum_{n>=2} n^{2k+1} |a_n|^{2k}, the positive
+    frequencies only (the convention used throughout the reports)."""
     k = _size(k, "order k")
     if not is_real(a):
         raise NotReal("the ratio is defined for real series")
-    denom = _ratio_denominator(a.items(), k, two_sided)
+    denom = _ratio_denominator(a.items(), k)
     return float(complex(zeta(a, k)).real) / denom
 
 
@@ -337,15 +325,12 @@ def a_kappa_form(kappa: float, m: int) -> np.ndarray:
     2 kappa n (n^2-1)(n+2)(n+1/2), second off-diagonal
     kappa^2 n (n^2-1)(n+2)(n+3), all scaled by 4/5.
 
-    The library's one check of kappa: a kappa that is not a finite real,
-    or whose form would hold an infinite entry, raises a ValueError.
+    A kappa that is not a finite real (fourier._real), or whose form would
+    hold an infinite entry, raises a ValueError.
     """
     m = _size(m, "m", 2)
-    try:
-        k = float(kappa)
-        kappa2 = k ** 2
-    except (TypeError, ValueError, OverflowError):
-        k = kappa2 = math.nan
+    k = float(_real(kappa, "kappa"))
+    kappa2 = k ** 2 if abs(k) < 1e154 else math.inf  # else 2 k^2 overflows
     H = np.zeros((m - 1, m - 1))
     for n in range(2, m + 1):
         H[n - 2, n - 2] = (1.0 + 2.0 * kappa2) * n * (n * n - 1) * (n * n - 2.0 / 3.0)
@@ -357,8 +342,8 @@ def a_kappa_form(kappa: float, m: int) -> np.ndarray:
             kappa2 * n * (n * n - 1) * (n + 2) * (n + 3)
     H = 0.8 * H
     if not np.isfinite(H).all():
-        raise ValueError(f"kappa must be a finite real whose a_kappa_form "
-                         f"is finite, got {kappa!r}")
+        raise ValueError(f"kappa must keep its a_kappa_form finite, "
+                         f"got {kappa!r}")
     return H
 
 

@@ -32,6 +32,7 @@ size are computed once and shared read-only (grid_points).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 from functools import lru_cache
@@ -76,6 +77,23 @@ def _size(value, name: str, least: int = 1) -> int:
     if n < least:
         raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
+
+
+def _real(value, name: str, least=None, strict: bool = True):
+    """value, unchanged, if it is a numbers.Real (numpy real scalars too; a
+    bool is the int it is) whose float is finite and > least (>= least when
+    not strict), else a ValueError naming it; a float past the double range
+    counts as infinite.  The one check of tolerances, scales, floors,
+    angles, times and kappas."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not (math.isfinite(x) and (
+            least is None or (x > least if strict else x >= least))):
+        bound = "" if least is None else f" {'>' if strict else '>='} {least}"
+        raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
+    return value
 
 
 class TrigSeries:

@@ -167,6 +167,8 @@ def relation_sweep(k: int, radius: int, variant: str = "reduced",
     if variant not in RELATION_PLANES:
         raise ValueError(f"need a variant in {tuple(RELATION_PLANES)}, "
                          f"got {variant!r}")
+    if _coeff_source(source) is z_coeff_closed:
+        z_coeff_closed((0,) * (2 * k))  # its check of k, at the call
     plane = RELATION_PLANES[variant]
     check = raising_relation_check if plane == -1 else lowering_relation_check
     multisets = zero_sum_multisets(range(-radius, radius + 1), 2 * k, plane)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -232,8 +233,10 @@ def ring(values, exact: bool):
 
 def join(z, den, exact: bool):
     """The ring element z over den > 0: a RationalComplex (exact) or a
-    complex.  Every float kernel result passes here, and one that is not
-    finite (an overflow) raises a ValueError naming it."""
+    complex.  A float series form, trace or apply_moebius row passes here,
+    and one that is not finite (an overflow) raises a ValueError naming
+    it.  The campaign's block sums (explorer._closed_forms) do not: the
+    scale bound of CampaignConfig keeps them finite."""
     if exact:
         return _make(int(z[0]), int(z[1]), den)
     z = complex(z)
@@ -362,10 +365,28 @@ def _crt(rows, primes) -> list:
     return [z - M if 2 * z > M else z for z in lifts]
 
 
+def _fmt_exact(x) -> str:
+    """str of an exact int or Fraction.  Python converts an int of more
+    than sys.get_int_max_str_digits() digits to text only on request; past
+    that limit this raises a ValueError naming the value's digit count."""
+    try:
+        return str(x)
+    except ValueError:
+        big = max(abs(x.numerator), x.denominator)
+        digits = math.floor(math.log10(big)) + 1  # the float log may be off
+        digits += big >= 10 ** digits
+        digits -= big < 10 ** (digits - 1)
+        raise ValueError(
+            f"an exact value of {digits} digits is past Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing an integer "
+            "(raise it with PYTHONINTMAXSTRDIGITS or -X int_max_str_digits)"
+        ) from None
+
+
 def format_scalar(value) -> tuple[str, str]:
     """Render a coefficient as (re, im) decimal/rational strings for JSON."""
     if isinstance(value, RationalComplex):
-        return str(value.re), str(value.im)
+        return _fmt_exact(value.re), _fmt_exact(value.im)
     z = complex(value)
     return repr(z.real), repr(z.imag)
 

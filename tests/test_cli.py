@@ -14,7 +14,7 @@ import pytest
 
 from steklov_zeta import (TrigSeries, __version__, exact_width, load_series,
                           save_series, suggest_out_degree)
-from steklov_zeta import cli, conformal
+from steklov_zeta import cli, conformal, scalars
 from steklov_zeta.cli import MAX_OUT_DEGREE, main
 
 
@@ -239,8 +239,8 @@ def test_float_overflow_prints_no_numpy_warning(tmp_path, argv):
     ids=["10^5000-1", "10^5000", "-10^4300", "1/10^4300", "10^4400/3"])
 def test_exact_value_digit_count(value, digits):
     with pytest.raises(ValueError, match=f"of {digits} digits"):
-        cli._fmt_exact(value)
-    assert cli._fmt_exact(Fraction(10 ** 4299, 7)) == f"{10 ** 4299}/7"
+        scalars._fmt_exact(value)
+    assert scalars._fmt_exact(Fraction(10 ** 4299, 7)) == f"{10 ** 4299}/7"
 
 
 def test_check_invariance(capsys, pair_series):

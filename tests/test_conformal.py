@@ -305,15 +305,14 @@ def test_rotate_and_conjugate():
 
 
 @pytest.mark.parametrize("alpha", ["x", None, math.inf, -math.inf, math.nan,
-                                   1j, np.float32(0.5), 10 ** 400],
+                                   1j, 10 ** 400],
                          ids=["str", "None", "inf", "-inf", "nan", "complex",
-                              "float32", "huge-int"])
+                              "huge-int"])
 def test_rotate_rejects_a_bad_angle(alpha):
     a = TrigSeries.from_complex({2: 1 + 1j, -1: 0.5})
     with pytest.raises(ValueError) as info:
         rotate(a, alpha)
-    assert str(info.value) \
-        == f"alpha must be a finite int, Fraction or float, got {alpha!r}"
+    assert str(info.value) == f"alpha must be a finite real, got {alpha!r}"
 
 
 def test_rotate_takes_an_int_fraction_or_float_angle():
@@ -321,6 +320,7 @@ def test_rotate_takes_an_int_fraction_or_float_angle():
     assert rotate(a, 1) == rotate(a, 1.0)
     assert rotate(a, Fraction(1, 2)) == rotate(a, 0.5)
     assert rotate(a, np.float64(0.5)) == rotate(a, 0.5)
+    assert rotate(a, np.float32(0.5)) == rotate(a, 0.5)
     assert rotate(a, 2 * math.pi).coeff(2) == pytest.approx(1 + 1j)
 
 

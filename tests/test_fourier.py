@@ -5,6 +5,7 @@ import pickle
 import re
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +17,16 @@ from steklov_zeta import (BackendMismatch, GridTooSmall, NotPositive,
                           NotReal, RationalComplex, TrigSeries,
                           evaluate, evaluate_at, from_samples, fourier,
                           is_real, min_on_circle, normalization_integral,
-                          random_real_series, sample_series,
+                          random_real_series, sample_series, save_series,
                           series_from_json, series_to_json)
+from steklov_zeta import cli
 from steklov_zeta.conformal import (apply_moebius, d_matrix,
                                     exp_relation_check, group_law_check,
-                                    mu_matrix, pullback_direct,
+                                    mu_matrix, pullback_direct, rotate,
                                     rk4_exponential, suggest_out_degree)
 from steklov_zeta.explorer import (CampaignConfig, a_kappa_form,
-                                   random_positive_series, rationalize_series)
+                                   random_positive_series, rationalize_series,
+                                   sample_rng)
 from steklov_zeta.fourier import grid_angles, grid_points
 from steklov_zeta.scalars import _MAX_EXPONENT, to_fraction
 from steklov_zeta.trace import KIND_DN, operator_matrix, trace_difference
@@ -440,6 +443,19 @@ def test_json_round_trip_float():
     assert a == b
 
 
+@pytest.mark.parametrize("value", [10 ** 5000, (0, Fraction(1, 10 ** 5000))],
+                         ids=["re", "im"])
+def test_json_names_the_digits_of_an_exact_value_past_the_limit(value,
+                                                                tmp_path):
+    """Past Python's int-to-text limit a coefficient is named by its digit
+    count, as the CLI names it (scalars._fmt_exact)."""
+    a = TrigSeries.exact({0: value})
+    with pytest.raises(ValueError, match="an exact value of 5001 digits"):
+        series_to_json(a)
+    with pytest.raises(ValueError, match="an exact value of 5001 digits"):
+        save_series(a, tmp_path / "a.json")
+
+
 def test_json_reads_rational_strings_into_floats():
     obj = {"coeffs": [{"n": 0, "re": "1/4", "im": "0"}]}
     a = series_from_json(obj, "float")
@@ -687,6 +703,65 @@ def test_bad_size_is_rejected_everywhere(name, bad):
 def test_integer_like_sizes_are_accepted(name):
     call, least = SIZE_CALLS[name]
     call(np.int64(least + 2))
+
+
+def _check_invariance(tol, tmp_path):
+    path = tmp_path / "a.json"
+    save_series(_WEIGHT, path)
+    args = cli.build_parser().parse_args([
+        "check-invariance", "--series", str(path), "--rho", "0.3", "--k", "1",
+        "--grid", "64", "--out-degree", "8"])
+    args.tol = tol
+    return cli.cmd_check_invariance(args)
+
+
+REAL_CALLS = {  # name: (call of the value and a scratch directory,
+    #                    the argument's name, its bound)
+    "rotate": (lambda x, _: rotate(_WEIGHT, x), "alpha", ""),
+    "rk4_exponential": (lambda x, _: rk4_exponential(np.eye(2), x, 2), "t", ""),
+    "suggest_out_degree":
+        (lambda x, _: suggest_out_degree(2, 0.5, x), "tol", " > 0"),
+    "random_positive_series": (lambda x, _: random_positive_series(
+        2, 1.0, sample_rng(1, 0), floor=x), "floor", " > 0"),
+    "random_real_series": (lambda x, _: random_real_series(
+        2, x, sample_rng(1, 0)), "scale", " >= 0"),
+    "CampaignConfig": (lambda x, _: CampaignConfig(
+        seed=1, count=1, max_degree=2, coeff_scale=x), "coeff_scale", " >= 0"),
+    "a_kappa_form": (lambda x, _: a_kappa_form(x, 4), "kappa", ""),
+    "check-invariance": (_check_invariance, "--tol", " >= 0"),
+}
+_TINY = Fraction(1, 10 ** 400)  # finite, but its float is 0.0
+BAD_REALS = {"str": "0.5", "complex": 1j, "nan": math.nan, "inf": math.inf,
+             "-inf": -math.inf, "huge-int": 10 ** 400}
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5),
+                                   Fraction(1, 2), 1],
+                         ids=["float32", "float64", "Fraction", "int"])
+@pytest.mark.parametrize("name", sorted(REAL_CALLS))
+def test_real_arguments_pass_without_a_warning(name, value, tmp_path):
+    """Every caller of fourier._real takes any finite real, and a numpy
+    scalar raises no numpy warning on the way."""
+    call, _, _ = REAL_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(value, tmp_path)
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{kind}")
+    for name, (_, _, bound) in sorted(REAL_CALLS.items())
+    for kind, value in [*BAD_REALS.items(),
+                        *[("tiny-Fraction", _TINY)] * (bound == " > 0")]])
+def test_bad_real_is_rejected_everywhere(name, value, tmp_path):
+    """The one message of fourier._real: a string, a complex, a value that
+    is not finite or past the double range, and below a strict bound of 0
+    a value whose float is 0.0."""
+    call, arg, bound = REAL_CALLS[name]
+    message = f"{arg} must be a finite real{bound}, got {value!r}"
+    with pytest.raises(ValueError) as info:
+        call(value, tmp_path)
+    assert str(info.value) == message
 
 
 # the shared grid ---------------------------------------------------------------

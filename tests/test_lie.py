@@ -12,7 +12,7 @@ from steklov_zeta import (GENERATORS, RationalComplex, TrigSeries, UnknownBracke
                           raising_relation_check, raising_relation_sweep,
                           relation_sweep, symmetrize_z)
 from steklov_zeta.invariants import zero_sum_multisets
-from steklov_zeta.lie import _bump_sum
+from steklov_zeta.lie import RELATION_PLANES, _bump_sum
 
 from util import random_exact_series, random_zero_sum_tuple
 
@@ -292,5 +292,15 @@ def test_relation_sweep_rejects_unknown_variant_and_source():
         relation_sweep(1, 2, "Dplus")
     with pytest.raises(ValueError, match="unknown coefficient source"):
         list(raising_relation_sweep(1, 2, source="exact"))
+
+
+@pytest.mark.parametrize("k, source, message", [
+    (1, "nope", "unknown coefficient source 'nope'"),
+    (3, "closed", r"closed coefficients are available for k in \{1, 2\} only")])
+def test_relation_sweep_checks_its_source_at_the_call(k, source, message):
+    """A bad source raises when the sweep is called, before any item."""
+    for variant in RELATION_PLANES:
+        with pytest.raises(ValueError, match=message):
+            relation_sweep(k, 1, variant, source=source)
 
 
