@@ -319,9 +319,14 @@ def test_rotate_takes_an_int_fraction_or_float_angle():
     a = TrigSeries.from_complex({2: 1 + 1j, -1: 0.5})
     assert rotate(a, 1) == rotate(a, 1.0)
     assert rotate(a, Fraction(1, 2)) == rotate(a, 0.5)
-    assert rotate(a, np.float64(0.5)) == rotate(a, 0.5)
-    assert rotate(a, np.float32(0.5)) == rotate(a, 0.5)
     assert rotate(a, 2 * math.pi).coeff(2) == pytest.approx(1 + 1j)
+
+
+@pytest.mark.parametrize("alpha", [np.float32(0.5), np.float64(0.5)],
+                         ids=["float32", "float64"])
+def test_rotate_takes_a_numpy_real_angle(alpha):
+    a = TrigSeries.from_complex({2: 1 + 1j, -1: 0.5})
+    assert rotate(a, alpha) == rotate(a, 0.5)
 
 
 def test_invariance_under_rotation_and_conjugation():
