@@ -213,7 +213,7 @@ def cmd_mu_matrix(args) -> int:
 
 
 def cmd_check_invariance(args) -> int:
-    tol = float(_real(args.tol, "--tol", 0, strict=False))
+    tol = _real(args.tol, "--tol", 0, strict=False)
     rho = _parse_rho(args.rho)
     _header(args, "float")
     a = load_series(args.series, "float")

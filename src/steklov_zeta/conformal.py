@@ -288,7 +288,7 @@ def rotate(a: TrigSeries, alpha: float) -> TrigSeries:
     Float backend only (the phases are transcendental); alpha must be a
     finite real.
     """
-    _real(alpha, "alpha")
+    alpha = _real(alpha, "alpha")
     if a.backend == EXACT:
         raise BackendMismatch("rotate supports the float backend only")
     return TrigSeries.from_complex(
@@ -340,11 +340,10 @@ def rk4_exponential(D: np.ndarray, t: float, steps: int) -> np.ndarray:
     if not (D.dtype.kind in "biufc" or D.dtype.kind == "O" and all(
             isinstance(x, numbers.Number) for x in D.flat)):
         raise ValueError(f"D must hold numbers, got dtype {D.dtype}")
-    _real(t, "t")
+    h = _real(t, "t") / steps
     if D.dtype.kind == "O":
         D = D.astype(float if all(isinstance(x, numbers.Real) for x in D.flat)
                      else complex)
-    h = float(t) / steps
     M = np.eye(D.shape[0])
     for _ in range(steps):
         k1 = D @ M
@@ -382,12 +381,12 @@ def suggest_out_degree(max_input_freq: int, rho, tol: float, *,
     ints (_cut)."""
     K = _size(max_input_freq, "max input frequency", 0)
     r = Fraction(_rho_value(rho))
-    _real(tol, "tol", 0)  # the cut runs on float(tol): 0.0 would never end it
+    tol = _real(tol, "tol", 0)  # a float: 0.0 would never end the cut
     if limit is not None:
         limit = _size(limit, "limit", 0)
         if K > limit:
             return limit + 1
-    return _cut(K, r, float(tol), limit)
+    return _cut(K, r, tol, limit)
 
 
 @lru_cache(maxsize=CUT_CACHE)

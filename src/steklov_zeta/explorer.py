@@ -61,12 +61,12 @@ class CampaignConfig:
         scale = _real(self.coeff_scale, "coeff_scale", 0, strict=False)
         try:
             finite = math.isfinite(
-                (2 * n0 + 1) ** 4 * 2 * (8 * n0) ** 5 * float(scale) ** 4)
+                (2 * n0 + 1) ** 4 * 2 * (8 * n0) ** 5 * scale ** 4)
         except OverflowError:
             finite = False
         if not finite:
             raise ValueError("coeff_scale must keep the sample values finite, "
-                             f"got {scale!r}")
+                             f"got {self.coeff_scale!r}")
         kappas = []
         for kappa in self.kappas:
             try:
@@ -76,7 +76,7 @@ class CampaignConfig:
                                  f"{exc}") from None
             kappas.append(float(kappa))
         # floats, so a Fraction or numpy.float32 scale or kappa serializes too
-        object.__setattr__(self, "coeff_scale", float(scale))
+        object.__setattr__(self, "coeff_scale", scale)
         object.__setattr__(self, "kappas", tuple(kappas))
 
 
@@ -157,16 +157,6 @@ def _draw(n0: int, scale, rng: np.random.Generator) -> np.ndarray:
     return row
 
 
-def _series(n0: int, values: list) -> TrigSeries:
-    """The series of a drawn row's values, entered in the order a_0, a_1,
-    a_{-1}, a_2, ... (TrigSeries.sum_abs adds them in that order)."""
-    coeffs = {0: values[n0]}
-    for n in range(1, n0 + 1):
-        coeffs[n] = values[n0 + n]
-        coeffs[-n] = values[n0 - n]
-    return TrigSeries.from_complex(coeffs)
-
-
 def random_real_series(n0: int, scale: float,
                        rng: np.random.Generator) -> TrigSeries:
     """Random conjugate-symmetric series with |a_n| <= scale, support <= n0.
@@ -177,9 +167,11 @@ def random_real_series(n0: int, scale: float,
     or whose double 2 * scale is not finite, raises a ValueError.
     """
     n0 = _size(n0, "n0")
-    if not math.isfinite(2.0 * float(_real(scale, "scale", 0, strict=False))):
+    s = _real(scale, "scale", 0, strict=False)
+    if not math.isfinite(2.0 * s):
         raise ValueError(f"scale must keep 2 * scale finite, got {scale!r}")
-    return _series(n0, _draw(n0, scale, rng).tolist())
+    return TrigSeries.from_complex(
+        dict(zip(range(-n0, n0 + 1), _draw(n0, s, rng).tolist())))
 
 
 def random_positive_series(n0: int, scale: float, rng: np.random.Generator,
@@ -187,11 +179,11 @@ def random_positive_series(n0: int, scale: float, rng: np.random.Generator,
     """Random real series shifted to stay above a positive floor (screened
     on a grid of 2048 points).  A floor that is not a finite real > 0
     raises a ValueError."""
-    _real(floor, "floor", 0)
+    floor = _real(floor, "floor", 0)
     a = random_real_series(n0, scale, rng)
     m = min_on_circle(a, 2048)
     if m < floor:
-        shift = TrigSeries.from_complex({0: float(floor) - m})
+        shift = TrigSeries.from_complex({0: floor - m})
         a = a + shift
     return a
 
@@ -201,16 +193,10 @@ def rationalize_series(a: TrigSeries) -> TrigSeries:
     construction (negative rows mirror the positive ones).  A float is a
     dyadic rational, so nothing is rounded: an exact re-check sees the very
     series that was flagged."""
-    coeffs = {}
-    for n, v in a.items():
-        if n < 0:
-            continue
-        re = Fraction(v.real)
-        im = Fraction(v.imag)
-        coeffs[n] = RationalComplex(re, im)
-        if n > 0:
-            coeffs[-n] = RationalComplex(re, -im)
-    return TrigSeries.exact(coeffs)
+    half = {n: RationalComplex(Fraction(v.real), Fraction(v.imag))
+            for n, v in a.items() if n >= 0}
+    return TrigSeries.exact(
+        {**half, **{-n: v.conjugate() for n, v in half.items() if n}})
 
 
 def _ratio_denominator(items, k: int) -> float:
@@ -284,7 +270,7 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
             flagged = False
             z2_exact = None
             if z2 < 0:  # the threshold is positive
-                a = _series(n0, values)
+                a = TrigSeries.from_complex(dict(zip(support, values)))
                 if z2 < -1e-9 * (1.0 + a.sum_abs()) ** 4:
                     exact_val = z2_closed(rationalize_series(a))
                     z2_exact = str(exact_val.re)
@@ -329,7 +315,7 @@ def a_kappa_form(kappa: float, m: int) -> np.ndarray:
     hold an infinite entry, raises a ValueError.
     """
     m = _size(m, "m", 2)
-    k = float(_real(kappa, "kappa"))
+    k = _real(kappa, "kappa")
     kappa2 = k ** 2 if abs(k) < 1e154 else math.inf  # else 2 k^2 overflows
     H = np.zeros((m - 1, m - 1))
     for n in range(2, m + 1):

@@ -31,6 +31,7 @@ size are computed once and shared read-only (grid_points).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -79,12 +80,12 @@ def _size(value, name: str, least: int = 1) -> int:
     return n
 
 
-def _real(value, name: str, least=None, strict: bool = True):
-    """value, unchanged, if it is a numbers.Real (numpy real scalars too; a
+def _real(value, name: str, least=None, strict: bool = True) -> float:
+    """float(value) if value is a numbers.Real (numpy real scalars too; a
     bool is the int it is) whose float is finite and > least (>= least when
-    not strict), else a ValueError naming it; a float past the double range
-    counts as infinite.  The one check of tolerances, scales, floors,
-    angles, times and kappas."""
+    not strict), else a ValueError naming the value as given; a float past
+    the double range counts as infinite.  The one check of tolerances,
+    scales, floors, angles, times and kappas; callers use the float."""
     try:
         x = float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:
@@ -93,14 +94,17 @@ def _real(value, name: str, least=None, strict: bool = True):
             least is None or (x > least if strict else x >= least))):
         bound = "" if least is None else f" {'>' if strict else '>='} {least}"
         raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
-    return value
+    return x
 
 
 class TrigSeries:
     """Finitely supported Fourier coefficient table.
 
-    Invariants: no explicitly stored zero entries; ``degree`` is the largest
-    |n| with a stored coefficient (0 for the zero series).
+    Invariants, set by the constructor alone: int frequencies in ascending
+    order, so equal series give equal float results; no stored zeros; on
+    the float backend, Python complex values with finite parts (any other
+    value raises a ValueError naming it).  ``degree`` is the largest |n|
+    with a stored coefficient (0 for the zero series).
     """
 
     __slots__ = ("_coeffs", "backend")
@@ -109,15 +113,19 @@ class TrigSeries:
         if backend not in (EXACT, FLOAT):
             raise ValueError(f"unknown backend {backend!r}")
         clean = {}
-        for n, v in zip(_indices(coeffs), coeffs.values()):
+        for n, v in sorted(zip(_indices(coeffs), coeffs.values()),
+                           key=operator.itemgetter(0)):
             if backend == EXACT:
                 v = _coerce_exact(v)
             else:  # a ValueError naming v, as scalars.to_fraction gives
                 try:
-                    v = complex(v)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"{v!r} is not a complex number") from None
+                    z = complex(v)
+                except (TypeError, ValueError, OverflowError):
+                    z = math.nan
+                if not cmath.isfinite(z):
+                    raise ValueError(f"{v!r} is not a complex number with "
+                                     "finite parts")
+                v = z
             if v:
                 clean[n] = v
         object.__setattr__(self, "_coeffs", clean)
@@ -147,18 +155,22 @@ class TrigSeries:
 
     @property
     def degree(self) -> int:
-        return max((abs(n) for n in self._coeffs), default=0)
+        return max(-next(iter(self._coeffs), 0),
+                   next(reversed(self._coeffs), 0))
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(self._coeffs)
 
     def coeff(self, n: int):
+        """a_n, with n checked by _indices: 2.5 or "2" raises, not reads 0."""
+        if type(n) is not int:
+            (n,) = _indices((n,))
         zero = RC_ZERO if self.backend == EXACT else 0j
         return self._coeffs.get(n, zero)
 
     def items(self):
-        return sorted(self._coeffs.items())
+        return list(self._coeffs.items())
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -211,10 +223,10 @@ class TrigSeries:
     def to_float(self) -> "TrigSeries":
         if self.backend == FLOAT:
             return self
-        return TrigSeries({n: complex(v) for n, v in self._coeffs.items()}, FLOAT)
+        return TrigSeries(self._coeffs, FLOAT)
 
     def sum_abs(self) -> float:
-        """Float value of sum_n |a_n|, the natural scale of the series."""
+        """Float sum_n |a_n| in frequency order: the scale of the series."""
         return float(sum(abs(complex(v)) for v in self._coeffs.values()))
 
 

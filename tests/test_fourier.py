@@ -61,6 +61,61 @@ def test_degree_tracks_support():
     assert a.degree == 7
 
 
+def test_equal_series_give_equal_results():
+    """The constructor stores frequencies in ascending order, so a series
+    entered in any order holds the same table and sums the same bits.  The
+    order a_0, a_1, a_-1, a_2, ... is the one that gave another last bit of
+    sum_abs when the entry order was kept."""
+    a = random_real_series(15, 1.0, sample_rng(7, 3))
+    b = TrigSeries.from_complex(dict(a.items()))
+    backward = TrigSeries.from_complex(dict(reversed(a.items())))
+    zigzag = TrigSeries.from_complex(
+        {n: a.coeff(n) for n in [0, *(m for n in range(1, 16)
+                                      for m in (n, -n))]})
+    for c in (b, backward, zigzag):
+        assert c == a
+        assert c.items() == a.items()
+        assert c.support == a.support == tuple(range(-15, 16))
+        assert c.degree == a.degree == 15
+        assert c.sum_abs().hex() == a.sum_abs().hex()
+        assert is_real(c) and is_real(a)
+    assert TrigSeries.exact({3: 1, -1: 2, 0: 1}).support == (-1, 0, 3)
+    assert TrigSeries.exact({-5: 1, 2: 1}).degree == 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrigSeries.from_complex({0: math.inf}),
+    lambda: TrigSeries.from_complex({1: 1.0, 0: math.nan}),
+    lambda: TrigSeries.from_complex({0: complex(1, math.inf)}),
+    lambda: TrigSeries.from_complex({0: 10 ** 400}),
+    lambda: TrigSeries.exact({0: 10 ** 400}).to_float(),
+    lambda: 1e300 * TrigSeries.from_complex({0: 1e300}),
+    lambda: pullback_direct(TrigSeries.from_complex({0: math.inf}),
+                            0.3, 64, 10),
+], ids=["inf", "nan", "inf-imag", "huge-int", "exact-to-float",
+        "overflowing-scale", "pullback"])
+def test_no_float_series_holds_a_non_finite_value(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="is not a complex number with finite parts"):
+            make()
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+def test_coeff_index_must_be_an_integer(n):
+    a = TrigSeries.from_complex({2: 1.5, -2: 1.5})
+    with pytest.raises(ValueError,
+                       match=f"index {re.escape(repr(n))} is not an integer"):
+        a.coeff(n)
+
+
+def test_coeff_takes_a_numpy_integer_index():
+    a = TrigSeries.exact({2: Fraction(1, 3)})
+    assert a.coeff(np.int64(2)) == a.coeff(2) == Fraction(1, 3)
+    assert a.coeff(np.int32(5)) == 0
+
+
 def test_evaluate_constant():
     assert evaluate(TrigSeries.exact({0: 1}), 1.7) == pytest.approx(1.0)
 
@@ -762,6 +817,16 @@ def test_bad_real_is_rejected_everywhere(name, value, tmp_path):
     with pytest.raises(ValueError) as info:
         call(value, tmp_path)
     assert str(info.value) == message
+
+
+def test_a_numpy_float32_argument_computes_as_its_float():
+    """fourier._real returns the float it checked, so a numpy float32 angle
+    or scale is not carried on in float32 arithmetic."""
+    x = np.float32(0.1)
+    a = random_real_series(40, 1.0, sample_rng(3, 0))
+    assert series_bits(rotate(a, x)) == series_bits(rotate(a, float(x)))
+    assert series_bits(random_real_series(3, x, sample_rng(1, 0))) \
+        == series_bits(random_real_series(3, float(x), sample_rng(1, 0)))
 
 
 # the shared grid ---------------------------------------------------------------
