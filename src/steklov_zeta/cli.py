@@ -473,7 +473,7 @@ def main(argv=None) -> int:
                 cut = len(argv) - len(known.rest)
                 argv[cut:cut] = _config_tokens(subparser, raw)
         args = parser.parse_args(argv)
-        # no numpy warning: scalars.join names a non-finite float result
+        # no numpy warning: a float ring's join names a non-finite result
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except SystemExit as exc:

@@ -70,7 +70,7 @@ import numpy as np
 from .errors import BackendMismatch
 from .fourier import (EXACT, FLOAT, TrigSeries, _indices, _nyquist_degree,
                       _real, _size, evaluate_at, from_samples, grid_points)
-from .scalars import join, ring
+from .scalars import ring
 
 
 def _rho_value(rho):
@@ -214,8 +214,8 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
     at out_degree = suggest_out_degree(deg(a), rho, tol) the dropped ones
     add up to at most tol max|a_k| in sup norm.  Row n is the numerators
     U^{(k)}_n q^{E_n - e} over d q^{E_n}, E_n its largest e = n + k + 1,
-    times the coefficient ring of a (scalars.ring, exact over D); join
-    divides it once by d D q^{E_n}.
+    times the coefficient ring of a (scalars.ring, exact over D); that
+    ring's join divides it once by d D q^{E_n}.
     """
     r = _rho_value(rho)
     out_degree = _size(out_degree, "out degree", 0)
@@ -223,7 +223,7 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
         raise BackendMismatch("exact series with float rho; pass a Fraction")
     exact = a.backend == EXACT
     r = r if exact else float(r)
-    vec, D, _ = ring([v for _, v in a.items()], exact)
+    vec, D, _, join = ring([v for _, v in a.items()], exact)
     k = np.array(a.support, dtype=int)
     s, k = np.where(k < 0, -1, 1), np.abs(k)
     cols, q, d = _columns(r, a.degree, out_degree)
@@ -235,7 +235,7 @@ def apply_moebius(a: TrigSeries, rho, out_degree: int) -> TrigSeries:
     powers = [q ** i for i in range(E.max() + 1)]
     U = np.array(cols, dtype=vec.dtype)[k[:, None], np.where(valid, sn + 1, 0)]
     totals = vec @ np.where(valid, U * np.array(powers, vec.dtype)[E - e], 0)
-    return TrigSeries({n: join(totals[..., i], d * D * powers[E[i]], exact)
+    return TrigSeries({n: join(totals[..., i], d * D * powers[E[i]])
                        for i, n in enumerate(ns)}, a.backend)
 
 

@@ -232,7 +232,7 @@ CAMPAIGN_BLOCK = 32
 def _closed_forms(support: tuple, rows: np.ndarray) -> list:
     """[Z_1, Z_2] of each float row of coefficients on support, rows
     (R, S), as real parts: one _form_sum per form over all the rows."""
-    vec, _, mul = ring(rows, False)
+    vec, _, mul, _ = ring(rows, False)
     return [invariants._form_sum(support, vec, mul, slots, coeff)[0].real
             for slots, coeff in ((2, invariants._pair_coeff_closed),
                                  (4, invariants.z2_coeff_closed))]

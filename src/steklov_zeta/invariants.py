@@ -106,7 +106,7 @@ import numpy as np
 
 from .errors import NonZeroSum
 from .fourier import EXACT, FLOAT, TrigSeries, _indices, _size
-from .scalars import join, ring
+from .scalars import ring
 
 
 def _validate_index(indices) -> tuple:
@@ -550,12 +550,11 @@ def _form_sum(support: tuple, vec, mul, slots: int, coeff):
 
 def _series_form(a: TrigSeries, slots: int, coeff):
     """The form of one series: its items as the one row of _form_sum, the
-    sum joined to a backend scalar."""
-    exact = a.backend == EXACT
+    sum lifted to a backend scalar by its ring's join."""
     support, values = zip(*a.items()) if a else ((), ())
-    vec, D, mul = ring(values, exact)
+    vec, D, mul, join = ring(values, a.backend == EXACT)
     z, den = _form_sum(support, vec[..., None, :], mul, slots, coeff)
-    return join(z[..., 0], den * D ** slots, exact)
+    return join(z[..., 0], den * D ** slots)
 
 
 def zeta_invariant(a: TrigSeries, k: int):

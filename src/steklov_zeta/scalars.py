@@ -10,11 +10,11 @@ Exact values have one form: Gaussian integers over one positive
 denominator.  A RationalComplex is (x + iy) / d with gcd(x, y, d) = 1, so
 each of its operations is integer arithmetic and one gcd.  The numpy
 kernels (form sums, operator trace, conformal transport) hold coefficients
-only through ``ring`` and ``join``, on either backend; an exact ``ring``
-vector is the [x; y] integers of a whole vector over the lcm of its d.
-``residue_ring`` carries such a vector to int64 residues modulo split
-Gaussian primes, and its ``join`` lifts a result back by CRT: the
-operator trace computes on it in machine words.
+only on a ring from ``ring``, on either backend, and lift a result through
+that ring's own ``join``; an exact ``ring`` vector is the [x; y] integers
+of a whole vector over the lcm of its d.  ``residue_ring``, a ring of the
+same shape, carries such a vector to int64 residues modulo split Gaussian
+primes and lifts back by CRT: the operator trace computes on it in words.
 """
 
 from __future__ import annotations
@@ -167,7 +167,11 @@ class RationalComplex:
 
     def __complex__(self) -> complex:
         # int / int rounds correctly, as float(Fraction) does
-        return complex(self._x / self._d, self._y / self._d)
+        try:
+            return complex(self._x / self._d, self._y / self._d)
+        except OverflowError:
+            raise ValueError(f"{self!r} is past the double range; use the "
+                             "exact backend") from None
 
     def __abs__(self) -> float:
         return abs(complex(self))
@@ -177,7 +181,7 @@ class RationalComplex:
         return Fraction(max(abs(self._x), abs(self._y)), self._d)
 
     def __repr__(self):
-        return f"RationalComplex({self.re}, {self.im})"
+        return f"RationalComplex({_show(self.re)}, {_show(self.im)})"
 
 
 # the slots' own setters, past the __setattr__ that keeps values immutable
@@ -217,28 +221,30 @@ def cmul(x, y, op=np.multiply):
 
 
 def ring(values, exact: bool):
-    """(vec, D, mul): the complex values as one ring vector over D.  Float:
-    vec is complex128 in the shape of values (rows too), D = 1,
+    """(vec, D, mul, join): the complex values as one ring vector over D.
+    Float: vec is complex128 in the shape of values (rows too), D = 1,
     mul(x, y, op=np.multiply) is op.  Exact: D is the lcm of every part's
     denominator, vec the (2, n) stack [re; im] of D v as Python ints in an
     object array (products of a few outgrow int64), mul is cmul.  mul
-    takes two ring arrays; a real array scales either ring only with *."""
+    takes two ring arrays; a real array scales either ring only with *.
+    join(z, den), as residue_ring's, lifts z over den > 0 to a scalar."""
     if not exact:
-        return np.array(values, dtype=complex), 1, _product
+        return np.array(values, dtype=complex), 1, _product, _float_join
     D = math.lcm(*(v._d for v in values))
     return np.array([[v._x * (D // v._d) for v in values],
                      [v._y * (D // v._d) for v in values]],
-                    dtype=object), D, cmul
+                    dtype=object), D, cmul, _exact_join
 
 
-def join(z, den, exact: bool):
-    """The ring element z over den > 0: a RationalComplex (exact) or a
-    complex.  A float series form, trace or apply_moebius row passes here,
-    and one that is not finite (an overflow) raises a ValueError naming
-    it.  The campaign's block sums (explorer._closed_forms) do not: the
+def _exact_join(z, den) -> RationalComplex:
+    return _make(int(z[0]), int(z[1]), den)
+
+
+def _float_join(z, den) -> complex:
+    """z / den, a complex.  A float series form, trace or apply_moebius row
+    that is not finite (an overflow) raises a ValueError naming it; the
+    campaign's block sums (explorer._closed_forms) skip this lift, as the
     scale bound of CampaignConfig keeps them finite."""
-    if exact:
-        return _make(int(z[0]), int(z[1]), den)
     z = complex(z)
     z = z if den == 1 else z / den
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -365,6 +371,24 @@ def _crt(rows, primes) -> list:
     return [z - M if 2 * z > M else z for z in lifts]
 
 
+def _digits(x) -> int:
+    """The decimal digits of an exact int or Fraction's larger of |numerator|
+    and denominator, counted without converting it to text."""
+    big = max(abs(x.numerator), x.denominator)
+    digits = math.floor(math.log10(big)) + 1  # the float log may be off
+    digits += big >= 10 ** digits
+    return digits - (big < 10 ** (digits - 1))
+
+
+def _show(x) -> str:
+    """str of an exact int or Fraction, or "<N digits>" past Python's limit
+    of sys.get_int_max_str_digits() digits for an int as text."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{_digits(x)} digits>"
+
+
 def _fmt_exact(x) -> str:
     """str of an exact int or Fraction.  Python converts an int of more
     than sys.get_int_max_str_digits() digits to text only on request; past
@@ -372,10 +396,7 @@ def _fmt_exact(x) -> str:
     try:
         return str(x)
     except ValueError:
-        big = max(abs(x.numerator), x.denominator)
-        digits = math.floor(math.log10(big)) + 1  # the float log may be off
-        digits += big >= 10 ** digits
-        digits -= big < 10 ** (digits - 1)
+        digits = _digits(x)
         raise ValueError(
             f"an exact value of {digits} digits is past Python's limit of "
             f"{sys.get_int_max_str_digits()} digits for printing an integer "

@@ -56,13 +56,12 @@ below 4 S^2 p < 2^63 for every S < 2^19.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import TruncationTooSmall
 from .fourier import EXACT, FLOAT, TrigSeries, _size
-from .scalars import RC_ZERO, join, residue_ring, ring
+from .scalars import RC_ZERO, residue_ring, ring
 
 KIND_DN = "dn"            # symbol |n|
 KIND_DTHETA = "dtheta"    # symbol n
@@ -144,12 +143,11 @@ def _trace_difference_at(a: TrigSeries, k: int, N: int):
     complex128 for a float weight (scalars.ring); for an exact one the
     integers of D a (D the lcm of the denominators) on the int64 residues
     of scalars.residue_ring, sized by _trace_bound.  The trace is
-    homogeneous of degree 2k in a, so join divides it once by D^{2k}.
+    homogeneous of degree 2k in a, so that ring's lift divides it by D^{2k}.
     """
     exact = a.backend == EXACT
-    vec, D, mul = ring([v for _, v in a.items()], exact)
+    vec, D, mul, lift = ring([v for _, v in a.items()], exact)
     S = 2 * N + 1
-    lift = partial(join, exact=False)
     if exact:
         vec, mul, lift = residue_ring(vec, S, _trace_bound(vec, k, N))
     symbol = np.abs(np.arange(-N, N + 1)).astype(vec.dtype)

@@ -38,6 +38,13 @@ def test_compute_z_exact(capsys, pair_series):
     assert "backend=exact" in err and "config=" in err
 
 
+def test_compute_z_prints_a_complex_exact_value(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    save_series(TrigSeries.exact({2: (1, 1), -2: 1}), path)
+    code, out, _ = run(capsys, "compute-z", "--series", str(path), "--k", "1")
+    assert code == 0 and out == "4+4i\n"
+
+
 def test_compute_z_brute_matches_closed(capsys, pair_series):
     code, out, _ = run(capsys, "compute-z", "--series", pair_series,
                        "--k", "2", "--method", "brute")
@@ -92,6 +99,13 @@ def test_z2_coeff_verify(capsys):
     code, out, _ = run(capsys, "z2-coeff", "--indices=-3,2,2,-1", "--verify")
     assert code == 0
     assert "closed: 8" in out and "match: True" in out
+
+
+def test_z2_coeff_verify_fails_on_a_wrong_closed_value(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "z2_coeff_closed", lambda *idx: Fraction(9))
+    code, out, _ = run(capsys, "z2-coeff", "--indices=-3,2,2,-1", "--verify")
+    assert code == 1
+    assert out.splitlines()[:3] == ["closed: 9", "brute: 8", "match: False"]
 
 
 def test_mu_matrix_csv(capsys):
@@ -530,6 +544,27 @@ def test_explore_rejects_non_finite_floats(capsys, flag, value, field):
 def test_bracket_check_cli(capsys):
     code, out, _ = run(capsys, "bracket-check", "--g", "C", "--h", "D")
     assert code == 0 and out.strip() == "0"
+
+
+def test_bracket_check_reads_the_series_file(capsys, monkeypatch, tmp_path):
+    a = TrigSeries.exact({-1: (2, 3), 0: 1, 2: (0, -1)})
+    path = tmp_path / "a.json"
+    save_series(a, path)
+    seen = []
+    check = cli.bracket_check
+    monkeypatch.setattr(cli, "bracket_check",
+                        lambda g, h, b: seen.append(b) or check(g, h, b))
+    code, out, _ = run(capsys, "bracket-check", "--g", "D", "--h", "E",
+                       "--series", str(path))
+    assert (code, out, seen) == (0, "0\n", [a])
+
+
+def test_unknown_bracket_exits_1_with_one_error_line(capsys):
+    code, out, err = run(capsys, "bracket-check", "--g", "C", "--h", "C")
+    assert (code, out) == (1, "")
+    header, error = err.splitlines()
+    assert header.startswith("steklov-zeta ") and "backend=exact" in header
+    assert error == "error: no table entry for [C, C]"
 
 
 def test_usage_error_exit_code(capsys, pair_series):

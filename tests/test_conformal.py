@@ -354,6 +354,11 @@ def test_group_law_exact_equals_float_path():
     assert fl == pytest.approx(ex, rel=1e-9, abs=1e-13)
 
 
+def test_exact_group_law_needs_rational_rho():
+    with pytest.raises(BackendMismatch, match="rational rho"):
+        group_law_check(0.2, Fraction(1, 5), 10, exact=True)
+
+
 def test_group_law_deviation_shrinks_with_width():
     d24 = group_law_check(Fraction(1, 5), Fraction(1, 5), 24)
     d40 = group_law_check(Fraction(1, 5), Fraction(1, 5), 40)

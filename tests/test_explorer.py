@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from steklov_zeta import (CampaignConfig, DegenerateDenominator, NotHermitian,
-                          RationalComplex, TrigSeries, a_kappa_form,
+                          NotReal, RationalComplex, TrigSeries, a_kappa_form,
                           explorer, inequality_ratio, invariants, is_real,
                           positive_definite_check, random_positive_series,
                           random_real_series, min_on_circle, trinomial_extract,
@@ -211,6 +211,11 @@ def test_inequality_ratio_single_mode_limit():
         assert r > prev
         prev = r
     assert prev < 2 / 3
+
+
+def test_inequality_ratio_requires_a_real_series():
+    with pytest.raises(NotReal):
+        inequality_ratio(TrigSeries.from_complex({2: 1.0, -2: 0.5}), 1)
 
 
 def test_inequality_ratio_degenerate():

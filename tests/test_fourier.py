@@ -25,8 +25,8 @@ from steklov_zeta.conformal import (apply_moebius, d_matrix,
                                     mu_matrix, pullback_direct, rotate,
                                     rk4_exponential, suggest_out_degree)
 from steklov_zeta.explorer import (CampaignConfig, a_kappa_form,
-                                   random_positive_series, rationalize_series,
-                                   sample_rng)
+                                   inequality_ratio, random_positive_series,
+                                   rationalize_series, sample_rng)
 from steklov_zeta.fourier import grid_angles, grid_points
 from steklov_zeta.scalars import _MAX_EXPONENT, to_fraction
 from steklov_zeta.trace import KIND_DN, operator_matrix, trace_difference
@@ -81,6 +81,16 @@ def test_equal_series_give_equal_results():
         assert is_real(c) and is_real(a)
     assert TrigSeries.exact({3: 1, -1: 2, 0: 1}).support == (-1, 0, 3)
     assert TrigSeries.exact({-5: 1, 2: 1}).degree == 5
+
+
+@pytest.mark.parametrize("make", [TrigSeries.exact, TrigSeries.from_complex],
+                         ids=["exact", "float"])
+def test_len_counts_stored_terms_and_equal_series_hash_alike(make):
+    forward = make({-3: 2, 0: 0, 1: RationalComplex(1, 1), 4: -1})
+    backward = make(dict(reversed(forward.items())))
+    assert len(forward) == len(backward) == 3 and len(make({})) == 0
+    assert forward == backward and hash(forward) == hash(backward)
+    assert len({forward, backward, make({4: -1})}) == 2
 
 
 @pytest.mark.parametrize("make", [
@@ -670,6 +680,43 @@ def test_rational_complex_is_immutable():
         with pytest.raises(AttributeError):
             setattr(z, name, 0)
     assert z == RationalComplex(1, 2)
+
+
+def test_rational_complex_repr_shows_a_part_past_the_digit_limit_by_count():
+    """str() of an int past sys.get_int_max_str_digits() digits raises;
+    repr shows such a part by its digit count, the count that
+    scalars._fmt_exact names, so an error message naming the value (here
+    to_float's) stays the library's own."""
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5000
+    big = RationalComplex(10 ** 5000, Fraction(-1, 3 * 10 ** limit))
+    assert repr(big) == f"RationalComplex(<5001 digits>, <{limit + 1} digits>)"
+    edge = RationalComplex(10 ** (limit - 1), -1)
+    assert repr(edge) == f"RationalComplex({10 ** (limit - 1)}, -1)"
+    with pytest.raises(ValueError, match=re.escape(
+            "RationalComplex(<5001 digits>, 0) is not a complex number")):
+        TrigSeries.exact({0: 10 ** 5000}).to_float()
+
+
+_PAST_DOUBLE = TrigSeries.exact({0: 10 ** 400})
+
+
+@pytest.mark.parametrize("read", [
+    _PAST_DOUBLE.sum_abs,
+    lambda: evaluate(_PAST_DOUBLE, 0.0),
+    lambda: min_on_circle(_PAST_DOUBLE, 16),
+    lambda: inequality_ratio(
+        TrigSeries.exact({0: 1, 2: 10 ** 400, -2: 10 ** 400}), 2),
+    lambda: complex(RationalComplex(10 ** 400, 0)),
+    lambda: abs(RationalComplex(10 ** 400, 0))],
+    ids=["sum_abs", "evaluate", "min_on_circle", "inequality_ratio",
+         "complex", "abs"])
+def test_float_read_past_the_double_range_names_the_value(read):
+    """An exact value reaches a float through RationalComplex.__complex__,
+    which names it rather than raising a bare OverflowError."""
+    with pytest.raises(ValueError, match=r"^RationalComplex\(10{400}, 0\) "
+                       "is past the double range"):
+        read()
 
 
 # one check of every exact value ---------------------------------------------

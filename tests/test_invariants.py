@@ -1042,7 +1042,7 @@ def _row_block(exact: bool, rows: int, support: tuple):
     else:
         values = [RationalComplex(random_fraction(rng), random_fraction(rng))
                   for _ in range(rows * len(support))]
-    vec, _, mul = ring(values, exact)
+    vec, _, mul, _ = ring(values, exact)
     return vec.reshape(*vec.shape[:-1], rows, len(support)), mul
 
 

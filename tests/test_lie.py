@@ -97,6 +97,15 @@ def test_unknown_bracket_pair():
         bracket_check("C", "D0", TrigSeries.exact({1: 1}))
 
 
+def test_exact_bracket_with_a_wrong_factor_is_off_by_the_target(monkeypatch):
+    """[C, D] = E read as 2E: the deviation is the sup-norm of E a, exact."""
+    a = random_exact_series(random.Random(11), 3)
+    monkeypatch.setitem(lie._BRACKETS, ("C", "D"), (2, "E"))
+    worst = max(v.sup_abs() for _, v in apply_generator("E", a).items())
+    dev = bracket_check("C", "D", a)
+    assert type(dev) is Fraction and dev == worst > 0
+
+
 def test_bracket_float_backend():
     a = TrigSeries.from_complex({2: 0.5 + 0.25j, -1: 1.0})
     assert bracket_check("C", "D", a) <= 1e-12

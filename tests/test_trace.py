@@ -14,7 +14,8 @@ from steklov_zeta import (KIND_DN, KIND_DTHETA, RationalComplex,
                           z1_closed, z2_closed, zeta_invariant)
 from steklov_zeta import scalars
 from steklov_zeta.explorer import rationalize_series, sample_rng
-from steklov_zeta.scalars import WORD, join, residue_primes, ring, split_primes
+from steklov_zeta.scalars import (RC_ZERO, WORD, residue_primes, residue_ring,
+                                  ring, split_primes)
 from steklov_zeta.trace import _trace_bound, _trace_difference_at
 
 from util import large_rational_series, load_perfbench, random_exact_series
@@ -271,10 +272,10 @@ def test_gaussian_integer_trace_matches_rational_kernel(coeffs):
 def ring_trace(a, k, N):
     """The kernel on scalars.ring alone, the oracle of the residue kernel:
     for an exact weight the same recurrence on ring's object stack [x; y]
-    of Python ints, products under cmul, one join; for a float weight the
+    of Python ints, products under cmul, ring's join; for a float weight the
     complex128 path, which the kernel keeps bit for bit."""
     exact = a.backend == "exact"
-    vec, D, mul = ring([v for _, v in a.items()], exact)
+    vec, D, mul, join = ring([v for _, v in a.items()], exact)
     S = 2 * N + 1
     symbol = np.abs(np.arange(-N, N + 1)).astype(vec.dtype)
     A = np.zeros(vec.shape[:-1] + (S, S), vec.dtype)
@@ -287,7 +288,7 @@ def ring_trace(a, k, N):
         X = mul(X, A, np.matmul)
         X[..., :N] = np.roll(X[..., :N], S, axis=-2)
     trace = mul(X[..., :S, :], X[..., S:, :].mT).sum(axis=(-2, -1))
-    return join(4 * trace, D ** (2 * k), exact)
+    return join(4 * trace, D ** (2 * k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -360,6 +361,42 @@ def test_lift_needs_every_prime_the_bound_asks_for():
     z = trace_difference(a, k, N)
     assert z == ring_trace(a, k, N) == 48 * c ** 4
     assert 2 * abs(z.re) > M // primes[-1][0]
+
+
+def _sum_of_squares(vec, mul):
+    """sum_j v_j^2 over the entries of a ring vector, on that ring."""
+    return mul(vec, vec).sum(axis=-1)
+
+
+@pytest.mark.parametrize("dyadic", [False, True], ids=["rational", "dyadic"])
+@pytest.mark.parametrize("seed", range(6))
+def test_every_ring_lifts_one_element_alike(seed, dyadic):
+    """The contract of a ring of scalars: (vec, ..., mul, join), and
+    join(z, den) lifts the element z over den.  z = sum_j v_j^2 of a random
+    exact series, lifted over one den through the exact ring's join and
+    through residue_ring's on the same vector, is one RationalComplex; for
+    dyadic values, whose float products and sums are exact, the float
+    ring's join gives its complex()."""
+    rng = random.Random(seed)
+    if dyadic:
+        a = TrigSeries.exact({n: tuple(Fraction(rng.randint(-99, 99),
+                                                2 ** rng.randint(0, 9))
+                                       for _ in "xy")
+                              for n in range(-rng.randint(0, 4), 5)})
+    else:
+        a = random_exact_series(rng, rng.randint(0, 4))
+    values = [v for _, v in a.items()]
+    den = rng.randint(1, 10 ** 6)
+    vec, D, mul, join = ring(values, True)
+    z = join(_sum_of_squares(vec, mul), den * D * D)
+    assert z == sum((v * v for v in values), RC_ZERO) / den
+    bound = sum(abs(x) + abs(y) for x, y in vec.T) ** 2
+    channels, mul, join = residue_ring(vec, len(values), bound)
+    assert join(_sum_of_squares(channels, mul), den * D * D) == z
+    if dyadic:
+        vec, one, mul, join = ring([complex(v) for v in values], False)
+        assert one == 1
+        assert join(_sum_of_squares(vec, mul), den) == complex(z)
 
 
 def sieve(n):
