@@ -39,9 +39,9 @@ from .conformal import (_rho_value, mu_matrix, pullback_direct,
 from .errors import SteklovZetaError
 from .explorer import CampaignConfig, z2_nonneg_campaign
 from .fourier import TrigSeries, _real, _size, is_real, load_series
-from .invariants import (_TABLE_BLOCK, _z_block, brute_n, coeff_bound_check,
-                         symmetrize_z, z2_coeff_closed, z_coeff,
-                         zero_sum_multisets, zeta, zeta_invariant)
+from .invariants import (_TABLE_BLOCK, _closed_coeff, _z_block, brute_n,
+                         coeff_bound_check, symmetrize_z, z2_coeff_closed,
+                         z_coeff, zero_sum_multisets, zeta, zeta_invariant)
 from .lie import GENERATORS, RELATION_PLANES, bracket_check, relation_sweep
 from .scalars import RationalComplex, _fmt_exact
 from .trace import exact_width, trace_difference
@@ -111,8 +111,8 @@ def _fmt_scalar(value, real: bool = False) -> str:
 def cmd_compute_z(args) -> int:
     _header(args, args.backend)
     a = load_series(args.series, args.backend)
-    if args.method == "closed" and args.k > 2:
-        raise ValueError("closed forms exist for k in {1, 2} only")
+    if args.method == "closed":
+        _closed_coeff(2 * args.k)  # its check of k
     if args.method == "brute":
         value = zeta_invariant(a, args.k)
     else:

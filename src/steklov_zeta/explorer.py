@@ -13,11 +13,10 @@ and the campaign can be partitioned arbitrarily without changing results.
 
 A campaign draws each sample as one complex row of coefficients on the
 support -n0..n0 (_draw, shared with random_real_series) and evaluates
-Z_1 and Z_2 of CAMPAIGN_BLOCK rows at a time with one call of the form
-evaluator, invariants._form_sum, per form, which walks the (R, S) rows in
-slices of a few (at most 8192 row x term entries each).  Each row's sums
-run in the order of that row alone, the one-row block of z1_closed and
-z2_closed, so every value is the double they give for the sample's series.
+Z_1 and Z_2 of CAMPAIGN_BLOCK rows at a time with one call of
+invariants._closed_forms, the closed route's block evaluation.  Each row's
+sums run in the order of that row alone, so every value is the double
+z1_closed and z2_closed give for the sample's series.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +35,7 @@ from .errors import DegenerateDenominator, NotHermitian, NotReal
 from . import invariants
 from .fourier import EXACT, TrigSeries, _real, _size, is_real, min_on_circle
 from .invariants import z2_closed, zeta
-from .scalars import RationalComplex, ring
+from .scalars import RationalComplex
 
 
 KAPPA_FORM_SIZE = 10  # the tail size m of each kappa's a_kappa_form
@@ -222,20 +222,11 @@ def inequality_ratio(a: TrigSeries, k: int) -> float:
     return float(complex(zeta(a, k)).real) / denom
 
 
-# Rows R of the (R, S) block of one _form_sum in z2_nonneg_campaign, walked
-# in slices of at most invariants._SUM_BLOCK row x term entries (8 rows of
-# the 949 Z_2 terms at n0 = 15): temporaries stay at or under about 128 KiB
-# whatever the block, and nothing grows with the count.
+# Rows R of the (R, S) block of one invariants._closed_forms call, summed
+# in slices of at most 8192 row x term entries (8 rows of the 949 Z_2 terms
+# at n0 = 15): temporaries stay at or under about 128 KiB whatever the
+# block, and nothing grows with the count.
 CAMPAIGN_BLOCK = 32
-
-
-def _closed_forms(support: tuple, rows: np.ndarray) -> list:
-    """[Z_1, Z_2] of each float row of coefficients on support, rows
-    (R, S), as real parts: one _form_sum per form over all the rows."""
-    vec, _, mul, _ = ring(rows, False)
-    return [invariants._form_sum(support, vec, mul, slots, coeff)[0].real
-            for slots, coeff in ((2, invariants._pair_coeff_closed),
-                                 (4, invariants.z2_coeff_closed))]
 
 
 def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -243,13 +234,13 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
     negative value.  Deterministic given the config.
 
     Samples are drawn as complex rows over the support -n0..n0 and
-    evaluated CAMPAIGN_BLOCK rows at a time, one _form_sum per form and
-    block.  A row's sums run along its own axis, so each value is the one
-    z1_closed and z2_closed give its series; a row with a zero coefficient
-    (its series has a smaller support, so its sum another order) is
-    evaluated on its own support.  Only a sample whose Z_2 is negative
-    becomes a TrigSeries, for the threshold 1e-9 (1 + sum|a_n|)^4 and the
-    exact re-check of a value below minus it.
+    evaluated CAMPAIGN_BLOCK rows at a time, one invariants._closed_forms
+    call per block.  A row's sums run along its own axis, so each value is
+    the one z1_closed and z2_closed give its series; a row with a zero
+    coefficient (its series has a smaller support, so its sum another
+    order) is evaluated on its own support.  Only a sample whose Z_2 is
+    negative becomes a TrigSeries, for the threshold 1e-9 (1 + sum|a_n|)^4
+    and the exact re-check of a value below minus it.
     """
     n0 = cfg.max_degree
     support = tuple(range(-n0, n0 + 1))
@@ -260,10 +251,10 @@ def z2_nonneg_campaign(cfg: CampaignConfig) -> CampaignReport:
         block = range(start, min(start + CAMPAIGN_BLOCK, cfg.count))
         rows = np.array([_draw(n0, cfg.coeff_scale, sample_rng(cfg.seed, i))
                          for i in block])
-        z1s, z2s = _closed_forms(support, rows)
+        z1s, z2s = invariants._closed_forms(support, rows)
         for j in np.flatnonzero(~rows.all(-1)):
             kept = tuple(n for n, v in zip(support, rows[j]) if v)
-            z1s[j:j + 1], z2s[j:j + 1] = _closed_forms(
+            z1s[j:j + 1], z2s[j:j + 1] = invariants._closed_forms(
                 kept, rows[j:j + 1, rows[j] != 0])
         for i, values, z1, z2 in zip(block, rows.tolist(), z1s.tolist(),
                                      z2s.tolist()):
@@ -343,11 +334,11 @@ def trinomial_extract(tail: TrigSeries, kappa):
     """
     if any(abs(n) <= 1 for n in tail.support):
         raise ValueError("tail series must vanish on frequencies |n| <= 1")
-    exact = tail.backend == EXACT and isinstance(kappa, (int, Fraction))
+    exact = tail.backend == EXACT and isinstance(kappa, numbers.Rational)
     if not exact:
         a_kappa_form(kappa, max(tail.degree, 2))
     base = tail if exact else tail.to_float()
-    kappa = Fraction(kappa) if exact else float(kappa)
+    kappa = RationalComplex(kappa).re if exact else float(kappa)
 
     def z2_at(x):
         kx = kappa * x
@@ -364,10 +355,16 @@ def trinomial_extract(tail: TrigSeries, kappa):
 
 def positive_definite_check(H) -> bool:
     """True iff the (Hermitian, within 1e-12 relative) matrix is positive
-    definite with pivots above 1e-10 * max|H|."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("need a square matrix")
+    definite with pivots above 1e-10 * max|H|.  An empty, non-square,
+    non-numeric or non-finite matrix raises a ValueError."""
+    try:
+        H = np.asarray(H, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError("matrix entries must be numbers") from None
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
+        raise ValueError(f"need a nonempty square matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise ValueError("matrix entries must be finite")
     scale = float(np.max(np.abs(H))) or 1.0
     if float(np.max(np.abs(H - H.conj().T))) > 1e-12 * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")

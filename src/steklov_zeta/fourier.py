@@ -39,6 +39,7 @@ import operator
 from functools import lru_cache
 
 import numpy as np
+from numpy import fft  # at import, not lazily inside the first sampling
 
 from .errors import BackendMismatch, GridTooSmall, NotPositive, NotReal
 from .scalars import RC_ZERO, RationalComplex, format_scalar, parse_scalar
@@ -333,7 +334,7 @@ def from_samples(samples, degree: int) -> TrigSeries:
     The inverse DFT is exact (up to roundoff) for inputs that are genuinely
     band-limited to the requested degree; the grid must satisfy the Nyquist
     bound size >= 2*degree + 1.  Real samples (a float, int or bool dtype)
-    take the real FFT (np.fft.rfft) for a_0 ... a_degree, and a_-n is set to
+    take the real FFT (rfft) for a_0 ... a_degree, and a_-n is set to
     the exact conjugate of a_n, so the series of real samples is exactly
     real; complex samples take the full FFT.
     """
@@ -346,10 +347,10 @@ def from_samples(samples, degree: int) -> TrigSeries:
     degree = _nyquist_degree(size, degree)
     band = range(-degree, degree + 1)  # negative n index from the end
     if real:
-        half = np.fft.rfft(samples)[:degree + 1] / size
+        half = fft.rfft(samples)[:degree + 1] / size
         values = np.concatenate((half[:0:-1].conj(), half))
     else:
-        values = np.fft.fft(samples)[band] / size
+        values = fft.fft(samples)[band] / size
     return TrigSeries.from_complex(dict(zip(band, values.tolist())))
 
 

@@ -61,10 +61,11 @@ in a block at once, their columns n side by side, each column under its
 own head's bound, _BLOCK entries at a time; symmetrize_z is its one-row
 call.
 
-Closed forms are implemented for the two lowest orders: the pair
-coefficient Z_{j,-j} = |j^3 - j| / 3, and the quadruple coefficients, which
-are piecewise odd quintic polynomials evaluated after canonicalizing the
-quadruple under permutations and a global sign flip.
+Closed forms are implemented for the two lowest orders, and _closed_coeff
+alone says so: the pair coefficient Z_{j,-j} = |j^3 - j| / 3, and the
+quadruple coefficients, which are piecewise odd quintic polynomials
+evaluated after canonicalizing the quadruple under permutations and a
+global sign flip.
 
 Every form is summed from a table that depends only on the support of a,
 not on its values: the zero-sum multisets of support values, each with its
@@ -72,12 +73,9 @@ weight coefficient times orderings, grouped by their first pair, and the
 distinct pairs of support positions their pairs of slots use (see
 _form_table).  A table is cached on (support, slots, coefficient function,
 backend), so a series with a new support pays the build once and every
-later series on that support pays the products of the used pairs, one
-gather per pair of slots after the first (Z_1: of its one pair), a sum per
-group and one gather of the distinct first pairs (from Z_2 on), and a sum.
-A build reads the multisets one block at a time and does its bookkeeping
-in numpy and on ints, so that only the finished table grows with the
-support.  The brute route's coefficient function is _z_block itself,
+later series on that support only the sums (_form_sum).  A build reads the
+multisets one block at a time, so that only the finished table grows with
+the support.  The brute route's coefficient function is _z_block itself,
 called once per block (one walk per multiplicity pattern of the heads);
 the closed routes' functions are called once per multiset, which is most
 of their cost.  The closed Z_2 table of a degree-60 support, 51,071
@@ -87,10 +85,9 @@ k = 3 table over [-15, 15], 32,134 multisets, takes about 0.5 s (fresh
 processes on a shared 2-vCPU x86_64 VM, Python 3.11.7, numpy 2.4.6).
 Both backends run one evaluator (_form_sum) on rows (..., R, S) on the
 ring of scalars.ring, a few rows at a time; a series is a one-row block,
-explorer's campaign a block of many.  Exact
-values are exact; float values may differ from a term-by-term loop in the
-last bits (another order), but not between a row alone and the same row in
-a block.
+explorer's campaign a block of many (_closed_forms).  Exact values are
+exact; float values may differ from a term-by-term loop in the last bits
+(another order), but not between a row alone and the same row in a block.
 """
 
 from __future__ import annotations
@@ -110,12 +107,9 @@ from .scalars import ring
 
 
 def _validate_index(indices) -> tuple:
-    """The multi-index as a tuple of Python ints, of even length >= 2.
-
-    Every entry goes through fourier._indices, the library's one integer
-    check (a float or a string raises a ValueError naming it); lie's
-    relation checks, z_coeff_closed and a z2_coeff_closed miss call it too.
-    """
+    """The multi-index as a tuple of Python ints, of even length >= 2,
+    each entry checked by fourier._indices, the library's one integer check
+    (a float or a string raises a ValueError naming it)."""
     idx = _indices(indices)
     if len(idx) < 2 or len(idx) % 2:
         raise ValueError(f"multi-index must have even length >= 2, "
@@ -354,11 +348,11 @@ def zero_sum_multisets(values, slots: int, total: int = 0):
 
 def _zero_sum_walk(vals: list, slots: int, total: int):
     """zero_sum_multisets on checked arguments: vals sorted and distinct."""
-    if not vals:
-        return
     if slots < 2:  # () sums to 0, (v,) to v
         if total in (vals if slots else (0,)):
             yield (total,) * slots
+        return
+    if not vals:
         return
     present = set(vals)
     last = slots - 1
@@ -513,14 +507,11 @@ def _form_sum(support: tuple, vec, mul, slots: int, coeff):
     element per row, over den * D^slots.
 
     coeff is the coefficient function of one route: _z_block (brute),
-    called on a block of sorted multisets, or _pair_coeff_closed or
-    z2_coeff_closed (closed), called with the indices of one (see
-    _table_block).  The terms come from _form_table, cached on
-    (support, slots, coeff, backend).  The routes pass different functions,
-    so they never share a table; the caller passes the function its module
-    binds at call time, so one swapped in for z2_coeff_closed (the benchmark
-    tracer's counting wrapper) gets tables of its own and is the one they
-    call.
+    called on a block of sorted multisets, or _closed_coeff(slots), called
+    with the indices of one (see _table_block).  The terms come from
+    _form_table, cached on (support, slots, coeff, backend), so routes
+    never share a table and the benchmark tracer's counting wrapper of
+    z2_coeff_closed gets tables of its own.
 
     The rows are summed in one loop over slices of _SUM_BLOCK // M rows
     for a table of M terms (at least one), so a block holds no larger
@@ -573,7 +564,7 @@ def _pair_coeff_closed(i: int, j: int) -> Fraction:
 
 def z1_closed(a: TrigSeries):
     """First invariant in closed form: (1/3) sum_j |j^3 - j| a_j a_{-j}."""
-    return _series_form(a, 2, _pair_coeff_closed)
+    return _series_form(a, 2, _closed_coeff(2))
 
 
 # closed form for quadruple coefficients -------------------------------------
@@ -649,28 +640,38 @@ def z2_coeff_closed(i: int, j: int, k: int, l: int) -> Fraction:
 
 def z2_closed(a: TrigSeries):
     """Second invariant via the closed-form quadruple coefficients."""
-    return _series_form(a, 4, z2_coeff_closed)
+    return _series_form(a, 4, _closed_coeff(4))
 
 
-def z_coeff_closed(indices) -> Fraction:
-    """Symmetric coefficient Z from its closed form, zero off the zero-sum
-    plane: |j^3 - j| / 3 for a pair (j, -j), z2_coeff_closed for a quadruple.
-
-    No closed form is known for six or more slots.
-    """
-    idx = _validate_index(indices)
-    if len(idx) == 2:
-        return _pair_coeff_closed(*idx)
-    if len(idx) == 4:
-        return z2_coeff_closed(*idx)
+def _closed_coeff(slots: int):
+    """The closed coefficient function of this many slots, read from the
+    module at the call (so a counting wrapper swapped in for one is the one
+    tables call); no closed form is known for six or more slots."""
+    if slots == 2:
+        return _pair_coeff_closed
+    if slots == 4:
+        return z2_coeff_closed
     raise ValueError("closed coefficients are available for k in {1, 2} only")
 
 
-def zeta(a: TrigSeries, k: int):
-    """Z_k(a) through the closed forms for k = 1, 2, else zeta_invariant.
+def _closed_forms(support: tuple, rows) -> list:
+    """[Z_1, Z_2] of the float rows (R, S) on support, as real parts, one
+    _form_sum each: the doubles z1_closed and z2_closed give each row."""
+    vec, _, mul, _ = ring(rows, False)
+    return [_form_sum(support, vec, mul, slots, _closed_coeff(slots))[0].real
+            for slots in (2, 4)]
 
-    The closed forms give the same coefficients as the brute sum, faster.
-    """
+
+def z_coeff_closed(indices) -> Fraction:
+    """Symmetric coefficient Z from its closed form (_closed_coeff), zero
+    off the zero-sum plane."""
+    idx = _validate_index(indices)
+    return _closed_coeff(len(idx))(*idx)
+
+
+def zeta(a: TrigSeries, k: int):
+    """Z_k(a) through the closed forms for k = 1, 2 (the brute sum's
+    coefficients, faster), else zeta_invariant."""
     k = _size(k, "order k")
     if k == 1:
         return z1_closed(a)

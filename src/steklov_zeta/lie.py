@@ -39,8 +39,8 @@ from itertools import islice
 
 from .errors import UnknownBracket, WrongSum
 from .fourier import EXACT, TrigSeries, _size
-from .invariants import (_validate_index, z_coeff, z_coeff_closed,
-                         zero_sum_multisets)
+from .invariants import (_closed_coeff, _validate_index, z_coeff,
+                         z_coeff_closed, zero_sum_multisets)
 from .scalars import RationalComplex
 
 GENERATORS = ("C", "D", "E", "D0", "Dminus", "Dplus")
@@ -87,8 +87,11 @@ def bracket_check(g: str, h: str, a: TrigSeries):
 
     The bracket is the right-action commutator h(g(a)) - g(h(a)) (see module
     docstring).  Returns an exact Fraction on the rational backend (zero iff
-    the identity holds exactly) and a float on the float backend.
+    the identity holds exactly) and a float on the float backend.  An
+    unknown name raises apply_generator's ValueError before UnknownBracket.
     """
+    lhs = apply_generator(h, apply_generator(g, a)) \
+        - apply_generator(g, apply_generator(h, a))
     if (g, h) in _BRACKETS:
         factor, target = _BRACKETS[(g, h)]
     elif (h, g) in _BRACKETS:
@@ -96,8 +99,6 @@ def bracket_check(g: str, h: str, a: TrigSeries):
         factor = -factor
     else:
         raise UnknownBracket(f"no table entry for [{g}, {h}]")
-    lhs = apply_generator(h, apply_generator(g, a)) \
-        - apply_generator(g, apply_generator(h, a))
     diff = lhs - factor * apply_generator(target, a)
     if a.backend == EXACT:
         worst = Fraction(0)
@@ -168,7 +169,7 @@ def relation_sweep(k: int, radius: int, variant: str = "reduced",
         raise ValueError(f"need a variant in {tuple(RELATION_PLANES)}, "
                          f"got {variant!r}")
     if _coeff_source(source) is z_coeff_closed:
-        z_coeff_closed((0,) * (2 * k))  # its check of k, at the call
+        _closed_coeff(2 * k)  # its check of k, at the call
     plane = RELATION_PLANES[variant]
     check = raising_relation_check if plane == -1 else lowering_relation_check
     multisets = zero_sum_multisets(range(-radius, radius + 1), 2 * k, plane)

@@ -243,8 +243,8 @@ def _exact_join(z, den) -> RationalComplex:
 def _float_join(z, den) -> complex:
     """z / den, a complex.  A float series form, trace or apply_moebius row
     that is not finite (an overflow) raises a ValueError naming it; the
-    campaign's block sums (explorer._closed_forms) skip this lift, as the
-    scale bound of CampaignConfig keeps them finite."""
+    campaign's block sums (invariants._closed_forms) skip this lift, as
+    the scale bound of CampaignConfig keeps them finite."""
     z = complex(z)
     z = z if den == 1 else z / den
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

@@ -135,14 +135,14 @@ def test_campaign_evaluates_at_most_one_block_of_rows(monkeypatch):
 
 def _lower_z2_of_sample_0(monkeypatch):
     """Make the float Z_2 of sample 0 of a one-block campaign -1."""
-    closed_forms = explorer._closed_forms
+    closed_forms = invariants._closed_forms
 
     def lowered(support, rows):
         z1s, z2s = closed_forms(support, rows)
         z2s[0] = -1.0
         return z1s, z2s
 
-    monkeypatch.setattr(explorer, "_closed_forms", lowered)
+    monkeypatch.setattr(invariants, "_closed_forms", lowered)
 
 
 def test_campaign_rechecks_a_negative_float_value_exactly(monkeypatch):
@@ -345,6 +345,25 @@ def test_positive_definite_check_basics():
     assert not positive_definite_check(np.diag([1.0, -1.0]))
     with pytest.raises(NotHermitian):
         positive_definite_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("H, message", [
+    (np.zeros((0, 0)), r"need a nonempty square matrix, got shape \(0, 0\)"),
+    ([[np.nan]], "matrix entries must be finite"),
+    ([[np.inf]], "matrix entries must be finite"),
+    ([["a"]], "matrix entries must be numbers")],
+    ids=["empty", "nan", "inf", "string"])
+def test_positive_definite_check_rejects_unusable_input(H, message):
+    # tier-1 turns numpy's RuntimeWarning on inf - inf into an error
+    with pytest.raises(ValueError, match=message):
+        positive_definite_check(H)
+
+
+def test_trinomial_extract_keeps_a_numpy_integer_kappa_exact():
+    tail = TrigSeries.exact({2: 1, -2: 1})
+    got = trinomial_extract(tail, np.int64(1))
+    assert got == trinomial_extract(tail, 1) == (48, 0, 48)
+    assert all(type(v) is Fraction for v in got)
 
 
 def test_campaign_validation():

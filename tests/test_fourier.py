@@ -1,8 +1,10 @@
 import copy
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
 import sys
 import time
 import warnings
@@ -963,3 +965,15 @@ def test_from_samples_equals_the_per_n_loop(size, degree):
     real = samples.real.copy()
     assert series_bits(from_samples(real, degree)) \
         == series_bits(per_n_from_samples(real, degree))
+
+
+def test_importing_the_library_loads_numpy_fft():
+    """numpy loads numpy.fft lazily; fourier binds it at import, so the first
+    from_samples of a process does not pay for that import.  A fresh
+    interpreter, since this one has long loaded it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, steklov_zeta; print('numpy.fft' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr

@@ -490,6 +490,8 @@ def recursive_zero_sum_multisets(values, slots, total=0):
     target moved from 0 to total."""
     vals = sorted(set(values))
     if not vals:
+        if slots == total == 0:  # () sums to 0 over any values
+            yield ()
         return
     vmax = vals[-1]
     out = []
@@ -537,9 +539,16 @@ def test_zero_sum_multisets_is_a_generator():
     assert iter(gen) is gen
     assert next(gen) == (-3, -3, 3, 3)
     assert list(zero_sum_multisets((1, -1), 0)) == [()]
-    assert list(zero_sum_multisets((), 0)) == []
+    assert list(zero_sum_multisets((), 0)) == [()]
     assert list(zero_sum_multisets((1, -1), 0, 1)) == []
     assert list(zero_sum_multisets((1, -1), 1, -1)) == [(-1,)]
+
+
+@pytest.mark.parametrize("values", [(), (0,), (1,), (-2, 5), range(-3, 4)])
+def test_zero_sum_multisets_of_no_slots_is_the_empty_tuple_once(values):
+    # the docstring's slots = 0 case, whatever the values, none included
+    assert list(zero_sum_multisets(values, 0)) == [()]
+    assert list(zero_sum_multisets(values, 0, 1)) == []
 
 
 @pytest.mark.parametrize("args, message", [

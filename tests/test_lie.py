@@ -97,6 +97,13 @@ def test_unknown_bracket_pair():
         bracket_check("C", "D0", TrigSeries.exact({1: 1}))
 
 
+@pytest.mark.parametrize("g, h", [("Q", "C"), ("C", "Q"), ("Q", "Q")])
+def test_bracket_check_names_an_unknown_generator(g, h):
+    # a bad value, named as apply_generator names it, not a missing entry
+    with pytest.raises(ValueError, match="unknown generator 'Q'; choose from"):
+        bracket_check(g, h, TrigSeries.exact({1: 1}))
+
+
 def test_exact_bracket_with_a_wrong_factor_is_off_by_the_target(monkeypatch):
     """[C, D] = E read as 2E: the deviation is the sup-norm of E a, exact."""
     a = random_exact_series(random.Random(11), 3)
